@@ -1,10 +1,14 @@
-"""Small shared helpers: sliding-window maxima, window arithmetic, thread map."""
+"""Small shared helpers: sliding-window maxima, window arithmetic, thread map.
+
+Window sums come as a ladder: one prefix sum per call, one O(n) slice
+difference per rung (:func:`window_sum_ladder`).
+"""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -61,14 +65,43 @@ def sliding_max_naive(values: np.ndarray, halfwidth: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, 2 * halfwidth + 1).max(axis=1)
 
 
-def window_sums(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Clamped sums over centered windows of 2*halfwidth+1 cells, via prefix sums."""
+def window_sum_ladder(values: np.ndarray, halfwidths: Iterable[int]) -> Iterator[np.ndarray]:
+    """Clamped sums over centered windows of 2*s+1 cells, for each s in turn.
+
+    The prefix sum is taken once; each rung is then one O(n) slice
+    difference ``prefix[hi+1] - prefix[lo]`` split into the cells whose
+    window is clamped on the left, on neither side and on the right (when
+    2s+1 > n the middle region is clamped on both sides instead). The
+    left-clamped term ``- prefix[0]`` is ``- 0.0`` and is dropped, which
+    leaves every bit unchanged.
+
+    Every rung is written into one reused buffer: a yielded array is
+    valid only until the generator is advanced, so copy it to keep it.
+    """
     n = len(values)
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
-    idx = np.arange(n)
-    lo = np.maximum(idx - halfwidth, 0)
-    hi = np.minimum(idx + halfwidth, n - 1)
-    return prefix[hi + 1] - prefix[lo]
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(values, out=prefix[1:])
+    out = np.empty(n)
+    for s in halfwidths:
+        if s < 0:
+            raise ValueError("window half-width must be >= 0")
+        lo_end = min(s, n)        # cells [0, lo_end) have lo clamped to 0
+        hi_start = max(n - s, 0)  # cells [hi_start, n) have hi clamped to n-1
+        a, b = min(lo_end, hi_start), max(lo_end, hi_start)
+        out[:a] = prefix[s + 1:s + 1 + a]
+        if lo_end <= hi_start:
+            np.subtract(prefix[a + s + 1:b + s + 1], prefix[a - s:b - s], out=out[a:b])
+        else:
+            out[a:b] = prefix[n]
+        np.subtract(prefix[n], prefix[b - s:n - s], out=out[b:])
+        yield out
+
+
+def window_sums(values: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Clamped sums over centered windows of 2*halfwidth+1 cells: one rung
+    of :func:`window_sum_ladder`."""
+    return next(window_sum_ladder(values, [halfwidth]))
 
 
 def window_sums_naive(values: np.ndarray, halfwidth: int) -> np.ndarray:

@@ -40,8 +40,13 @@ __all__ = ["run", "main"]
 
 def _atomic_write(path: str, writer) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _write_summary(out_dir: str, payload: dict) -> None:
@@ -129,7 +134,11 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must hold a JSON object, "
+                         f"not {type(cfg).__name__}")
+    return cfg
 
 
 def _weight_from_arg(arg: str, grid: Grid) -> Weight:
@@ -384,6 +393,13 @@ def _cmd_check_lemmas(args, cfg) -> int:
 # argument wiring
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _phase_cfg(args, cfg) -> dict:
     base = dict(cfg.get("phase", {}))
     if getattr(args, "kind", None):
@@ -434,15 +450,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-main")
     common(p, "64..1024")
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_positive_int, default=50)
 
     p = sub.add_parser("check-lp")
     common(p)
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=_positive_int, default=8)
 
     p = sub.add_parser("check-lemmas")
     common(p, "256..4096")
-    p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--pairs", type=_positive_int, default=20)
     p.add_argument("--p", type=int, default=3)
 
     return ap

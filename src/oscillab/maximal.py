@@ -15,7 +15,9 @@ Operators provided:
   beta-form r^(ell*beta/(ell-1)) |P_r * w|.
 
 Every fast path has a ``*_brute`` oracle that evaluates the same
-discretization by direct summation and naive window maxima. Windows are
+discretization by direct summation and naive window maxima. The fast
+window sums take one prefix sum per call, one O(n) slice difference per
+rung (:func:`oscillab._util.window_sum_ladder`). Windows are
 whole-cell: a radius r covers cells within ``cells(r, h)`` of the center
 (strictly inside r for the fractional operator, matching its single-cell
 smallest window). Windows clamp at the grid edge; results carry a
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (boundary_mask, cells, sliding_max, sliding_max_naive,
-                    snap_cells, snap_radius, window_sums, window_sums_naive)
+                    snap_cells, snap_radius, window_sum_ladder, window_sums_naive)
 from .errors import UnderResolved
 from .numerics import Grid, SampledFunction, Weight, convolve
 
@@ -144,8 +146,9 @@ def hardy_littlewood(w: Weight, iterations: int = 1) -> Weight:
     ladder = _eighth_octave_cells(n)
     for _ in range(iterations):
         best = vals.copy()
-        for s in ladder[1:]:
-            np.maximum(best, window_sums(vals, s) / (2 * s + 1), out=best)
+        for s, sums in zip(ladder[1:], window_sum_ladder(vals, ladder[1:])):
+            np.divide(sums, 2 * s + 1, out=sums)
+            np.maximum(best, sums, out=best)
         vals = best
     return Weight(w.grid, vals)
 
@@ -176,9 +179,11 @@ def fractional_maximal(w: Weight, alpha: float) -> Weight:
         raise ValueError("alpha must lie in (0, 1)")
     h = w.grid.h
     best = np.full(w.grid.n, -np.inf)
-    for t, s in enumerate(_fractional_halfwidths(w.grid.n)):
+    halfwidths = _fractional_halfwidths(w.grid.n)
+    for t, sums in enumerate(window_sum_ladder(w.values, halfwidths)):
         r = h * (2.0**t)
-        np.maximum(best, r ** (alpha - 1.0) * h * window_sums(w.values, s), out=best)
+        np.multiply(sums, r ** (alpha - 1.0) * h, out=sums)
+        np.maximum(best, sums, out=best)
     return Weight(w.grid, best)
 
 
@@ -229,15 +234,18 @@ def _region_sup(vals: np.ndarray, h: float, radii: Sequence[float],
                 factor_fn, aperture_fn, naive: bool = False):
     """sup over (y, r): factor(r) * h * window_sum_r(y), |y - x| <= aperture(r)."""
     n = len(vals)
-    wsum = window_sums_naive if naive else window_sums
+    halfwidths = [cells(r, h) for r in radii]
+    if naive:
+        ladder = (window_sums_naive(vals, s) for s in halfwidths)
+    else:
+        ladder = window_sum_ladder(vals, halfwidths)
     wmax = sliding_max_naive if naive else sliding_max
     best = np.full(n, -np.inf)
     reach = 0
-    for r in radii:
-        s = cells(r, h)
+    for r, s, sums in zip(radii, halfwidths, ladder):
         t = cells(aperture_fn(r), h)
-        obj = factor_fn(r) * h * wsum(vals, s)
-        np.maximum(best, wmax(obj, t), out=best)
+        np.multiply(sums, factor_fn(r) * h, out=sums)
+        np.maximum(best, wmax(sums, t), out=best)
         reach = max(reach, s + t)
     return best, boundary_mask(n, reach)
 
@@ -246,8 +254,9 @@ def approach_maximal(w: Weight, params: ApproachRegionParams,
                      radii: Sequence[float] | None = None) -> Weight:
     """The approach-region maximal function on the grid.
 
-    Fast path: per radius, clamped window sums by prefix differences and
-    the aperture supremum by a sliding-window maximum; O(n) per rung.
+    Fast path: one prefix sum per call, one O(n) slice difference per
+    rung for the clamped window sums, and the aperture supremum by a
+    sliding-window maximum; O(n) per rung.
     """
     h = w.grid.h
     max_h = params.r_min / 4.0

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from oscillab.cli import run
+from oscillab.cli import _atomic_write, run
 from oscillab.numerics import Grid, Weight, save_weight_csv
 
 
@@ -28,6 +28,13 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("command", ["check-main", "check-lp", "check-lemmas"])
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairs_below_one_is_usage_error(self, command, pairs, tmp_path, capsys):
+        assert run([command, "--pairs", pairs, "--out", str(tmp_path)]) == 2
+        assert "--pairs" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_bad_weight_source(self, tmp_path):
         assert run(["maximal", "--ell", "3", "--lambda", "64",
@@ -104,6 +111,29 @@ class TestConfig:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert run(["sweep-operator", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", "3", '"text"', "null"])
+    def test_non_object_config_is_usage_error(self, tmp_path, payload, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(payload)
+        assert run(["sweep-operator", "--config", str(cfg)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+
+class TestAtomicWrite:
+    def test_failed_writer_leaves_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "results.csv"
+        target.write_text("old")
+
+        def writer(path):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            _atomic_write(str(target), writer)
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+        assert target.read_text() == "old"
 
 
 class TestChecks:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from oscillab.errors import UnderResolved
 from oscillab.maximal import (ApproachRegionParams, BumpProfile,
-                              approach_maximal, approach_maximal_brute,
-                              approach_radii, default_bump,
+                              _eighth_octave_cells, approach_maximal,
+                              approach_maximal_brute, approach_radii, default_bump,
                               fractional_maximal, fractional_maximal_brute,
                               global_maximal, global_maximal_brute,
                               hardy_littlewood, hardy_littlewood_brute,
@@ -21,6 +21,8 @@ from oscillab.maximal import (ApproachRegionParams, BumpProfile,
                               regular_maximal_brute, regular_radii)
 from oscillab.numerics import Grid, Weight
 from oscillab.verify import random_weight
+
+from test_util import reference_window_sums
 
 
 def qweight(grid, seed):
@@ -77,6 +79,22 @@ class TestHardyLittlewood:
         w = qweight(g, seed)
         assert np.array_equal(hardy_littlewood(w).values,
                               hardy_littlewood_brute(w).values)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_rung_loop_off_lattice(self, k, seed):
+        # frozen copy of the loop that rebuilt the prefix sum on every rung;
+        # unquantized weights make the comparison sensitive to summation order
+        g = Grid(0.0, 2.0, 1024)
+        w = random_weight(g, np.random.default_rng(seed), quantize=False)
+        vals = w.values
+        ladder = _eighth_octave_cells(g.n)
+        for _ in range(k):
+            best = vals.copy()
+            for s in ladder[1:]:
+                np.maximum(best, reference_window_sums(vals, s) / (2 * s + 1), out=best)
+            vals = best
+        assert hardy_littlewood(w, k).values.tobytes() == vals.tobytes()
 
     def test_iteration_is_composition(self):
         g = Grid(0.0, 2.0, 512)
