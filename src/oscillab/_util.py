@@ -37,11 +37,6 @@ def snap_radius(r: float, h: float) -> float:
     return (2 * cells(r, h) + 1) * h / 2.0
 
 
-def snap_cells(r: float, h: float) -> int:
-    """Window half-width of a snapped radius: inverse of :func:`snap_radius`."""
-    return int(round(r / h - 0.5))
-
-
 def sliding_max(values: np.ndarray, halfwidth: int) -> np.ndarray:
     """Centered sliding maximum over windows of 2*halfwidth+1 cells.
 

@@ -21,15 +21,14 @@ from . import verify
 from .errors import OscillabError
 from .kernels import admissible_step, build_kernel, check_decay, decay_reports_csv
 from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights,
-                     dyadic_pieces, spaced_pieces, square_function)
+                     dyadic_pieces, square_function)
 from .maximal import ApproachRegionParams, approach_maximal, operator_by_name
-from .numerics import (Grid, SampledFunction, Weight, convolve,
-                       load_weight_csv, lp_norm, weighted_l2)
+from .numerics import Grid, Weight, load_weight_csv, lp_norm
 from .phases import Phase, finite_type_spec, validate_finite_type
-from .verify import (Provenance, RatioSample, envelope_check, fit_power_law,
-                     two_weight_ratio, maximal_norm_sweep,
-                     operator_norm_sweep, random_test_function, random_weight,
-                     square_function_ratios, uncertainty_bounds_check)
+from .verify import (Provenance, RatioSample, envelope_check, maximal_norm_sweep,
+                     operator_norm_sweep, random_weight, spaced_ratio,
+                     square_function_ratios, two_weight_samples,
+                     uncertainty_bounds_check)
 
 __all__ = ["run", "main"]
 
@@ -116,18 +115,27 @@ def phase_from_config(cfg: dict) -> tuple[Phase, float]:
     raise ValueError(f"unknown phase kind {kind!r}")
 
 
-def _parse_lambdas(text: str) -> list[float]:
-    """"64..4096" doubles from 64 to 4096; "16,64,256" is a literal list."""
-    if ".." in text:
-        a, b = text.split("..")
+def _parse_lambdas(value) -> list[float]:
+    """"64..4096" doubles from 64 to 4096; "16,64,256" or a list is literal."""
+    if isinstance(value, list) and all(isinstance(v, (int, float)) for v in value):
+        lams = [float(v) for v in value]
+    elif not isinstance(value, str):
+        raise ValueError(f"lambdas must be a string or a list of numbers, not {value!r}")
+    elif ".." in value:
+        a, b = value.split("..")
         lo, hi = float(a), float(b)
-        out = []
+        if not (0.0 < lo <= hi < math.inf):
+            raise ValueError(f"lambda range {value!r} needs finite bounds 0 < lo <= hi")
+        lams = []
         lam = lo
         while lam <= hi * (1 + 1e-9):
-            out.append(lam)
+            lams.append(lam)
             lam *= 2.0
-        return out
-    return [float(t) for t in text.split(",")]
+    else:
+        lams = [float(t) for t in value.split(",")]
+    if not lams or not all(0.0 < lam < math.inf for lam in lams):
+        raise ValueError(f"lambdas must be finite and positive, got {value!r}")
+    return lams
 
 
 def _load_config(path: str | None) -> dict:
@@ -207,8 +215,7 @@ def _cmd_maximal(args, cfg) -> int:
         out = operator_by_name(args.op)(w)
     else:
         out = approach_maximal(w, ApproachRegionParams(args.ell, lam))
-    mid = grid.n // 2
-    value = float(out.values[mid])
+    value = float(out.values[out.grid.n // 2])
     print(f"value at center: {value!r}")
     if args.weight == "const":
         target = 2.0 * lam ** (-2.0 / args.ell)
@@ -218,13 +225,12 @@ def _cmd_maximal(args, cfg) -> int:
     return 0
 
 
-def _cmd_sweep_maximal(args, cfg) -> int:
-    rep = maximal_norm_sweep(args.ell, args.lambdas, seed=args.seed)
-    _emit_sweep(args.out, "sweep-maximal", args.ell, rep, args.emit_plots)
-    target = -2.0 / args.ell
-    passed = (not rep.insufficient) and abs(rep.slope - target) <= 0.1
+def _slope_verdict(args, name: str, rep, target: float, tol: float) -> int:
+    """Write a sweep's outputs and judge its fitted slope against target +- tol."""
+    _emit_sweep(args.out, name, args.ell, rep, args.emit_plots)
+    passed = (not rep.insufficient) and abs(rep.slope - target) <= tol
     _write_summary(args.out, {
-        "experiment": "sweep-maximal", "ell": args.ell, "slope": rep.slope,
+        "experiment": name, "ell": args.ell, "slope": rep.slope,
         "intercept": rep.intercept, "max_residual": rep.max_residual,
         "target_slope": target, "pass": passed,
         "insufficient_points": rep.insufficient})
@@ -234,19 +240,15 @@ def _cmd_sweep_maximal(args, cfg) -> int:
     return 0 if passed else 1
 
 
+def _cmd_sweep_maximal(args, cfg) -> int:
+    rep = maximal_norm_sweep(args.ell, args.lambdas, seed=args.seed)
+    return _slope_verdict(args, "sweep-maximal", rep, -2.0 / args.ell, 0.1)
+
+
 def _cmd_sweep_operator(args, cfg) -> int:
     phase, spec = _phase_spec(args, cfg)
     rep = operator_norm_sweep(phase, spec, args.lambdas, seed=args.seed)
-    _emit_sweep(args.out, "sweep-operator", args.ell, rep, args.emit_plots)
-    target = -1.0 / args.ell
-    passed = (not rep.insufficient) and abs(rep.slope - target) <= 0.15
-    _write_summary(args.out, {
-        "experiment": "sweep-operator", "ell": args.ell, "slope": rep.slope,
-        "intercept": rep.intercept, "max_residual": rep.max_residual,
-        "target_slope": target, "pass": passed,
-        "insufficient_points": rep.insufficient})
-    print(f"slope {rep.slope:.4f} (target {target:.4f})")
-    return 0 if passed else 1
+    return _slope_verdict(args, "sweep-operator", rep, -1.0 / args.ell, 0.15)
 
 
 def _fail_ratio(name: str, rs: RatioSample) -> int:
@@ -262,16 +264,8 @@ def _cmd_check_main(args, cfg) -> int:
     rows = []
     per_lambda_max = []
     for lam in args.lambdas:
-        rng = np.random.default_rng(args.seed)
-        step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
-        grid = Grid.from_step(0.0, 4.0, step)
         best = 0.0
-        for i in range(args.pairs):
-            f = random_test_function(grid, rng, max_freq=2.0 * lam ** (1.0 / args.ell),
-                                     support_halfwidth=1.5)
-            w = random_weight(grid, rng)
-            rs = two_weight_ratio(f, w, phase, spec, lam,
-                                    Provenance(f"f{i}", f"w{i}", args.ell, lam, args.seed))
+        for rs in two_weight_samples(phase, spec, lam, args.pairs, args.seed):
             rows.append(("check-main", rs))
             if rs.vacuous and rs.lhs > 1e-10:
                 _atomic_write(os.path.join(args.out, "results.csv"),
@@ -321,17 +315,9 @@ def _cmd_check_lp(args, cfg) -> int:
     ok &= all(0.28 <= r <= 1.05 for r in sf_ratios)
     spaced_consts = {}
     for L in spacings:
-        sfam = SpacedFamily(L)
         f = verify.random_band_function(grid, rng, 0.0, 2.0**7)
         w = random_weight(grid, rng)
-        pieces = spaced_pieces(f, sfam)
-        lhs = sum(weighted_l2(p, w) for p in pieces)
-        wl = sfam.spatial_window(grid)
-        conv = convolve(SampledFunction(
-            grid, np.abs(wl.values).astype(np.complex128)), w.as_sampled())
-        rhs = float(grid.h * np.sum(np.abs(f.values) ** 2
-                                    * np.maximum(conv.values.real, 0.0)))
-        rs = RatioSample.of(lhs, rhs, Provenance("band", "w", 0, 0.0, args.seed))
+        rs = spaced_ratio(f, w, SpacedFamily(L), Provenance("band", "w", 0, 0.0, args.seed))
         rows.append((f"spaced-L={L}", rs))
         spaced_consts[repr(L)] = rs.ratio
     _atomic_write(os.path.join(args.out, "results.csv"),
@@ -416,17 +402,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, lambdas_default=None):
+        # --out, --seed, --lambdas and --ell default to None so that _resolve
+        # can tell an explicit flag from a config value
         p.add_argument("--config", default=None)
         p.add_argument("--kind", default=None, choices=["monomial", "cosine"])
         p.add_argument("--ell", type=int, default=None)
         p.add_argument("--x0", type=float, default=None)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--u", type=float, default=None)
-        p.add_argument("--out", default="results")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--emit-plots", action="store_true")
         if lambdas_default is not None:
-            p.add_argument("--lambdas", type=str, default=lambdas_default)
+            p.add_argument("--lambdas", type=str, default=None)
+            p.set_defaults(lambdas_default=lambdas_default)
 
     p = sub.add_parser("validate-phase")
     common(p)
@@ -476,6 +465,22 @@ _HANDLERS = {
 }
 
 
+def _resolve(args, cfg: dict) -> None:
+    """Fill the flags a config may set: an explicit flag wins over the
+    config, the config over the default."""
+    for flag, key, default, kind in (("ell", "ell", 2, int), ("seed", "seed", 0, int),
+                                     ("out", "out_dir", "results", str)):
+        if getattr(args, flag) is None:
+            value = cfg.get(key, default)
+            if not isinstance(value, kind):
+                raise ValueError(f"config {key} must be {kind.__name__}, not {value!r}")
+            setattr(args, flag, value)
+    if hasattr(args, "lambdas"):
+        args.lambdas = _parse_lambdas(cfg.get("lambdas", args.lambdas_default)
+                                      if args.lambdas is None else args.lambdas)
+    args.emit_plots = args.emit_plots or bool(cfg.get("emit_plots"))
+
+
 def run(argv=None) -> int:
     ap = _build_parser()
     try:
@@ -484,19 +489,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args.config)
-        for key in ("ell", "seed"):
-            if getattr(args, key, None) is None and key in cfg:
-                setattr(args, key, cfg[key])
-        if getattr(args, "ell", None) is None:
-            args.ell = 2
-        if hasattr(args, "lambdas"):
-            if isinstance(args.lambdas, str):
-                args.lambdas = _parse_lambdas(args.lambdas)
-        elif "lambdas" in cfg:
-            args.lambdas = [float(v) for v in cfg["lambdas"]]
-        args.out = cfg.get("out_dir", args.out)
-        if cfg.get("emit_plots"):
-            args.emit_plots = True
+        _resolve(args, cfg)
         os.makedirs(args.out, exist_ok=True)
         return _HANDLERS[args.command](args, cfg)
     except (OscillabError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from ._util import standard_bump
 from .errors import GridMismatch, UnderResolved
 from .numerics import (Grid, SampledFunction, SpectralFunction, convolve,
                        convolve_direct, forward_transform)
@@ -42,12 +43,7 @@ class Cutoff:
     halfwidth: float
 
     def __call__(self, x) -> np.ndarray:
-        t = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        with np.errstate(divide="ignore"):
-            out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-        return out
+        return standard_bump((np.asarray(x, dtype=float) - self.center) / self.halfwidth)
 
     def samples(self, grid: Grid) -> np.ndarray:
         return self(grid.xs)

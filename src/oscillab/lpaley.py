@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:
+    """The function whose transform is f^ times the frequency multiplier."""
+    return inverse_transform(SpectralFunction(fhat.freq_grid, fhat.values * multiplier,
+                                              fhat.space_grid))
+
+
 # ---------------------------------------------------------------------------
 # dyadic family
 
@@ -88,12 +94,7 @@ def dyadic_pieces(f: SampledFunction, fam: DyadicFamily) -> list[SampledFunction
         if outside > 1e-8 * total:
             raise CoverageGap(
                 f"{outside / total:.2e} of the energy lies outside the covered bands")
-    pieces = []
-    for k in fam.bands:
-        piece_hat = SpectralFunction(fhat.freq_grid, fhat.values * fam.multiplier(k, xs),
-                                     fhat.space_grid)
-        pieces.append(inverse_transform(piece_hat))
-    return pieces
+    return [_restrict(fhat, fam.multiplier(k, xs)) for k in fam.bands]
 
 
 def square_function(pieces: list[SampledFunction]) -> SampledFunction:
@@ -154,12 +155,7 @@ def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction
     """Pieces f_k with f_k^ = f^ * W^_L(. - kL), for k over the grid's range."""
     fhat = forward_transform(f)
     xs = fhat.freq_grid.xs
-    out = []
-    for k in fam.k_range(fhat.freq_grid):
-        piece_hat = SpectralFunction(fhat.freq_grid, fhat.values * fam.translate_hat(k, xs),
-                                     fhat.space_grid)
-        out.append(inverse_transform(piece_hat))
-    return out
+    return [_restrict(fhat, fam.translate_hat(k, xs)) for k in fam.k_range(fhat.freq_grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +199,7 @@ class AnnuliIndex:
 def annuli_project(f: SampledFunction, idx: AnnuliIndex, p: int) -> SampledFunction:
     """Sharp frequency restriction of f to the p-th annulus."""
     fhat = forward_transform(f)
-    mask = idx.membership(p, fhat.freq_grid.xs)
-    piece_hat = SpectralFunction(fhat.freq_grid, fhat.values * mask, fhat.space_grid)
-    return inverse_transform(piece_hat)
+    return _restrict(fhat, idx.membership(p, fhat.freq_grid.xs))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ Operators provided:
   lam-form r*(lam*r)^(-1/(ell-1)) |P_r * w| or the analytic-family
   beta-form r^(ell*beta/(ell-1)) |P_r * w|.
 
-Every fast path has a ``*_brute`` oracle that evaluates the same
-discretization by direct summation and naive window maxima. The fast
-window sums take one prefix sum per call, one O(n) slice difference per
-rung (:func:`oscillab._util.window_sum_ladder`). Windows are
-whole-cell: a radius r covers cells within ``cells(r, h)`` of the center
-(strictly inside r for the fractional operator, matching its single-cell
-smallest window). Windows clamp at the grid edge; results carry a
-``boundary`` mask marking cells any clamped window could have reached.
+Every operator has a ``*_brute`` oracle. The Hardy-Littlewood and
+fractional oracles are independent direct-summation references; the
+approach, global and regular oracles run the same body as their fast
+form with the naive primitives swapped in (direct window sums and naive
+sliding maxima). The fast window sums take one prefix sum per call, one
+O(n) slice difference per rung (:func:`oscillab._util.window_sum_ladder`).
+Windows are whole-cell: a radius r covers cells within ``cells(r, h)`` of
+the center (strictly inside r for the fractional operator, matching its
+single-cell smallest window). Windows clamp at the grid edge; results
+carry a ``boundary`` mask marking cells any clamped window could have
+reached.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (boundary_mask, cells, sliding_max, sliding_max_naive,
-                    snap_cells, snap_radius, window_sum_ladder, window_sums_naive)
+                    snap_radius, standard_bump, window_sum_ladder, window_sums_naive)
 from .errors import UnderResolved
 from .numerics import Grid, SampledFunction, Weight, convolve
 
@@ -230,24 +233,56 @@ class ApproachRegionParams:
         return self.lam <= 1.0
 
 
-def _region_sup(vals: np.ndarray, h: float, radii: Sequence[float],
-                factor_fn, aperture_fn, naive: bool = False):
-    """sup over (y, r): factor(r) * h * window_sum_r(y), |y - x| <= aperture(r)."""
-    n = len(vals)
+def _snapped(radii: Sequence[float] | None, h: float, default) -> list[float]:
+    """The given radii snapped to their window radius, else ``default()``."""
+    if radii is None:
+        return default()
+    return [snap_radius(r, h) for r in radii]
+
+
+def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn,
+                naive: bool) -> Weight:
+    """sup over (y, r): factor(r) * row_r(y), |y - x| <= aperture(r).
+
+    ``rows`` yields, per radius, the rung's row (scaled in place) and the
+    half-width of the window behind it. ``naive`` swaps the sliding
+    maximum for its oracle counterpart.
+    """
+    wmax = sliding_max_naive if naive else sliding_max
+    best = np.full(grid.n, -np.inf)
+    reach = 0
+    for r, (row, s) in zip(radii, rows):
+        t = cells(aperture_fn(r), grid.h)
+        np.multiply(row, factor_fn(r), out=row)
+        np.maximum(best, wmax(row, t), out=best)
+        reach = max(reach, s + t)
+    return Weight(grid, best, boundary=boundary_mask(grid.n, reach))
+
+
+def _window_sup(w: Weight, radii: Sequence[float], scale, naive: bool) -> Weight:
+    """Region supremum of scale(r) * h * window_sum_r: the approach and
+    global operators, whose aperture and normalization are both scale(r).
+    ``naive`` sums every window directly instead of through the ladder.
+    """
+    h = w.grid.h
     halfwidths = [cells(r, h) for r in radii]
     if naive:
-        ladder = (window_sums_naive(vals, s) for s in halfwidths)
+        sums = (window_sums_naive(w.values, s) for s in halfwidths)
     else:
-        ladder = window_sum_ladder(vals, halfwidths)
-    wmax = sliding_max_naive if naive else sliding_max
-    best = np.full(n, -np.inf)
-    reach = 0
-    for r, s, sums in zip(radii, halfwidths, ladder):
-        t = cells(aperture_fn(r), h)
-        np.multiply(sums, factor_fn(r) * h, out=sums)
-        np.maximum(best, wmax(sums, t), out=best)
-        reach = max(reach, s + t)
-    return best, boundary_mask(n, reach)
+        sums = window_sum_ladder(w.values, halfwidths)
+    return _region_sup(w.grid, radii, zip(sums, halfwidths), lambda r: scale(r) * h, scale,
+                       naive)
+
+
+def _approach(w: Weight, params: ApproachRegionParams,
+              radii: Sequence[float] | None, naive: bool) -> Weight:
+    h = w.grid.h
+    max_h = params.r_min / 4.0
+    if h > max_h:
+        raise UnderResolved("grid too coarse for the smallest radius", max_h)
+    radii = _snapped(radii, h, lambda: approach_radii(params.ell, params.lam, h))
+    e = params.aperture_exponent
+    return _window_sup(w, radii, lambda r: (params.lam * r) ** (-e), naive)
 
 
 def approach_maximal(w: Weight, params: ApproachRegionParams,
@@ -258,63 +293,30 @@ def approach_maximal(w: Weight, params: ApproachRegionParams,
     rung for the clamped window sums, and the aperture supremum by a
     sliding-window maximum; O(n) per rung.
     """
-    h = w.grid.h
-    max_h = params.r_min / 4.0
-    if h > max_h:
-        raise UnderResolved("grid too coarse for the smallest radius", max_h)
-    if radii is None:
-        radii = approach_radii(params.ell, params.lam, h)
-    else:
-        radii = [snap_radius(r, h) for r in radii]
-    e = params.aperture_exponent
-    best, mask = _region_sup(
-        w.values, h, radii,
-        lambda r: (params.lam * r) ** (-e),
-        lambda r: (params.lam * r) ** (-e))
-    return Weight(w.grid, best, boundary=mask)
+    return _approach(w, params, radii, naive=False)
 
 
 def approach_maximal_brute(w: Weight, params: ApproachRegionParams,
                            radii: Sequence[float] | None = None) -> Weight:
+    return _approach(w, params, radii, naive=True)
+
+
+def _global(w: Weight, ell: int, radii: Sequence[float] | None, naive: bool) -> Weight:
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     h = w.grid.h
-    if radii is None:
-        radii = approach_radii(params.ell, params.lam, h)
-    else:
-        radii = [snap_radius(r, h) for r in radii]
-    e = params.aperture_exponent
-    best, mask = _region_sup(
-        w.values, h, radii,
-        lambda r: (params.lam * r) ** (-e),
-        lambda r: (params.lam * r) ** (-e),
-        naive=True)
-    return Weight(w.grid, best, boundary=mask)
+    radii = _snapped(radii, h, lambda: global_radii(h))
+    e = 1.0 / (ell - 1)
+    return _window_sup(w, radii, lambda r: r ** (-e), naive)
 
 
 def global_maximal(w: Weight, ell: int, radii: Sequence[float] | None = None) -> Weight:
     """Global variant: radii in (0, 1], aperture and normalization r^(-1/(ell-1))."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    h = w.grid.h
-    if radii is None:
-        radii = global_radii(h)
-    else:
-        radii = [snap_radius(r, h) for r in radii]
-    e = 1.0 / (ell - 1)
-    best, mask = _region_sup(w.values, h, radii,
-                             lambda r: r ** (-e), lambda r: r ** (-e))
-    return Weight(w.grid, best, boundary=mask)
+    return _global(w, ell, radii, naive=False)
 
 
 def global_maximal_brute(w: Weight, ell: int, radii: Sequence[float] | None = None) -> Weight:
-    h = w.grid.h
-    if radii is None:
-        radii = global_radii(h)
-    else:
-        radii = [snap_radius(r, h) for r in radii]
-    e = 1.0 / (ell - 1)
-    best, mask = _region_sup(w.values, h, radii,
-                             lambda r: r ** (-e), lambda r: r ** (-e), naive=True)
-    return Weight(w.grid, best, boundary=mask)
+    return _global(w, ell, radii, naive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +338,7 @@ class BumpProfile:
         self.mass = float(np.trapezoid(vals, ts))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 2.0
-        u = t[inside] / 2.0
-        out[inside] = np.exp(-1.0 / (1.0 - u * u))
-        return out
+        return standard_bump(np.asarray(t, dtype=float) / 2.0)
 
     def scaled_samples(self, h: float, r: float) -> np.ndarray:
         """Samples of P_r(x) = (1/r) P(x/r) at grid offsets, support |x| <= 2r."""
@@ -382,17 +379,9 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float],
     return out
 
 
-def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
-                    beta: float | None = None, profile: BumpProfile | None = None,
-                    radii: Sequence[float] | None = None, conv: str = "auto") -> Weight:
-    """Bump-regularized maximal family.
-
-    Exactly one of ``lam`` (the lam-form, radii in (0, lam^(-1/ell)],
-    objective r*(lam*r)^(-1/(ell-1)) |P_r * w|) and ``beta`` (the
-    analytic family at lam = 1, objective r^(ell*beta/(ell-1)) |P_r * w|)
-    must be given. Signed input is allowed: the objective takes absolute
-    values, as the analytic family is tested on mean-zero atoms.
-    """
+def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: float | None,
+             profile: BumpProfile | None, radii: Sequence[float] | None, conv: str,
+             naive: bool) -> Weight:
     if (lam is None) == (beta is None):
         raise ValueError("exactly one of lam and beta must be given")
     if beta is not None and not (0.0 <= beta <= 1.0):
@@ -404,10 +393,7 @@ def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None 
     profile = profile or default_bump()
     grid = w.grid
     h = grid.h
-    if radii is None:
-        radii = regular_radii(ell, lam if lam is not None else 1.0, h)
-    else:
-        radii = [snap_radius(r, h) for r in radii]
+    radii = _snapped(radii, h, lambda: regular_radii(ell, lam if lam is not None else 1.0, h))
     if conv == "auto":
         conv = "direct" if grid.n <= 4096 else "fft"
     e = 1.0 / (ell - 1)
@@ -417,15 +403,23 @@ def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None 
     else:
         factor = lambda r: r ** (ell * beta * e)
         aperture = lambda r: r ** (-e)
-    vals = np.asarray(w.values)
-    convs = _bump_convolutions(vals, grid, radii, profile, conv)
-    best = np.full(grid.n, -np.inf)
-    reach = 0
-    for r, cv in zip(radii, convs):
-        t = cells(aperture(r), h)
-        np.maximum(best, sliding_max(factor(r) * cv, t), out=best)
-        reach = max(reach, t + cells(2.0 * r, h))
-    return Weight(grid, best, boundary=boundary_mask(grid.n, reach))
+    convs = _bump_convolutions(np.asarray(w.values), grid, radii, profile, conv)
+    rows = zip(convs, [cells(2.0 * r, h) for r in radii])
+    return _region_sup(grid, radii, rows, factor, aperture, naive)
+
+
+def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
+                    beta: float | None = None, profile: BumpProfile | None = None,
+                    radii: Sequence[float] | None = None, conv: str = "auto") -> Weight:
+    """Bump-regularized maximal family.
+
+    Exactly one of ``lam`` (the lam-form, radii in (0, lam^(-1/ell)],
+    objective r*(lam*r)^(-1/(ell-1)) |P_r * w|) and ``beta`` (the
+    analytic family at lam = 1, objective r^(ell*beta/(ell-1)) |P_r * w|)
+    must be given. Signed input is allowed: the objective takes absolute
+    values, as the analytic family is tested on mean-zero atoms.
+    """
+    return _regular(w, ell, lam, beta, profile, radii, conv, naive=False)
 
 
 def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
@@ -433,29 +427,7 @@ def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float |
                           radii: Sequence[float] | None = None) -> Weight:
     """Oracle: shares the per-rung convolution primitive (validated separately
     against direct quadrature) but evaluates region suprema naively."""
-    profile = profile or default_bump()
-    grid = w.grid
-    h = grid.h
-    if radii is None:
-        radii = regular_radii(ell, lam if lam is not None else 1.0, h)
-    else:
-        radii = [snap_radius(r, h) for r in radii]
-    e = 1.0 / (ell - 1)
-    if lam is not None:
-        factor = lambda r: r * (lam * r) ** (-e)
-        aperture = lambda r: (lam * r) ** (-e)
-    else:
-        factor = lambda r: r ** (ell * beta * e)
-        aperture = lambda r: r ** (-e)
-    vals = np.asarray(w.values)
-    convs = _bump_convolutions(vals, grid, radii, profile, "direct")
-    best = np.full(grid.n, -np.inf)
-    reach = 0
-    for r, cv in zip(radii, convs):
-        t = cells(aperture(r), h)
-        np.maximum(best, sliding_max_naive(factor(r) * cv, t), out=best)
-        reach = max(reach, t + cells(2.0 * r, h))
-    return Weight(grid, best, boundary=boundary_mask(grid.n, reach))
+    return _regular(w, ell, lam, beta, profile, radii, "direct", naive=True)
 
 
 # ---------------------------------------------------------------------------

@@ -113,15 +113,8 @@ class SampledFunction:
         object.__setattr__(self, "values", _as_complex(self.values, self.grid.n))
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "SampledFunction":
-        return cls(grid, np.asarray([fn(x) for x in grid.xs], dtype=np.complex128))
-
-    @classmethod
     def from_vectorized(cls, grid: Grid, fn) -> "SampledFunction":
         return cls(grid, np.asarray(fn(grid.xs), dtype=np.complex128))
-
-    def with_values(self, values: np.ndarray) -> "SampledFunction":
-        return SampledFunction(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -215,6 +208,31 @@ def _require_same_grid(a, b):
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
 
 
+def _linear_convolution(f: SampledFunction, g: SampledFunction, full_of) -> SampledFunction:
+    """h-weighted linear convolution on the shared grid; ``full_of`` returns
+    the full linear convolution of the two sample arrays."""
+    _require_same_grid(f, g)
+    grid = f.grid
+    n = grid.n
+    c_cells = grid.center / grid.h
+    if abs(c_cells - round(c_cells)) > 1e-9:
+        raise GridMismatch("grid center must be an integer multiple of the step")
+    full = full_of(f.values, g.values)
+    # linear conv index k sits at position 2*(center-half_width) + k*h
+    shift = n // 2 - int(round(c_cells))
+    idx = np.arange(n) + shift
+    out = np.zeros(n, dtype=np.complex128)
+    ok = (idx >= 0) & (idx < len(full))
+    out[ok] = full[idx[ok]]
+    return SampledFunction(grid, grid.h * out)
+
+
+def _padded_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution by FFT, both inputs zero-padded to twice their length."""
+    n = 2 * len(a)
+    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
+
+
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """h-weighted linear convolution, evaluated on the shared grid.
 
@@ -222,39 +240,12 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     grid center must be an integer multiple of the step for the result
     samples to land on grid points.
     """
-    _require_same_grid(f, g)
-    grid = f.grid
-    n = grid.n
-    c_cells = grid.center / grid.h
-    if abs(c_cells - round(c_cells)) > 1e-9:
-        raise GridMismatch("grid center must be an integer multiple of the step")
-    fpad = np.concatenate([f.values, np.zeros(n, dtype=np.complex128)])
-    gpad = np.concatenate([g.values, np.zeros(n, dtype=np.complex128)])
-    full = np.fft.ifft(np.fft.fft(fpad) * np.fft.fft(gpad))
-    # linear conv index k sits at position 2*(center-half_width) + k*h
-    shift = n // 2 - int(round(c_cells))
-    idx = np.arange(n) + shift
-    out = np.zeros(n, dtype=np.complex128)
-    ok = (idx >= 0) & (idx < 2 * n)
-    out[ok] = full[idx[ok]]
-    return SampledFunction(grid, grid.h * out)
+    return _linear_convolution(f, g, _padded_fft_convolve)
 
 
 def convolve_direct(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Direct O(n^2) counterpart of :func:`convolve` (quadrature oracle path)."""
-    _require_same_grid(f, g)
-    grid = f.grid
-    n = grid.n
-    c_cells = grid.center / grid.h
-    if abs(c_cells - round(c_cells)) > 1e-9:
-        raise GridMismatch("grid center must be an integer multiple of the step")
-    full = np.convolve(f.values, g.values)
-    shift = n // 2 - int(round(c_cells))
-    idx = np.arange(n) + shift
-    out = np.zeros(n, dtype=np.complex128)
-    ok = (idx >= 0) & (idx < len(full))
-    out[ok] = full[idx[ok]]
-    return SampledFunction(grid, grid.h * out)
+    return _linear_convolution(f, g, np.convolve)
 
 
 def lp_norm(f: SampledFunction | Weight, p: float) -> float:

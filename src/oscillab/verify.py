@@ -22,7 +22,8 @@ from ._util import map_ordered, smooth_plateau, standard_bump
 from .errors import (BadBand, CoverageGap, InsufficientPoints,
                      NonpositiveValue, SupportViolation)
 from .kernels import Kernel, admissible_step, apply_T, build_kernel, kernel_spectrum
-from .lpaley import DyadicFamily, dyadic_pieces, square_function
+from .lpaley import (DyadicFamily, SpacedFamily, dyadic_pieces, spaced_pieces,
+                     square_function)
 from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
@@ -36,6 +37,8 @@ __all__ = [
     "fit_power_law",
     "two_weight_ratio",
     "frequency_restricted_ratio",
+    "two_weight_samples",
+    "spaced_ratio",
     "square_function_ratios",
     "uncertainty_bounds_check",
     "envelope_check",
@@ -231,10 +234,10 @@ def _mod_input(f: SampledFunction, lam: float, norm) -> SampledFunction:
     return SampledFunction(f.grid, vals)
 
 
-def two_weight_ratio(f: SampledFunction, w: Weight, phase: Phase, spec: FiniteTypeSpec,
-                       lam: float, provenance: Provenance = Provenance()) -> RatioSample:
-    """The two-weight inequality: lhs = integral |T f|^2 w, rhs =
-    integral |f|^2 * (M^2 M_approach M^4 w).
+def _two_weight_ratio(f: SampledFunction, w: Weight, phase: Phase,
+                      spec: FiniteTypeSpec, lam: float, provenance: Provenance,
+                      k_inner: int, k_outer: int) -> RatioSample:
+    """lhs = integral |T f|^2 w, rhs = integral |f|^2 * (M^k_outer M_approach M^k_inner w).
 
     Both sides are evaluated in the normalized frame (base point zero,
     affine part modulated away), which leaves the ratio unchanged.
@@ -243,26 +246,45 @@ def two_weight_ratio(f: SampledFunction, w: Weight, phase: Phase, spec: FiniteTy
     lam_eff = lam * norm.lambda_scale
     kernel = build_kernel(norm.phase, norm.spec, lam_eff, f.grid)
     lhs = weighted_l2(apply_T(kernel, _mod_input(f, lam, norm)), w)
-    inner = hardy_littlewood(w, 4)
+    inner = hardy_littlewood(w, k_inner)
     mid = approach_maximal(inner, ApproachRegionParams(spec.ell, lam_eff))
-    outer = hardy_littlewood(mid, 2)
+    outer = hardy_littlewood(mid, k_outer)
     rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * outer.values))
     return RatioSample.of(lhs, rhs, provenance)
+
+
+def two_weight_ratio(f: SampledFunction, w: Weight, phase: Phase, spec: FiniteTypeSpec,
+                       lam: float, provenance: Provenance = Provenance()) -> RatioSample:
+    """The two-weight inequality: lhs = integral |T f|^2 w, rhs =
+    integral |f|^2 * (M^2 M_approach M^4 w)."""
+    return _two_weight_ratio(f, w, phase, spec, lam, provenance, 4, 2)
 
 
 def frequency_restricted_ratio(f: SampledFunction, w: Weight, phase: Phase,
                                spec: FiniteTypeSpec, lam: float,
                                provenance: Provenance = Provenance()) -> RatioSample:
     """Single-annulus form: rhs uses M M_approach M instead of M^2 ... M^4."""
-    norm = normalize_phase(phase, spec)
-    lam_eff = lam * norm.lambda_scale
-    kernel = build_kernel(norm.phase, norm.spec, lam_eff, f.grid)
-    lhs = weighted_l2(apply_T(kernel, _mod_input(f, lam, norm)), w)
-    inner = hardy_littlewood(w, 1)
-    mid = approach_maximal(inner, ApproachRegionParams(spec.ell, lam_eff))
-    outer = hardy_littlewood(mid, 1)
-    rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * outer.values))
-    return RatioSample.of(lhs, rhs, provenance)
+    return _two_weight_ratio(f, w, phase, spec, lam, provenance, 1, 1)
+
+
+def two_weight_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, pairs: int,
+                       seed: int):
+    """Yield the two-weight ratios of ``pairs`` seeded (f, w) pairs at one lam.
+
+    The grid resolves both the kernel and the approach region on
+    [-4, 4]; f is a random trigonometric polynomial with frequencies up
+    to 2*lam^(1/ell) under a bump of half-width 1.5, w a random weight.
+    Each call draws from a fresh RNG seeded with ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
+    grid = Grid.from_step(0.0, 4.0, step)
+    for i in range(pairs):
+        f = random_test_function(grid, rng, max_freq=2.0 * lam ** (1.0 / spec.ell),
+                                 support_halfwidth=1.5)
+        w = random_weight(grid, rng)
+        yield two_weight_ratio(f, w, phase, spec, lam,
+                               Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed))
 
 
 def square_function_ratios(f: SampledFunction, w: Weight, fam: DyadicFamily,
@@ -294,6 +316,16 @@ def _abs_convolve(a: SampledFunction, w: Weight) -> np.ndarray:
     conv = convolve(SampledFunction(a.grid, np.abs(a.values).astype(np.complex128)),
                     w.as_sampled())
     return np.maximum(conv.values.real, 0.0)
+
+
+def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
+                 provenance: Provenance = Provenance()) -> RatioSample:
+    """Equally-spaced family: lhs = sum_k integral |P_k f|^2 w over
+    rhs = integral |f|^2 (|W_L| * w), with W_L the family's spatial window."""
+    lhs = sum(weighted_l2(p, w) for p in spaced_pieces(f, fam))
+    conv = _abs_convolve(fam.spatial_window(f.grid), w)
+    rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * conv))
+    return RatioSample.of(lhs, rhs, provenance)
 
 
 def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
@@ -379,6 +411,16 @@ def dual_exponent(ell: int) -> float:
     return ell / (ell - 2.0)
 
 
+def _largest_norm_ratio(op, corpus, p: float) -> float:
+    """max over the corpus of ||op(x)||_p / ||x||_p; zero inputs are skipped."""
+    best = 0.0
+    for x in corpus:
+        denom = lp_norm(x, p)
+        if denom > 0.0:
+            best = max(best, lp_norm(op(x), p) / denom)
+    return best
+
+
 def maximal_norm_sweep(ell: int, lambdas, q: float | None = None, seed: int = 0,
                        half_width: float = 2.0, n_random: int = 8,
                        step_factor: float = 16.0, corpus: str = "full") -> SweepReport:
@@ -398,14 +440,8 @@ def maximal_norm_sweep(ell: int, lambdas, q: float | None = None, seed: int = 0,
             ws = [Weight(grid, np.ones(grid.n))]
         else:
             ws = weight_corpus(grid, rng, n_random)
-        best = 0.0
-        for w in ws:
-            denom = lp_norm(w, q)
-            if denom == 0.0:
-                continue
-            mw = approach_maximal(w, ApproachRegionParams(ell, lam))
-            best = max(best, lp_norm(mw, q) / denom)
-        return float(lam), best
+        params = ApproachRegionParams(ell, lam)
+        return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, params), ws, q)
 
     return _sweep_report(map_ordered(one, [float(l) for l in lambdas]))
 
@@ -436,12 +472,7 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
         for _ in range(n_random):
             corpus.append(random_test_function(grid, rng, max_freq=2.0 * base,
                                                support_halfwidth=2.0))
-        best = 0.0
-        for f in corpus:
-            denom = lp_norm(f, ell)
-            if denom > 0.0:
-                best = max(best, lp_norm(apply_T(kernel, f), ell) / denom)
-        return float(lam), best
+        return float(lam), _largest_norm_ratio(lambda f: apply_T(kernel, f), corpus, ell)
 
     return _sweep_report(map_ordered(one, [float(l) for l in lambdas]))
 

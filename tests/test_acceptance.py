@@ -15,22 +15,21 @@ import pytest
 
 from oscillab.kernels import admissible_step, build_kernel, check_decay
 from oscillab.lpaley import (DyadicFamily, SpacedFamily, dominating_weights,
-                             dyadic_pieces, spaced_pieces, square_function)
+                             dyadic_pieces, square_function)
 from oscillab.maximal import (ApproachRegionParams, approach_maximal,
                               approach_maximal_brute, fractional_maximal,
                               fractional_maximal_brute, global_maximal,
                               global_maximal_brute, hardy_littlewood,
                               hardy_littlewood_brute, regular_maximal,
                               regular_maximal_brute, regular_radii)
-from oscillab.numerics import (Grid, SampledFunction, Weight, convolve,
-                               convolve_direct, forward_transform, lp_norm,
-                               weighted_l2)
+from oscillab.numerics import (Grid, Weight, convolve, convolve_direct,
+                               forward_transform, lp_norm)
 from oscillab.phases import Phase, finite_type_spec
-from oscillab.verify import (Provenance, envelope_check, fit_power_law,
-                             h1_atom, two_weight_ratio, maximal_norm_sweep,
-                             operator_norm_sweep, random_band_function,
-                             random_test_function, random_weight,
-                             square_function_ratios, uncertainty_bounds_check)
+from oscillab.verify import (envelope_check, fit_power_law, h1_atom,
+                             maximal_norm_sweep, operator_norm_sweep,
+                             random_band_function, random_weight, spaced_ratio,
+                             square_function_ratios, two_weight_samples,
+                             uncertainty_bounds_check)
 
 with open(os.path.join(os.path.dirname(__file__), "baselines.json")) as _fh:
     BASELINES = json.load(_fh)
@@ -208,18 +207,8 @@ class TestCriterion6:
                                     support_halfwidth=0.5)
             maxima = []
             for lam in (64.0, 256.0, 1024.0):
-                rng = np.random.default_rng(SEED)
-                step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
-                grid = Grid.from_step(0.0, 4.0, step)
                 best = 0.0
-                for i in range(pairs):
-                    f = random_test_function(grid, rng,
-                                             max_freq=2.0 * lam ** (1.0 / ell),
-                                             support_halfwidth=1.5)
-                    w = random_weight(grid, rng)
-                    rs = two_weight_ratio(
-                        f, w, phase, spec, lam,
-                        Provenance(f"f{i}", f"w{i}", ell, lam, SEED))
+                for rs in two_weight_samples(phase, spec, lam, pairs, SEED):
                     ok &= not (rs.vacuous and rs.lhs > 1e-10)
                     best = max(best, rs.ratio)
                 baseline = BASELINES["two_weight_max_ratio"][f"ell={ell},lam={int(lam)}"]
@@ -310,14 +299,7 @@ class TestCriterion8:
             for _ in range(4):
                 f = random_band_function(sgrid, srng, 0.0, 60.0)
                 w = random_weight(sgrid, srng)
-                wl = famL.spatial_window(sgrid)
-                conv = convolve(SampledFunction(sgrid, np.abs(wl.values).astype(np.complex128)),
-                                w.as_sampled())
-                rhs = float(sgrid.h * np.sum(np.abs(f.values) ** 2
-                                             * np.maximum(conv.values.real, 0.0)))
-                lhs = sum(weighted_l2(p, w) for p in spaced_pieces(f, famL))
-                if rhs > 0:
-                    best = max(best, lhs / rhs)
+                best = max(best, spaced_ratio(f, w, famL).ratio)
             spaced_ok &= best <= BASELINES["spaced_family_constants"][f"L={L}"] * 1.05
         ok &= spaced_ok
         report(8, "Littlewood-Paley", ok,

@@ -62,6 +62,23 @@ class TestMaximalCommand:
         assert value == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("op, code", [("M", 0), (None, 2)])
+    def test_csv_weight_on_another_grid(self, op, code, tmp_path, capsys):
+        # 64 samples, far coarser than the lambda grid; the approach operator
+        # cannot resolve lambda = 64 on it and says so
+        g = Grid(0.0, 2.0, 64)
+        path = str(tmp_path / "w.csv")
+        save_weight_csv(Weight(g, np.ones(g.n)), path)
+        argv = ["maximal", "--ell", "3", "--lambda", "64", "--weight", f"csv:{path}",
+                "--out", str(tmp_path)]
+        assert run(argv + (["--op", op] if op else [])) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert float(out.splitlines()[0].split(":")[1]) == pytest.approx(1.0)
+        else:
+            assert "grid too coarse" in err
+
+
 class TestSweepOutputs:
     def test_sweep_operator_files_and_determinism(self, tmp_path, capsys):
         args = ["sweep-operator", "--kind", "monomial", "--ell", "3",
@@ -112,12 +129,96 @@ class TestConfig:
         cfg.write_text("{not json")
         assert run(["sweep-operator", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("ell", "3"), ("out_dir", 5),
+                                            ("lambdas", 64), ("lambdas", [64, None]),
+                                            ("lambdas", [])])
+    def test_config_value_of_wrong_type_is_usage_error(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["sweep-maximal", "--config", str(cfg)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", ["[1, 2]", "3", '"text"', "null"])
     def test_non_object_config_is_usage_error(self, tmp_path, payload, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text(payload)
         assert run(["sweep-operator", "--config", str(cfg)]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+# Cheap arguments per subcommand, and two cheap lambda lists for those that
+# take --lambdas. The seed cases are the subcommands whose outputs depend on
+# the seed; seeds 2 and 3 give sweep-operator outputs distinct from each
+# other and from the default seed 0.
+CHEAP_ARGS = {
+    "validate-phase": ["--kind", "monomial", "--ell", "3"],
+    "kernel-decay": ["--kind", "monomial", "--ell", "2"],
+    "maximal": ["--ell", "3", "--lambda", "16"],
+    "sweep-maximal": ["--ell", "3"],
+    "sweep-operator": ["--kind", "monomial", "--ell", "3"],
+    "check-main": ["--kind", "monomial", "--ell", "2", "--pairs", "1"],
+    "check-lp": ["--pairs", "1"],
+    "check-lemmas": ["--kind", "monomial", "--ell", "3", "--pairs", "1"],
+}
+CHEAP_LAMBDAS = {
+    "kernel-decay": ([64, 128], [64, 256]),
+    "sweep-maximal": ([16, 32], [16, 64]),
+    "sweep-operator": ([64, 128], [64, 256]),
+    "check-main": ([64], [128]),
+    "check-lemmas": ([256], [512]),
+}
+PRECEDENCE_CASES = ([(c, "out_dir") for c in CHEAP_ARGS]
+                    + [(c, "lambdas") for c in CHEAP_LAMBDAS]
+                    + [(c, "seed") for c in ("sweep-operator", "check-main", "check-lp",
+                                               "check-lemmas")])
+
+
+def _lambda_flag(values):
+    return ",".join(str(float(v)) for v in values)
+
+
+@pytest.mark.parametrize("command, key", PRECEDENCE_CASES)
+def test_flag_beats_config_beats_default(command, key, tmp_path, capsys):
+    base = list(CHEAP_ARGS[command])
+    if command in CHEAP_LAMBDAS and key != "lambdas":
+        base += ["--lambdas", _lambda_flag(CHEAP_LAMBDAS[command][0])]
+
+    def run_with(name, cfg, *flags):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"spaced": {"L": 8.0}, **cfg}))
+        return run([command, *base, "--config", str(path), *flags])
+
+    if key == "out_dir":
+        run_with("config", {"out_dir": str(tmp_path / "config-out")})
+        assert (tmp_path / "config-out").is_dir()
+        run_with("both", {"out_dir": str(tmp_path / "ignored")},
+                 "--out", str(tmp_path / "flag-out"))
+        assert (tmp_path / "flag-out").is_dir()
+        assert not (tmp_path / "ignored").exists()
+        return
+
+    def outputs(name, cfg, *flags):
+        out = tmp_path / name
+        code = run_with(name, cfg, "--out", str(out), *flags)
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    a, b = {"seed": (2, 3), "lambdas": CHEAP_LAMBDAS.get(command)}[key]
+    as_flag = _lambda_flag if key == "lambdas" else str
+    from_config = outputs("config", {key: a})
+    from_flag = outputs("flag-a", {}, f"--{key}", as_flag(a))
+    assert from_config == from_flag
+    flag_wins = outputs("both", {key: a}, f"--{key}", as_flag(b))
+    flag_only = outputs("flag-b", {}, f"--{key}", as_flag(b))
+    assert flag_wins == flag_only != from_flag
+
+
+class TestLambdaValues:
+    @pytest.mark.parametrize("text", ["0..4", "-1..4", "1..inf", "nan..4", "8..4",
+                                      "0,4", "-2", "16,inf"])
+    def test_lambdas_not_finite_and_positive_are_usage_error(self, text, tmp_path,
+                                                             capsys):
+        assert run(["sweep-maximal", f"--lambdas={text}", "--out", str(tmp_path)]) == 2
+        assert "lambda" in capsys.readouterr().err
 
 
 class TestAtomicWrite:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscillab import maximal
 from oscillab.errors import UnderResolved
 from oscillab.maximal import (ApproachRegionParams, BumpProfile,
                               _eighth_octave_cells, approach_maximal,
@@ -327,6 +328,36 @@ class TestRegular:
         assert np.all(bump(ts) >= bump.c_p)
         assert bump.c_p == pytest.approx(np.exp(-4.0 / 3.0))
         assert np.all(bump(np.linspace(-3, 3, 301)) >= 0.0)
+
+
+class TestOracleIndependence:
+    """The oracles share their operator's body; the naive switch must route
+    them through the naive primitives only, and the fast forms never."""
+
+    PARAMS = ApproachRegionParams(3, 32.0)
+    BRUTE = [lambda w: approach_maximal_brute(w, TestOracleIndependence.PARAMS),
+             lambda w: global_maximal_brute(w, 3),
+             lambda w: regular_maximal_brute(w, 3, lam=32.0),
+             lambda w: regular_maximal_brute(w, 3, beta=0.5)]
+    FAST = [lambda w: approach_maximal(w, TestOracleIndependence.PARAMS),
+            lambda w: global_maximal(w, 3),
+            lambda w: regular_maximal(w, 3, lam=32.0),
+            lambda w: regular_maximal(w, 3, beta=0.5)]
+
+    @pytest.mark.parametrize("forbidden, ops", [
+        (("sliding_max", "window_sum_ladder"), BRUTE),
+        (("sliding_max_naive", "window_sums_naive"), FAST),
+    ], ids=["brute", "fast"])
+    def test_primitives_not_crossed(self, forbidden, ops, monkeypatch):
+        def forbidden_call(*args, **kwargs):
+            raise AssertionError("primitive of the other path called")
+
+        for name in forbidden:
+            monkeypatch.setattr(maximal, name, forbidden_call)
+        g = Grid(0.0, 2.0, 1024)
+        w = qweight(g, 31)
+        for op in ops:
+            assert op(w).values.shape == (g.n,)
 
 
 class TestOperatorByName:
