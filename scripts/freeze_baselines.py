@@ -52,8 +52,8 @@ def dyadic_baselines():
     for i in range(PAIRS_LP):
         f = random_band_function(grid, rng, 0.5, 128.0)
         w = random_weight(grid, rng)
-        fw, bw = square_function_ratios(f, w, fam)
-        fmax, bmax = max(fmax, fw.ratio), max(bmax, bw.ratio)
+        sq = square_function_ratios(f, w, fam)
+        fmax, bmax = max(fmax, sq.forward.ratio), max(bmax, sq.backward.ratio)
     print(f"  dyadic forward {fmax:.6f}, backward {bmax:.6f}")
     return {"forward": fmax, "backward": bmax}
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: sliding-window maxima, window arithmetic, thread map.
+"""Small shared helpers: sliding-window maxima, window arithmetic, bumps.
 
 Window sums come as a ladder: one prefix sum per call, one O(n) slice
 difference per rung (:func:`window_sum_ladder`).
@@ -6,15 +6,10 @@ difference per rung (:func:`window_sum_ladder`).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def cells(radius: float, h: float) -> int:
@@ -144,24 +139,3 @@ def standard_bump(t: np.ndarray) -> np.ndarray:
         out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     return out
 
-
-def thread_count() -> int:
-    raw = os.environ.get("OSCILLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:
-    """Apply ``fn`` over ``items``, preserving order.
-
-    Runs on a thread pool when OSCILLAB_THREADS > 1; results are collected
-    in input order either way, so aggregation stays deterministic.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

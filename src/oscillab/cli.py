@@ -20,10 +20,9 @@ import numpy as np
 from . import verify
 from .errors import OscillabError
 from .kernels import admissible_step, build_kernel, check_decay, decay_reports_csv
-from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights,
-                     dyadic_pieces, square_function)
+from .lpaley import DyadicFamily, SpacedFamily, dominating_weights
 from .maximal import ApproachRegionParams, approach_maximal, operator_by_name
-from .numerics import Grid, Weight, load_weight_csv, lp_norm
+from .numerics import Grid, Weight, load_weight_csv
 from .phases import Phase, finite_type_spec, validate_finite_type
 from .verify import (Provenance, RatioSample, envelope_check, maximal_norm_sweep,
                      operator_norm_sweep, random_weight, spaced_ratio,
@@ -138,6 +137,16 @@ def _parse_lambdas(value) -> list[float]:
     return lams
 
 
+# The nested config objects: per key, the accepted types and whether the
+# key is required.
+_NUMBER = (int, float)
+_NESTED_CONFIG = {
+    "phase": {"kind": (str, False), "ell": (int, False), "x0": (_NUMBER, False)},
+    "dyadic": {"kmin": (int, True), "kmax": (int, True)},
+    "spaced": {"L": (_NUMBER, True)},
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -146,6 +155,18 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object, "
                          f"not {type(cfg).__name__}")
+    for name, fields in _NESTED_CONFIG.items():
+        if name not in cfg:
+            continue
+        obj = cfg[name]
+        if not isinstance(obj, dict):
+            raise ValueError(f"config {name} must be an object, not {obj!r}")
+        for key, (kind, required) in fields.items():
+            if key not in obj:
+                if required:
+                    raise ValueError(f"config {name} needs the key {key!r}")
+            elif isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+                raise ValueError(f"config {name}.{key} has the wrong type: {obj[key]!r}")
     return cfg
 
 
@@ -290,7 +311,7 @@ def _cmd_check_lp(args, cfg) -> int:
     rng = np.random.default_rng(args.seed)
     grid = Grid(0.0, 16.0, 4096)
     dy_cfg = cfg.get("dyadic", {"kmin": -2, "kmax": 8})
-    fam = DyadicFamily(int(dy_cfg["kmin"]), int(dy_cfg["kmax"]))
+    fam = DyadicFamily(dy_cfg["kmin"], dy_cfg["kmax"])
     spacings = ([float(cfg["spaced"]["L"])] if "spaced" in cfg
                 else [0.125, 0.5, 2.0, 8.0])
     fg = grid.freq_grid()
@@ -303,15 +324,11 @@ def _cmd_check_lp(args, cfg) -> int:
     for i in range(args.pairs):
         f = verify.random_band_function(grid, rng, band_lo, band_hi)
         w = random_weight(grid, rng)
-        fw, bw = square_function_ratios(
-            f, w, fam, Provenance(f"f{i}", f"w{i}", 0, 0.0, args.seed))
-        rows.append(("dyadic-forward", fw))
-        rows.append(("dyadic-backward", bw))
-        pieces = dyadic_pieces(f, fam)
-        recon = sum(p.values for p in pieces)
-        ok &= float(np.max(np.abs(recon - f.values))) <= 1e-8 * float(np.max(np.abs(f.values)))
-        sf = square_function(pieces)
-        sf_ratios.append((lp_norm(sf, 2) / lp_norm(f, 2)) ** 2)
+        sq = square_function_ratios(f, w, fam, Provenance(f"f{i}", f"w{i}", 0, 0.0, args.seed))
+        rows.append(("dyadic-forward", sq.forward))
+        rows.append(("dyadic-backward", sq.backward))
+        ok &= sq.reconstruction_error <= 1e-8
+        sf_ratios.append(sq.energy_ratio)
     ok &= all(0.28 <= r <= 1.05 for r in sf_ratios)
     spaced_consts = {}
     for L in spacings:

@@ -206,17 +206,16 @@ def annuli_project(f: SampledFunction, idx: AnnuliIndex, p: int) -> SampledFunct
 # dominating weight chain
 
 
-def band_limited_mollifier(grid: Grid, scale: float, inner: float = 4.0,
-                           outer: float = 8.0) -> SampledFunction:
-    """Real even mollifier whose transform is 1 on [-inner*scale, inner*scale]
-    and supported in [-outer*scale, outer*scale].
+def band_limited_mollifier(grid: Grid, scale: float) -> SampledFunction:
+    """Real even mollifier whose transform is 1 on [-4*scale, 4*scale] and
+    supported in [-8*scale, 8*scale].
 
     No nonnegative function can have a flat transform, so the smoothing
     step below uses |Phi| together with its mass, which is the exact
     majorant the uncertainty-principle inequality provides.
     """
     fg = grid.freq_grid()
-    hat = smooth_plateau(fg.xs / scale, inner, outer).astype(np.complex128)
+    hat = smooth_plateau(fg.xs / scale, 4.0, 8.0).astype(np.complex128)
     phi = inverse_transform(SpectralFunction(fg, hat, grid))
     return SampledFunction(grid, phi.values.real.astype(np.complex128))
 

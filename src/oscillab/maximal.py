@@ -213,16 +213,12 @@ class ApproachRegionParams:
     def __post_init__(self):
         if self.ell < 2:
             raise ValueError("ell must be >= 2")
-        if self.lam < 1:
-            raise ValueError("lam must be >= 1")
+        if not 1 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 1")
 
     @property
     def r_min(self) -> float:
         return 1.0 / self.lam
-
-    @property
-    def r_max(self) -> float:
-        return self.lam ** (-1.0 / self.ell)
 
     @property
     def aperture_exponent(self) -> float:
@@ -231,13 +227,6 @@ class ApproachRegionParams:
     @property
     def degenerate(self) -> bool:
         return self.lam <= 1.0
-
-
-def _snapped(radii: Sequence[float] | None, h: float, default) -> list[float]:
-    """The given radii snapped to their window radius, else ``default()``."""
-    if radii is None:
-        return default()
-    return [snap_radius(r, h) for r in radii]
 
 
 def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn,
@@ -274,49 +263,44 @@ def _window_sup(w: Weight, radii: Sequence[float], scale, naive: bool) -> Weight
                        naive)
 
 
-def _approach(w: Weight, params: ApproachRegionParams,
-              radii: Sequence[float] | None, naive: bool) -> Weight:
+def _approach(w: Weight, params: ApproachRegionParams, naive: bool) -> Weight:
     h = w.grid.h
     max_h = params.r_min / 4.0
     if h > max_h:
         raise UnderResolved("grid too coarse for the smallest radius", max_h)
-    radii = _snapped(radii, h, lambda: approach_radii(params.ell, params.lam, h))
+    radii = approach_radii(params.ell, params.lam, h)
     e = params.aperture_exponent
     return _window_sup(w, radii, lambda r: (params.lam * r) ** (-e), naive)
 
 
-def approach_maximal(w: Weight, params: ApproachRegionParams,
-                     radii: Sequence[float] | None = None) -> Weight:
+def approach_maximal(w: Weight, params: ApproachRegionParams) -> Weight:
     """The approach-region maximal function on the grid.
 
     Fast path: one prefix sum per call, one O(n) slice difference per
     rung for the clamped window sums, and the aperture supremum by a
     sliding-window maximum; O(n) per rung.
     """
-    return _approach(w, params, radii, naive=False)
+    return _approach(w, params, naive=False)
 
 
-def approach_maximal_brute(w: Weight, params: ApproachRegionParams,
-                           radii: Sequence[float] | None = None) -> Weight:
-    return _approach(w, params, radii, naive=True)
+def approach_maximal_brute(w: Weight, params: ApproachRegionParams) -> Weight:
+    return _approach(w, params, naive=True)
 
 
-def _global(w: Weight, ell: int, radii: Sequence[float] | None, naive: bool) -> Weight:
+def _global(w: Weight, ell: int, naive: bool) -> Weight:
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    h = w.grid.h
-    radii = _snapped(radii, h, lambda: global_radii(h))
     e = 1.0 / (ell - 1)
-    return _window_sup(w, radii, lambda r: r ** (-e), naive)
+    return _window_sup(w, global_radii(w.grid.h), lambda r: r ** (-e), naive)
 
 
-def global_maximal(w: Weight, ell: int, radii: Sequence[float] | None = None) -> Weight:
+def global_maximal(w: Weight, ell: int) -> Weight:
     """Global variant: radii in (0, 1], aperture and normalization r^(-1/(ell-1))."""
-    return _global(w, ell, radii, naive=False)
+    return _global(w, ell, naive=False)
 
 
-def global_maximal_brute(w: Weight, ell: int, radii: Sequence[float] | None = None) -> Weight:
-    return _global(w, ell, radii, naive=True)
+def global_maximal_brute(w: Weight, ell: int) -> Weight:
+    return _global(w, ell, naive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +341,14 @@ def default_bump() -> BumpProfile:
     return _DEFAULT_BUMP
 
 
-def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float],
-                       profile: BumpProfile, conv: str):
-    """|P_r * f| per rung. 'direct' uses np.convolve; 'fft' the padded FFT path."""
+def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], conv: str):
+    """|P_r * f| per rung for the default bump. 'direct' uses np.convolve;
+    'fft' the padded FFT path."""
     h = grid.h
+    bump = default_bump()
     out = []
     for r in radii:
-        pr = profile.scaled_samples(h, r)
+        pr = bump.scaled_samples(h, r)
         k = len(pr) // 2
         mid = grid.n // 2
         if conv == "fft" and k < mid:  # bump must fit inside the grid window
@@ -380,20 +365,21 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float],
 
 
 def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: float | None,
-             profile: BumpProfile | None, radii: Sequence[float] | None, conv: str,
-             naive: bool) -> Weight:
+             radii: Sequence[float] | None, conv: str, naive: bool) -> Weight:
     if (lam is None) == (beta is None):
         raise ValueError("exactly one of lam and beta must be given")
     if beta is not None and not (0.0 <= beta <= 1.0):
         raise ValueError("beta must lie in [0, 1]")
-    if lam is not None and lam < 1:
-        raise ValueError("lam must be >= 1")
+    if lam is not None and not 1 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 1")
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    profile = profile or default_bump()
     grid = w.grid
     h = grid.h
-    radii = _snapped(radii, h, lambda: regular_radii(ell, lam if lam is not None else 1.0, h))
+    if radii is None:
+        radii = regular_radii(ell, lam if lam is not None else 1.0, h)
+    else:
+        radii = [snap_radius(r, h) for r in radii]
     if conv == "auto":
         conv = "direct" if grid.n <= 4096 else "fft"
     e = 1.0 / (ell - 1)
@@ -403,14 +389,14 @@ def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: flo
     else:
         factor = lambda r: r ** (ell * beta * e)
         aperture = lambda r: r ** (-e)
-    convs = _bump_convolutions(np.asarray(w.values), grid, radii, profile, conv)
+    convs = _bump_convolutions(np.asarray(w.values), grid, radii, conv)
     rows = zip(convs, [cells(2.0 * r, h) for r in radii])
     return _region_sup(grid, radii, rows, factor, aperture, naive)
 
 
 def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
-                    beta: float | None = None, profile: BumpProfile | None = None,
-                    radii: Sequence[float] | None = None, conv: str = "auto") -> Weight:
+                    beta: float | None = None, radii: Sequence[float] | None = None,
+                    conv: str = "auto") -> Weight:
     """Bump-regularized maximal family.
 
     Exactly one of ``lam`` (the lam-form, radii in (0, lam^(-1/ell)],
@@ -419,15 +405,14 @@ def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None 
     must be given. Signed input is allowed: the objective takes absolute
     values, as the analytic family is tested on mean-zero atoms.
     """
-    return _regular(w, ell, lam, beta, profile, radii, conv, naive=False)
+    return _regular(w, ell, lam, beta, radii, conv, naive=False)
 
 
 def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
-                          beta: float | None = None, profile: BumpProfile | None = None,
-                          radii: Sequence[float] | None = None) -> Weight:
+                          beta: float | None = None) -> Weight:
     """Oracle: shares the per-rung convolution primitive (validated separately
     against direct quadrature) but evaluates region suprema naively."""
-    return _regular(w, ell, lam, beta, profile, radii, "direct", naive=True)
+    return _regular(w, ell, lam, beta, None, "direct", naive=True)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ class Grid:
     @classmethod
     def from_step(cls, center: float, half_width: float, max_step: float) -> "Grid":
         """Grid with the requested extent whose step does not exceed ``max_step``."""
-        if max_step <= 0:
-            raise ValueError("max_step must be positive")
+        if not max_step > 0:
+            raise ValueError(f"max_step must be positive, got {max_step}")
         n = next_pow2(2.0 * half_width / max_step)
         return cls(center, half_width, n)
 
@@ -304,6 +304,8 @@ def load_weight_csv(path: str) -> Weight:
 
 def _grid_from_samples(xs: np.ndarray) -> Grid:
     n = len(xs)
+    if n < 2:
+        raise ValueError(f"a sampled weight needs at least 2 samples, got {n}")
     h = (xs[-1] - xs[0]) / (n - 1)
     half_width = n * h / 2.0
     center = xs[0] + half_width

@@ -49,11 +49,10 @@ class Phase:
     """
 
     def __init__(self, kind: str, eval_analytic: Callable[[int, np.ndarray], np.ndarray],
-                 max_analytic_order: int, params: dict | None = None):
+                 max_analytic_order: int):
         self.kind = kind
         self._eval_analytic = eval_analytic
         self.max_analytic_order = max_analytic_order
-        self.params = dict(params or {})
 
     def eval(self, k: int, x):
         if k < 0:
@@ -81,7 +80,7 @@ class Phase:
                 return np.zeros_like(x)
             return (math.factorial(ell) / math.factorial(ell - k)) * x ** (ell - k)
 
-        return Phase("monomial", ev, _ALL_ORDERS, params={"ell": ell})
+        return Phase("monomial", ev, _ALL_ORDERS)
 
     @staticmethod
     def cosine() -> "Phase":
@@ -89,21 +88,21 @@ class Phase:
         return Phase("cosine", lambda k, x: np.cos(x + k * np.pi / 2), _ALL_ORDERS)
 
     @staticmethod
-    def from_derivatives(derivs: Sequence[Callable], kind: str = "user") -> "Phase":
+    def from_derivatives(derivs: Sequence[Callable]) -> "Phase":
         """User-supplied phase; ``derivs[k]`` evaluates the k-th derivative."""
         table = tuple(derivs)
 
         def ev(k, x):
             return np.asarray(table[k](x), dtype=float)
 
-        return Phase(kind, ev, max_analytic_order=len(table) - 1)
+        return Phase("user", ev, max_analytic_order=len(table) - 1)
 
     def translated(self, a: float) -> "Phase":
         """The phase x -> phi(x - a), derivatives shifted exactly."""
         parent = self
         return Phase(parent.kind,
                      lambda k, x: np.asarray(parent._eval_analytic(k, x - a)),
-                     parent.max_analytic_order, params=dict(parent.params))
+                     parent.max_analytic_order)
 
 
 @dataclass(frozen=True)
@@ -208,9 +207,10 @@ def validate_finite_type(phase: Phase, spec: FiniteTypeSpec, tol: float = 1e-10)
     return TypeReport(spec.x0, spec.ell, tuple(lower), dval, not failures, tuple(failures))
 
 
-def ensure_finite_type(phase: Phase, spec: FiniteTypeSpec, tol: float = 1e-10) -> TypeReport:
-    """Gate form of :func:`validate_finite_type`: raises on the first violation."""
-    report = validate_finite_type(phase, spec, tol)
+def ensure_finite_type(phase: Phase, spec: FiniteTypeSpec) -> TypeReport:
+    """Gate form of :func:`validate_finite_type` at the default tolerance:
+    raises on the first violation."""
+    report = validate_finite_type(phase, spec)
     if not report.passed:
         raise ValidationFailed(report.failures[0])
     return report

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import map_ordered, smooth_plateau, standard_bump
-from .errors import (BadBand, CoverageGap, InsufficientPoints,
-                     NonpositiveValue, SupportViolation)
+from ._util import smooth_plateau, standard_bump
+from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
 from .kernels import Kernel, admissible_step, apply_T, build_kernel, kernel_spectrum
 from .lpaley import (DyadicFamily, SpacedFamily, dyadic_pieces, spaced_pieces,
                      square_function)
@@ -33,6 +32,7 @@ from .phases import FiniteTypeSpec, Phase, normalize_phase
 __all__ = [
     "Provenance",
     "RatioSample",
+    "SquareFunctionSample",
     "SweepReport",
     "fit_power_law",
     "two_weight_ratio",
@@ -86,6 +86,19 @@ class RatioSample:
         if rhs > 0.0:
             return RatioSample(lhs, rhs, lhs / rhs, provenance)
         return RatioSample(lhs, rhs, 0.0, provenance, vacuous=True)
+
+
+@dataclass(frozen=True)
+class SquareFunctionSample:
+    """Both square-function inequalities for one (f, w) pair, plus two
+    checks on the same dyadic pieces: the reconstruction error
+    max|sum_k P_k f - f| / max|f| and the energy ratio (||Sf||_2/||f||_2)^2.
+    Both checks read 0.0 when f vanishes."""
+
+    forward: RatioSample
+    backward: RatioSample
+    reconstruction_error: float
+    energy_ratio: float
 
 
 @dataclass(frozen=True)
@@ -157,8 +170,8 @@ def random_weight(grid: Grid, rng: np.random.Generator, quantize: bool = True) -
     return Weight(grid, vals)
 
 
-def weight_corpus(grid: Grid, rng: np.random.Generator, n_random: int = 8) -> list[Weight]:
-    """Constants, a centered bump, a spike, a block, plus random mixtures."""
+def weight_corpus(grid: Grid, rng: np.random.Generator) -> list[Weight]:
+    """Constants, a centered bump, a spike, a block, plus 8 random mixtures."""
     xs = grid.xs
     span = 0.5 * grid.half_width
     out = [Weight(grid, np.ones(grid.n))]
@@ -167,7 +180,7 @@ def weight_corpus(grid: Grid, rng: np.random.Generator, n_random: int = 8) -> li
     spike[grid.n // 2] = 1.0
     out.append(Weight(grid, spike))
     out.append(Weight(grid, ((xs >= -span / 4) & (xs <= span / 4)).astype(float)))
-    out.extend(random_weight(grid, rng) for _ in range(n_random))
+    out.extend(random_weight(grid, rng) for _ in range(8))
     return out
 
 
@@ -183,23 +196,23 @@ def random_band_function(grid: Grid, rng: np.random.Generator, lo: float,
 
 
 def random_test_function(grid: Grid, rng: np.random.Generator, max_freq: float,
-                         support_halfwidth: float, terms: int = 6) -> SampledFunction:
-    """Smooth random trigonometric polynomial under a compact envelope."""
+                         support_halfwidth: float) -> SampledFunction:
+    """Smooth random 6-term trigonometric polynomial under a compact envelope."""
     xs = grid.xs
     env = standard_bump(xs / support_halfwidth)
     acc = np.zeros(grid.n, dtype=np.complex128)
-    for _ in range(terms):
+    for _ in range(6):
         freq = rng.uniform(-max_freq, max_freq)
         amp = rng.normal() + 1j * rng.normal()
         acc += amp * np.exp(1j * freq * xs)
     return SampledFunction(grid, acc * env)
 
 
-def focusing_input(kernel: Kernel, support_halfwidth: float | None = None) -> SampledFunction:
-    """Phase-conjugated bump: maximizes |T f(0)| and realizes the norm
-    lower bound at the known exponent."""
+def focusing_input(kernel: Kernel) -> SampledFunction:
+    """Phase-conjugated bump on the kernel's support: maximizes |T f(0)|
+    and realizes the norm lower bound at the known exponent."""
     grid = kernel.grid
-    u = support_halfwidth or kernel.spec.support_halfwidth
+    u = kernel.spec.support_halfwidth
     xs = grid.xs
     phase_vals = np.asarray(kernel.phase.eval(0, -xs))
     return SampledFunction(
@@ -288,7 +301,7 @@ def two_weight_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, pairs: in
 
 
 def square_function_ratios(f: SampledFunction, w: Weight, fam: DyadicFamily,
-                           provenance: Provenance = Provenance()):
+                           provenance: Provenance = Provenance()) -> SquareFunctionSample:
     """Forward and reverse square-function inequalities.
 
     forward: integral (Sf)^2 w over integral |f|^2 Mw
@@ -300,7 +313,13 @@ def square_function_ratios(f: SampledFunction, w: Weight, fam: DyadicFamily,
                              weighted_l2(f, hardy_littlewood(w, 1)), provenance)
     backward = RatioSample.of(weighted_l2(f, w),
                               weighted_l2(sf, hardy_littlewood(w, 3)), provenance)
-    return forward, backward
+    peak = float(np.max(np.abs(f.values)))
+    if peak == 0.0:
+        return SquareFunctionSample(forward, backward, 0.0, 0.0)
+    recon = sum(p.values for p in pieces)
+    return SquareFunctionSample(forward, backward,
+                                float(np.max(np.abs(recon - f.values))) / peak,
+                                (lp_norm(sf, 2) / lp_norm(f, 2)) ** 2)
 
 
 def _flat_window(grid: Grid, lo: float, hi: float) -> SampledFunction:
@@ -360,8 +379,7 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
 
 
 def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: int,
-                   N: int, grid: Grid | None = None,
-                   provenance: Provenance = Provenance()) -> RatioSample:
+                   N: int, provenance: Provenance = Provenance()) -> RatioSample:
     """Envelope constant for one spaced-band piece pushed through T.
 
     With L = 2^(-p/(ell-1)) lam^(1/ell) and |k| comparable to
@@ -384,8 +402,7 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
     k0 = 2.0**p * lam_eff ** (1.0 / ell) / L
     if not (0.5 * k0 <= abs(k) <= 2.0 * k0):
         raise BadBand(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
-    if grid is None:
-        grid = Grid.from_step(0.0, 8.0, admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
+    grid = Grid.from_step(0.0, 8.0, admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
     kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
     khat = kernel_spectrum(kernel)
     xs = khat.freq_grid.xs
@@ -421,34 +438,33 @@ def _largest_norm_ratio(op, corpus, p: float) -> float:
     return best
 
 
-def maximal_norm_sweep(ell: int, lambdas, q: float | None = None, seed: int = 0,
-                       half_width: float = 2.0, n_random: int = 8,
-                       step_factor: float = 16.0, corpus: str = "full") -> SweepReport:
-    """Per lambda, the largest ||M_approach w||_q / ||w||_q over the corpus.
+def maximal_norm_sweep(ell: int, lambdas, seed: int = 0, corpus: str = "full") -> SweepReport:
+    """Per lambda, the largest ||M_approach w||_q / ||w||_q over the corpus,
+    with q = (ell/2)' and w on [-2, 2] at step 1/(16 lam).
 
     ``corpus="const"`` restricts to the constant weight, for which the
     measured value has the closed form 2*lam^(-2/ell) up to window
     quantization.
     """
-    if q is None:
-        q = dual_exponent(ell)
+    q = dual_exponent(ell)
 
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
-        grid = Grid.from_step(0.0, half_width, 1.0 / (step_factor * lam))
+        grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
         if corpus == "const":
             ws = [Weight(grid, np.ones(grid.n))]
         else:
-            ws = weight_corpus(grid, rng, n_random)
+            ws = weight_corpus(grid, rng)
         params = ApproachRegionParams(ell, lam)
         return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, params), ws, q)
 
-    return _sweep_report(map_ordered(one, [float(l) for l in lambdas]))
+    return _sweep_report([one(float(lam)) for lam in lambdas])
 
 
 def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int = 0,
-                        n_random: int = 8, half_width: float = 4.0) -> SweepReport:
-    """Per lambda, the largest ||T f||_ell / ||f||_ell over the corpus.
+                        n_random: int = 8) -> SweepReport:
+    """Per lambda, the largest ||T f||_ell / ||f||_ell over the corpus, on
+    [-4, 4] at the kernel's admissible step.
 
     The corpus holds the focusing input, modulated wide bumps at
     frequencies spread through the low band, and seeded random
@@ -461,8 +477,7 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
         lam_eff = lam * norm.lambda_scale
-        grid = Grid.from_step(0.0, half_width,
-                              admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
+        grid = Grid.from_step(0.0, 4.0, admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
         kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
         corpus = [focusing_input(kernel)]
         base = lam_eff ** (1.0 / ell)
@@ -474,7 +489,7 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
                                                support_halfwidth=2.0))
         return float(lam), _largest_norm_ratio(lambda f: apply_T(kernel, f), corpus, ell)
 
-    return _sweep_report(map_ordered(one, [float(l) for l in lambdas]))
+    return _sweep_report([one(float(lam)) for lam in lambdas])
 
 
 # ---------------------------------------------------------------------------

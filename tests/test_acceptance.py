@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 from oscillab.kernels import admissible_step, build_kernel, check_decay
-from oscillab.lpaley import (DyadicFamily, SpacedFamily, dominating_weights,
-                             dyadic_pieces, square_function)
+from oscillab.lpaley import DyadicFamily, SpacedFamily, dominating_weights
 from oscillab.maximal import (ApproachRegionParams, approach_maximal,
                               approach_maximal_brute, fractional_maximal,
                               fractional_maximal_brute, global_maximal,
                               global_maximal_brute, hardy_littlewood,
                               hardy_littlewood_brute, regular_maximal,
                               regular_maximal_brute, regular_radii)
-from oscillab.numerics import (Grid, Weight, convolve, convolve_direct,
-                               forward_transform, lp_norm)
+from oscillab.numerics import Grid, Weight, convolve, convolve_direct, forward_transform
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import (envelope_check, fit_power_law, h1_atom,
                              maximal_norm_sweep, operator_norm_sweep,
@@ -277,14 +275,10 @@ class TestCriterion8:
         for i in range(BASELINES["pairs_lp"]):
             f = random_band_function(grid, rng, 0.5, 128.0)
             w = random_weight(grid, rng)
-            fw, bw = square_function_ratios(f, w, fam)
-            fmax, bmax = max(fmax, fw.ratio), max(bmax, bw.ratio)
-            pieces = dyadic_pieces(f, fam)
-            recon = sum(p.values for p in pieces)
-            recon_worst = max(recon_worst,
-                              float(np.max(np.abs(recon - f.values))
-                                    / np.max(np.abs(f.values))))
-            ratios.append((lp_norm(square_function(pieces), 2) / lp_norm(f, 2)) ** 2)
+            sq = square_function_ratios(f, w, fam)
+            fmax, bmax = max(fmax, sq.forward.ratio), max(bmax, sq.backward.ratio)
+            recon_worst = max(recon_worst, sq.reconstruction_error)
+            ratios.append(sq.energy_ratio)
         ok &= recon_worst <= 1e-8
         ok &= all(0.28 <= r <= 1.05 for r in ratios)
         ok &= fmax <= BASELINES["dyadic_square_ratios"]["forward"] * 1.05

@@ -78,6 +78,24 @@ class TestMaximalCommand:
         else:
             assert "grid too coarse" in err
 
+    def test_csv_weight_without_samples_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("x,w\n")
+        assert run(["maximal", "--ell", "3", "--lambda", "64", "--weight", f"csv:{path}",
+                    "--out", str(tmp_path)]) == 2
+        assert "at least 2 samples" in capsys.readouterr().err
+
+    # a lambda that is not finite must be rejected before the radius ladders
+    # are built: a NaN one never ends them
+    @pytest.mark.parametrize("argv", [["--lambda", "nan"], ["--lambda", "inf"],
+                                      ["--lambda", "64", "--op", "Mll:3:nan"],
+                                      ["--lambda", "64", "--op", "Mreg:3:nan"],
+                                      ["--lambda", "64", "--op", "Mreg:3:inf"]],
+                             ids=["nan", "inf", "Mll-nan", "Mreg-nan", "Mreg-inf"])
+    def test_lambda_not_finite_is_usage_error(self, argv, tmp_path, capsys):
+        assert run(["maximal", "--ell", "3", "--out", str(tmp_path)] + argv) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSweepOutputs:
     def test_sweep_operator_files_and_determinism(self, tmp_path, capsys):
@@ -137,6 +155,22 @@ class TestConfig:
         cfg.write_text(json.dumps({key: value}))
         assert run(["sweep-maximal", "--config", str(cfg)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, nested", [
+        ("validate-phase", {"phase": 5}),
+        ("validate-phase", {"phase": {"x0": [1]}}),
+        ("check-lp", {"dyadic": [1]}),
+        ("check-lp", {"dyadic": None}),
+        ("check-lp", {"dyadic": {"kmin": 1}}),
+        ("check-lp", {"spaced": {}})],
+        ids=["phase-int", "phase-x0-list", "dyadic-list", "dyadic-null", "dyadic-no-kmax",
+             "spaced-no-L"])
+    def test_nested_config_of_wrong_shape_is_usage_error(self, command, nested, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(nested))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config {next(iter(nested))}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", ["[1, 2]", "3", '"text"', "null"])
     def test_non_object_config_is_usage_error(self, tmp_path, payload, capsys):
@@ -277,14 +311,3 @@ class TestChecks:
         payload = json.loads((out / "summary.json").read_text())
         assert list(payload["spaced_constants"]) == ["1.0"]
 
-
-class TestThreadCap:
-    def test_thread_pool_results_identical(self, tmp_path, monkeypatch, capsys):
-        args = ["sweep-maximal", "--ell", "3", "--lambdas", "16..128",
-                "--out", str(tmp_path / "a")]
-        assert run(args) == 0
-        serial = (tmp_path / "a" / "sweep.csv").read_bytes()
-        monkeypatch.setenv("OSCILLAB_THREADS", "4")
-        args[-1] = str(tmp_path / "b")
-        assert run(args) == 0
-        assert (tmp_path / "b" / "sweep.csv").read_bytes() == serial

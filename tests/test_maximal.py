@@ -218,6 +218,14 @@ class TestApproach:
         with pytest.raises(ValueError):
             ApproachRegionParams(3, 0.5)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_lambda_not_finite_rejected(self, lam):
+        w = Weight(Grid(0.0, 2.0, 256), np.ones(256))
+        with pytest.raises(ValueError):
+            ApproachRegionParams(3, lam)
+        with pytest.raises(ValueError):
+            regular_maximal(w, 3, lam=lam)
+
     def test_translation_covariance(self):
         lam = 32.0
         g = Grid.from_step(0.0, 4.0, 1.0 / (8 * lam))

@@ -38,6 +38,11 @@ class TestGrid:
         g = Grid.from_step(0.0, 1.0, 0.3)
         assert g.n == 8 and g.h <= 0.3
 
+    def test_from_step_rejects_nan(self):
+        # NaN fails every comparison, so a plain `max_step <= 0` test lets it through
+        with pytest.raises(ValueError):
+            Grid.from_step(0.0, 1.0, float("nan"))
+
     def test_samples(self):
         g = Grid(1.0, 2.0, 8)
         assert g.h == 0.5

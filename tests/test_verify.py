@@ -146,9 +146,9 @@ class TestSquareFunctionRatios:
     def test_unit_weight_reduces_to_energy_window(self):
         f = random_band_function(self.GRID, np.random.default_rng(5), 0.5, 128.0)
         w = Weight(self.GRID, np.ones(self.GRID.n))
-        fw, bw = square_function_ratios(f, w, self.FAM)
-        assert 1.0 / 3.0 - 0.05 <= fw.ratio <= 3.05
-        assert 1.0 / 3.0 - 0.05 <= bw.ratio <= 3.05
+        sq = square_function_ratios(f, w, self.FAM)
+        assert 1.0 / 3.0 - 0.05 <= sq.forward.ratio <= 3.05
+        assert 1.0 / 3.0 - 0.05 <= sq.backward.ratio <= 3.05
 
     def test_single_bin_forward_at_most_one(self):
         # spectrum concentrated where a single multiplier equals one
@@ -160,14 +160,14 @@ class TestSquareFunctionRatios:
         vals[j] = 1.0
         f = inverse_transform(SpectralFunction(fg, vals, self.GRID))
         w = random_weight(self.GRID, np.random.default_rng(6))
-        fw, _ = square_function_ratios(f, w, self.FAM)
-        assert fw.ratio <= 1.0 + 0.05
+        assert square_function_ratios(f, w, self.FAM).forward.ratio <= 1.0 + 0.05
 
     def test_zero_input_vacuous(self):
         f = SampledFunction(self.GRID, np.zeros(self.GRID.n))
         w = random_weight(self.GRID, np.random.default_rng(7))
-        fw, bw = square_function_ratios(f, w, self.FAM)
-        assert fw.lhs == 0.0 and bw.lhs == 0.0
+        sq = square_function_ratios(f, w, self.FAM)
+        assert sq.forward.lhs == 0.0 and sq.backward.lhs == 0.0
+        assert sq.reconstruction_error == 0.0 and sq.energy_ratio == 0.0
 
 
 class TestUncertaintyBounds:
