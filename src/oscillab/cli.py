@@ -26,7 +26,7 @@ from .numerics import Grid, Weight, load_weight_csv
 from .phases import Phase, finite_type_spec, validate_finite_type
 from .verify import (Provenance, RatioSample, envelope_check, maximal_norm_sweep,
                      operator_norm_sweep, random_weight, spaced_ratio,
-                     square_function_ratios, two_weight_samples,
+                     square_function_ratios, two_weight_sweep,
                      uncertainty_bounds_check)
 
 __all__ = ["run", "main"]
@@ -282,26 +282,18 @@ def _fail_ratio(name: str, rs: RatioSample) -> int:
 
 def _cmd_check_main(args, cfg) -> int:
     phase, spec = _phase_spec(args, cfg, default_u=0.5)
-    rows = []
-    per_lambda_max = []
-    for lam in args.lambdas:
-        best = 0.0
-        for rs in two_weight_samples(phase, spec, lam, args.pairs, args.seed):
-            rows.append(("check-main", rs))
-            if rs.vacuous and rs.lhs > 1e-10:
-                _atomic_write(os.path.join(args.out, "results.csv"),
-                              lambda p: verify.ratio_rows_csv(p, rows))
-                return _fail_ratio("two-weight inequality (rhs = 0, lhs > 0)", rs)
-            best = max(best, rs.ratio)
-        per_lambda_max.append((lam, best))
+    sweep = two_weight_sweep(phase, spec, args.lambdas, args.pairs, args.seed)
+    rows = [("check-main", rs) for rs in sweep.samples]
     _atomic_write(os.path.join(args.out, "results.csv"),
                   lambda p: verify.ratio_rows_csv(p, rows))
-    vals = [v for _, v in per_lambda_max]
+    if sweep.violation is not None:
+        return _fail_ratio("two-weight inequality (rhs = 0, lhs > 0)", sweep.violation)
+    vals = [v for _, v in sweep.maxima]
     factor = max(vals) / min(vals) if min(vals) > 0 else math.inf
     passed = factor < 2.0
     _write_summary(args.out, {
         "experiment": "check-main", "ell": args.ell,
-        "per_lambda_max_ratio": {repr(l): v for l, v in per_lambda_max},
+        "per_lambda_max_ratio": {repr(l): v for l, v in sweep.maxima},
         "stability_factor": factor, "pass": passed})
     print(f"max-ratio stability factor across lambda: {factor:.3f}")
     return 0 if passed else 1
@@ -315,7 +307,7 @@ def _cmd_check_lp(args, cfg) -> int:
     spacings = ([float(cfg["spaced"]["L"])] if "spaced" in cfg
                 else [0.125, 0.5, 2.0, 8.0])
     fg = grid.freq_grid()
-    dev = float(np.max(np.abs(fam.band_sum(fg.xs[fam.covered(fg.xs)]) - 1.0)))
+    dev = fam.telescoping_deviation(grid)
     rows = []
     ok = dev <= 1e-12
     sf_ratios = []

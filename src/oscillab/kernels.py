@@ -18,8 +18,7 @@ from scipy.integrate import quad
 
 from ._util import standard_bump
 from .errors import GridMismatch, UnderResolved
-from .numerics import (Grid, SampledFunction, SpectralFunction, convolve,
-                       convolve_direct, forward_transform)
+from .numerics import Grid, SampledFunction, SpectralFunction, convolve, forward_transform
 from .phases import FiniteTypeSpec, Phase, ensure_finite_type
 
 __all__ = [
@@ -99,15 +98,11 @@ def build_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float, grid: Grid) -> 
     return Kernel(phase, spec, float(lam), cutoff, SampledFunction(grid, vals))
 
 
-def apply_T(kernel: Kernel, f: SampledFunction, mode: str = "fft") -> SampledFunction:
-    """T f = K * f, by padded FFT or by direct O(n^2) summation."""
+def apply_T(kernel: Kernel, f: SampledFunction) -> SampledFunction:
+    """T f = K * f, by padded FFT."""
     if f.grid != kernel.grid:
         raise GridMismatch("input must share the kernel grid")
-    if mode == "fft":
-        return convolve(kernel.samples, f)
-    if mode == "quadrature":
-        return convolve_direct(kernel.samples, f)
-    raise ValueError(f"unknown mode {mode!r}")
+    return convolve(kernel.samples, f)
 
 
 def kernel_spectrum(kernel: Kernel) -> SpectralFunction:

@@ -78,6 +78,11 @@ class DyadicFamily:
             out = out + self.multiplier(k, xi)
         return out
 
+    def telescoping_deviation(self, grid: Grid) -> float:
+        """max |band sum - 1| over the covered frequencies of the grid's dual."""
+        xs = grid.freq_grid().xs
+        return float(np.max(np.abs(self.band_sum(xs[self.covered(xs)]) - 1.0)))
+
 
 def dyadic_pieces(f: SampledFunction, fam: DyadicFamily) -> list[SampledFunction]:
     """Band restrictions of f via frequency multiplication.

@@ -123,10 +123,12 @@ class FiniteTypeSpec:
     def __post_init__(self):
         if self.ell < 2:
             raise ValueError("ell must be >= 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.support_halfwidth <= 0:
-            raise ValueError("support halfwidth must be positive")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if not 0 < self.support_halfwidth < math.inf:
+            raise ValueError("support halfwidth must be finite and positive")
 
     def derivative_bound(self, j: int) -> float:
         if j >= len(self.bounds):
@@ -186,8 +188,8 @@ def validate_finite_type(phase: Phase, spec: FiniteTypeSpec, tol: float = 1e-10)
     epsilon - tol. Derivatives up to ell+1 must be evaluable, otherwise
     :class:`OrderUnavailable` propagates.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     phase.eval(spec.ell + 1, spec.x0)  # availability gate
     failures = []
     lower = []

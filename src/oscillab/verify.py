@@ -27,19 +27,23 @@ from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
                        lp_norm, weighted_l2)
-from .phases import FiniteTypeSpec, Phase, normalize_phase
+from .phases import FiniteTypeSpec, Phase, finite_type_spec, normalize_phase
 
 __all__ = [
     "Provenance",
     "RatioSample",
     "SquareFunctionSample",
     "SweepReport",
+    "TwoWeightSweep",
     "fit_power_law",
     "two_weight_ratio",
     "frequency_restricted_ratio",
-    "two_weight_samples",
+    "two_weight_sweep",
     "spaced_ratio",
     "square_function_ratios",
+    "baseline_two_weight",
+    "baseline_square_samples",
+    "baseline_spaced_constants",
     "uncertainty_bounds_check",
     "envelope_check",
     "maximal_norm_sweep",
@@ -99,6 +103,17 @@ class SquareFunctionSample:
     backward: RatioSample
     reconstruction_error: float
     energy_ratio: float
+
+
+@dataclass(frozen=True)
+class TwoWeightSweep:
+    """Two-weight samples over several lambda, in draw order, and the
+    largest ratio of each lambda that finished. A sweep that met a
+    sample with rhs = 0 < lhs stopped there; that sample is ``violation``."""
+
+    samples: tuple  # (RatioSample, ...)
+    maxima: tuple  # ((lam, largest ratio), ...)
+    violation: RatioSample | None = None
 
 
 @dataclass(frozen=True)
@@ -280,24 +295,34 @@ def frequency_restricted_ratio(f: SampledFunction, w: Weight, phase: Phase,
     return _two_weight_ratio(f, w, phase, spec, lam, provenance, 1, 1)
 
 
-def two_weight_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, pairs: int,
-                       seed: int):
-    """Yield the two-weight ratios of ``pairs`` seeded (f, w) pairs at one lam.
+def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
+                     seed: int) -> TwoWeightSweep:
+    """Two-weight ratios of ``pairs`` seeded (f, w) pairs at each lam in
+    turn, stopping at the first sample with rhs = 0 < lhs.
 
     The grid resolves both the kernel and the approach region on
     [-4, 4]; f is a random trigonometric polynomial with frequencies up
     to 2*lam^(1/ell) under a bump of half-width 1.5, w a random weight.
-    Each call draws from a fresh RNG seeded with ``seed``.
+    Each lam draws from a fresh RNG seeded with ``seed``.
     """
-    rng = np.random.default_rng(seed)
-    step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
-    grid = Grid.from_step(0.0, 4.0, step)
-    for i in range(pairs):
-        f = random_test_function(grid, rng, max_freq=2.0 * lam ** (1.0 / spec.ell),
-                                 support_halfwidth=1.5)
-        w = random_weight(grid, rng)
-        yield two_weight_ratio(f, w, phase, spec, lam,
-                               Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed))
+    samples, maxima = [], []
+    for lam in lambdas:
+        rng = np.random.default_rng(seed)
+        step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
+        grid = Grid.from_step(0.0, 4.0, step)
+        best = 0.0
+        for i in range(pairs):
+            f = random_test_function(grid, rng, max_freq=2.0 * lam ** (1.0 / spec.ell),
+                                     support_halfwidth=1.5)
+            w = random_weight(grid, rng)
+            rs = two_weight_ratio(f, w, phase, spec, lam,
+                                  Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed))
+            samples.append(rs)
+            if rs.vacuous and rs.lhs > 1e-10:
+                return TwoWeightSweep(tuple(samples), tuple(maxima), rs)
+            best = max(best, rs.ratio)
+        maxima.append((lam, best))
+    return TwoWeightSweep(tuple(samples), tuple(maxima))
 
 
 def square_function_ratios(f: SampledFunction, w: Weight, fam: DyadicFamily,
@@ -490,6 +515,50 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
         return float(lam), _largest_norm_ratio(lambda f: apply_T(kernel, f), corpus, ell)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])
+
+
+# ---------------------------------------------------------------------------
+# frozen-baseline recipes: tests/baselines.json holds their values and the
+# acceptance suite re-measures them
+
+
+def baseline_two_weight(ell: int, pairs: int, seed: int) -> TwoWeightSweep:
+    """The two-weight sweep of x^ell at 0 (epsilon = 1, u = 1/2) over
+    lam = 64, 256, 1024."""
+    phase = Phase.monomial(ell)
+    spec = finite_type_spec(phase, 0.0, ell, epsilon=1.0, support_halfwidth=0.5)
+    return two_weight_sweep(phase, spec, (64.0, 256.0, 1024.0), pairs, seed)
+
+
+def baseline_square_samples(pairs: int, seed: int) -> list[SquareFunctionSample]:
+    """Square-function samples of DyadicFamily(-2, 8) on Grid(0, 16, 4096),
+    f band-limited to 0.5 <= |xi| <= 128, one RNG for all pairs."""
+    grid = Grid(0.0, 16.0, 4096)
+    fam = DyadicFamily(-2, 8)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(pairs):
+        f = random_band_function(grid, rng, 0.5, 128.0)
+        w = random_weight(grid, rng)
+        out.append(square_function_ratios(f, w, fam))
+    return out
+
+
+def baseline_spaced_constants(seed: int) -> dict[float, float]:
+    """Per spacing L, the largest spaced-family ratio over 4 pairs on
+    Grid(0, 32, 8192), f band-limited to |xi| <= 60, one RNG for all L."""
+    grid = Grid(0.0, 32.0, 8192)
+    rng = np.random.default_rng(seed)
+    out = {}
+    for L in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+        fam = SpacedFamily(L)
+        best = 0.0
+        for _ in range(4):
+            f = random_band_function(grid, rng, 0.0, 60.0)
+            w = random_weight(grid, rng)
+            best = max(best, spaced_ratio(f, w, fam).ratio)
+        out[L] = best
+    return out
 
 
 # ---------------------------------------------------------------------------

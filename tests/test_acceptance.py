@@ -1,9 +1,11 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line. Implicit-constant criteria compare
-against tests/baselines.json (regenerate with scripts/freeze_baselines.py
-after an intentional corpus or discretization change); scaling criteria
-assert their slope bands and runtime caps directly.
+Each test prints one PASS/FAIL line. Implicit-constant criteria (6 and 8)
+re-measure the ``verify.baseline_*`` recipes and compare against
+tests/baselines.json, which scripts/freeze_baselines.py writes from the
+same recipes (regenerate it after an intentional corpus or discretization
+change); scaling criteria assert their slope bands and runtime caps
+directly.
 """
 
 import json
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from oscillab.kernels import admissible_step, build_kernel, check_decay
-from oscillab.lpaley import DyadicFamily, SpacedFamily, dominating_weights
+from oscillab.lpaley import DyadicFamily, dominating_weights
 from oscillab.maximal import (ApproachRegionParams, approach_maximal,
                               approach_maximal_brute, fractional_maximal,
                               fractional_maximal_brute, global_maximal,
@@ -23,10 +25,10 @@ from oscillab.maximal import (ApproachRegionParams, approach_maximal,
                               regular_maximal_brute, regular_radii)
 from oscillab.numerics import Grid, Weight, convolve, convolve_direct, forward_transform
 from oscillab.phases import Phase, finite_type_spec
-from oscillab.verify import (envelope_check, fit_power_law, h1_atom,
-                             maximal_norm_sweep, operator_norm_sweep,
-                             random_band_function, random_weight, spaced_ratio,
-                             square_function_ratios, two_weight_samples,
+from oscillab.verify import (baseline_spaced_constants, baseline_square_samples,
+                             baseline_two_weight, envelope_check, fit_power_law,
+                             h1_atom, maximal_norm_sweep, operator_norm_sweep,
+                             random_band_function, random_weight,
                              uncertainty_bounds_check)
 
 with open(os.path.join(os.path.dirname(__file__), "baselines.json")) as _fh:
@@ -196,19 +198,15 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_two_weight_inequality(self):
-        pairs = BASELINES["pairs_main"]
         ok = True
         details = []
         for ell in (2, 3):
-            phase = Phase.monomial(ell)
-            spec = finite_type_spec(phase, 0.0, ell, epsilon=1.0,
-                                    support_halfwidth=0.5)
+            sweep = baseline_two_weight(ell, BASELINES["pairs_main"], SEED)
+            if sweep.violation is not None:
+                report(6, "two-weight inequality", False,
+                       f"rhs = 0 < lhs at {sweep.violation.provenance}")
             maxima = []
-            for lam in (64.0, 256.0, 1024.0):
-                best = 0.0
-                for rs in two_weight_samples(phase, spec, lam, pairs, SEED):
-                    ok &= not (rs.vacuous and rs.lhs > 1e-10)
-                    best = max(best, rs.ratio)
+            for lam, best in sweep.maxima:
                 baseline = BASELINES["two_weight_max_ratio"][f"ell={ell},lam={int(lam)}"]
                 ok &= best <= baseline * 1.05
                 maxima.append(best)
@@ -263,38 +261,20 @@ class TestCriterion7:
 class TestCriterion8:
     def test_littlewood_paley(self):
         ok = True
-        grid = Grid(0.0, 16.0, 4096)
-        fam = DyadicFamily(-2, 8)
-        fg = grid.freq_grid()
-        covered = fam.covered(fg.xs)
-        dev = float(np.max(np.abs(fam.band_sum(fg.xs[covered]) - 1.0)))
+        dev = DyadicFamily(-2, 8).telescoping_deviation(Grid(0.0, 16.0, 4096))
         ok &= dev <= 1e-12
-        rng = np.random.default_rng(SEED)
-        fmax, bmax, recon_worst = 0.0, 0.0, 0.0
-        ratios = []
-        for i in range(BASELINES["pairs_lp"]):
-            f = random_band_function(grid, rng, 0.5, 128.0)
-            w = random_weight(grid, rng)
-            sq = square_function_ratios(f, w, fam)
-            fmax, bmax = max(fmax, sq.forward.ratio), max(bmax, sq.backward.ratio)
-            recon_worst = max(recon_worst, sq.reconstruction_error)
-            ratios.append(sq.energy_ratio)
+        square = baseline_square_samples(BASELINES["pairs_lp"], SEED)
+        fmax = max(sq.forward.ratio for sq in square)
+        bmax = max(sq.backward.ratio for sq in square)
+        recon_worst = max(sq.reconstruction_error for sq in square)
+        ratios = [sq.energy_ratio for sq in square]
         ok &= recon_worst <= 1e-8
         ok &= all(0.28 <= r <= 1.05 for r in ratios)
         ok &= fmax <= BASELINES["dyadic_square_ratios"]["forward"] * 1.05
         ok &= bmax <= BASELINES["dyadic_square_ratios"]["backward"] * 1.05
         # equally-spaced family constants against their frozen values
-        sgrid = Grid(0.0, 32.0, 8192)
-        srng = np.random.default_rng(SEED)
-        spaced_ok = True
-        for L in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-            famL = SpacedFamily(L)
-            best = 0.0
-            for _ in range(4):
-                f = random_band_function(sgrid, srng, 0.0, 60.0)
-                w = random_weight(sgrid, srng)
-                best = max(best, spaced_ratio(f, w, famL).ratio)
-            spaced_ok &= best <= BASELINES["spaced_family_constants"][f"L={L}"] * 1.05
+        spaced_ok = all(best <= BASELINES["spaced_family_constants"][f"L={L}"] * 1.05
+                        for L, best in baseline_spaced_constants(SEED).items())
         ok &= spaced_ok
         report(8, "Littlewood-Paley", ok,
                f"telescoping {dev:.1e}, recon {recon_worst:.1e}, "

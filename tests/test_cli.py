@@ -1,13 +1,16 @@
 """CLI contract: exit codes, file outputs, determinism, config handling."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from oscillab import verify
 from oscillab.cli import _atomic_write, run
 from oscillab.numerics import Grid, Weight, save_weight_csv
+from oscillab.verify import RatioSample
 
 
 class TestExitCodes:
@@ -25,6 +28,30 @@ class TestExitCodes:
 
     def test_validate_phase_bad_ell_is_usage_error(self):
         assert run(["validate-phase", "--kind", "monomial", "--ell", "1"]) == 2
+
+    # every comparison with NaN is false, so a non-finite hypothesis value
+    # used to pass every failure test and print PASS
+    @pytest.mark.parametrize("argv, config", [
+        (["--x0", "nan", "--ell", "3"], None),
+        (["--x0", "inf", "--ell", "2"], None),
+        (["--ell", "3"], {"phase": {"x0": math.inf}}),
+        (["--ell", "3", "--u", "nan"], None),
+        (["--ell", "3", "--u", "inf"], None),
+        (["--ell", "3", "--u", "0.5", "--epsilon", "nan"], None),
+        (["--ell", "3", "--u", "0.5", "--epsilon", "inf"], None),
+        (["--ell", "3", "--tol", "inf"], None),
+        (["--ell", "3", "--tol", "nan"], None)],
+        ids=["x0-nan", "x0-inf", "config-x0-inf", "u-nan", "u-inf", "epsilon-nan",
+             "epsilon-inf", "tol-inf", "tol-nan"])
+    def test_validate_phase_non_finite_is_usage_error(self, argv, config, tmp_path,
+                                                      capsys):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        assert run(["validate-phase", "--kind", "monomial", "--out", str(tmp_path)]
+                   + argv) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["no-such-command"]) == 2
@@ -293,6 +320,26 @@ class TestChecks:
             lhs, rhs, ratio = float(parts[5]), float(parts[6]), float(parts[7])
             if rhs > 0:
                 assert abs(ratio * rhs - lhs) <= 1e-12 * max(lhs, 1.0)
+
+    def test_check_main_violation_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
+        real = verify.two_weight_ratio
+        calls = []
+
+        def fourth_violates(f, w, phase, spec, lam, provenance):
+            calls.append(lam)
+            if len(calls) == 4:
+                return RatioSample.of(1.0, 0.0, provenance)
+            return real(f, w, phase, spec, lam, provenance)
+
+        monkeypatch.setattr(verify, "two_weight_ratio", fourth_violates)
+        assert run(["check-main", "--ell", "2", "--lambdas", "64,128", "--pairs", "3",
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "FAIL two-weight inequality (rhs = 0, lhs > 0)")
+        rows = (tmp_path / "results.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        assert [float(r.split(",")[2]) for r in rows] == [64.0, 64.0, 64.0, 128.0]
+        assert not (tmp_path / "summary.json").exists()
 
     def test_check_lemmas_small(self, tmp_path, capsys):
         assert run(["check-lemmas", "--kind", "monomial", "--ell", "3",
