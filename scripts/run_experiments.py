@@ -41,8 +41,7 @@ def main() -> int:
     base = sys.argv[1] if len(sys.argv) > 1 else "results"
     failures = []
     for args in BATTERY:
-        name = args[0]
-        tag = name
+        tag = args[0]
         for flag in ("--ell", "--kind"):
             if flag in args:
                 tag += "-" + args[args.index(flag) + 1]

@@ -19,15 +19,13 @@ import numpy as np
 
 from . import verify
 from .errors import OscillabError
-from .kernels import admissible_step, build_kernel, check_decay, decay_reports_csv
-from .lpaley import DyadicFamily, SpacedFamily, dominating_weights
+from .kernels import decay_reports_csv
+from .lpaley import DyadicFamily, SpacedFamily
 from .maximal import ApproachRegionParams, approach_maximal, operator_by_name
 from .numerics import Grid, Weight, load_weight_csv
 from .phases import Phase, finite_type_spec, validate_finite_type
-from .verify import (Provenance, RatioSample, envelope_check, maximal_norm_sweep,
-                     operator_norm_sweep, random_weight, spaced_ratio,
-                     square_function_ratios, two_weight_sweep,
-                     uncertainty_bounds_check)
+from .verify import (RatioSample, maximal_norm_sweep, operator_norm_sweep,
+                     two_weight_sweep)
 
 __all__ = ["run", "main"]
 
@@ -105,15 +103,6 @@ def _emit_sweep(out_dir: str, name: str, ell: int, report, emit_plots: bool) -> 
                                             report.intercept, name))
 
 
-def phase_from_config(cfg: dict) -> tuple[Phase, float]:
-    kind = cfg.get("kind", "monomial")
-    if kind == "monomial":
-        return Phase.monomial(int(cfg.get("ell", 2))), float(cfg.get("x0", 0.0))
-    if kind == "cosine":
-        return Phase.cosine(), float(cfg.get("x0", 0.0))
-    raise ValueError(f"unknown phase kind {kind!r}")
-
-
 def _parse_lambdas(value) -> list[float]:
     """"64..4096" doubles from 64 to 4096; "16,64,256" or a list is literal."""
     if isinstance(value, list) and all(isinstance(v, (int, float)) for v in value):
@@ -138,13 +127,16 @@ def _parse_lambdas(value) -> list[float]:
 
 
 # The nested config objects: per key, the accepted types and whether the
-# key is required.
+# key is required. A family object is replaced by what it builds: a
+# DyadicFamily, or a list holding one SpacedFamily.
 _NUMBER = (int, float)
 _NESTED_CONFIG = {
     "phase": {"kind": (str, False), "ell": (int, False), "x0": (_NUMBER, False)},
     "dyadic": {"kmin": (int, True), "kmax": (int, True)},
     "spaced": {"L": (_NUMBER, True)},
 }
+_FAMILIES = {"dyadic": lambda obj: DyadicFamily(obj["kmin"], obj["kmax"]),
+             "spaced": lambda obj: [SpacedFamily(float(obj["L"]))]}
 
 
 def _load_config(path: str | None) -> dict:
@@ -167,6 +159,11 @@ def _load_config(path: str | None) -> dict:
                     raise ValueError(f"config {name} needs the key {key!r}")
             elif isinstance(obj[key], bool) or not isinstance(obj[key], kind):
                 raise ValueError(f"config {name}.{key} has the wrong type: {obj[key]!r}")
+        if name in _FAMILIES:
+            try:
+                cfg[name] = _FAMILIES[name](obj)
+            except ValueError as exc:
+                raise ValueError(f"config {name}: {exc}") from None
     return cfg
 
 
@@ -183,12 +180,20 @@ def _weight_from_arg(arg: str, grid: Grid) -> Weight:
 
 
 def _phase_spec(args, cfg, default_u=None):
-    """Phase plus its hypothesis record; epsilon defaults to the unit bound."""
-    phase, x0 = phase_from_config(_phase_cfg(args, cfg))
+    """Phase plus its hypothesis record. --kind and --x0 win over the config's
+    phase object, whose ell defaults to --ell; epsilon defaults to 1."""
+    pcfg = cfg.get("phase", {})
+    kind = args.kind or pcfg.get("kind", "monomial")
+    if kind == "monomial":
+        phase = Phase.monomial(int(pcfg.get("ell", args.ell)))
+    elif kind == "cosine":
+        phase = Phase.cosine()
+    else:
+        raise ValueError(f"unknown phase kind {kind!r}")
+    x0 = float(args.x0 if args.x0 is not None else pcfg.get("x0", 0.0))
     eps = args.epsilon if args.epsilon is not None else 1.0
     u = args.u if args.u is not None else default_u
-    spec = finite_type_spec(phase, x0, args.ell, epsilon=eps, support_halfwidth=u)
-    return phase, spec
+    return phase, finite_type_spec(phase, x0, args.ell, epsilon=eps, support_halfwidth=u)
 
 
 def _cmd_validate_phase(args, cfg) -> int:
@@ -203,24 +208,16 @@ def _cmd_validate_phase(args, cfg) -> int:
 
 def _cmd_kernel_decay(args, cfg) -> int:
     phase, spec = _phase_spec(args, cfg, default_u=0.5)
-    reports = []
-    for lam in args.lambdas:
-        grid = Grid.from_step(0.0, 2.0 * spec.support_halfwidth,
-                              admissible_step(phase, spec, lam) * 0.999)
-        reports.append(check_decay(build_kernel(phase, spec, lam, grid), N=args.N))
+    reports, factor, tail_ok = verify.kernel_decay_sweep(phase, spec, args.lambdas, args.N,
+                                                         tail_slack=1.25)
     _atomic_write(os.path.join(args.out, "results.csv"),
                   lambda p: decay_reports_csv(reports, p))
-    sup_points = [(r.lam, r.sup_low * r.lam ** (1.0 / args.ell)) for r in reports]
     rep = verify._sweep_report([(r.lam, r.sup_low) for r in reports])
     _emit_sweep(args.out, "kernel-decay", args.ell, rep, args.emit_plots)
-    sups = [v for _, v in sup_points]
-    factor = max(sups) / min(sups) if min(sups) > 0 else math.inf
-    tail0 = reports[0].tail_max
-    tail_ok = all(r.tail_max <= 1.25 * tail0 for r in reports)
     passed = factor < 3.0 and tail_ok
     _write_summary(args.out, {
         "experiment": "kernel-decay", "ell": args.ell,
-        "sup_low_normalized_factor": factor, "tail_bound_at_lambda_min": tail0,
+        "sup_low_normalized_factor": factor, "tail_bound_at_lambda_min": reports[0].tail_max,
         "tail_bounded": tail_ok,
         "slope": rep.slope, "intercept": rep.intercept,
         "max_residual": rep.max_residual, "pass": passed})
@@ -300,83 +297,40 @@ def _cmd_check_main(args, cfg) -> int:
 
 
 def _cmd_check_lp(args, cfg) -> int:
-    rng = np.random.default_rng(args.seed)
-    grid = Grid(0.0, 16.0, 4096)
-    dy_cfg = cfg.get("dyadic", {"kmin": -2, "kmax": 8})
-    fam = DyadicFamily(dy_cfg["kmin"], dy_cfg["kmax"])
-    spacings = ([float(cfg["spaced"]["L"])] if "spaced" in cfg
-                else [0.125, 0.5, 2.0, 8.0])
-    fg = grid.freq_grid()
-    dev = fam.telescoping_deviation(grid)
-    rows = []
-    ok = dev <= 1e-12
-    sf_ratios = []
-    band_lo = 2.0**fam.kmin * 1.01
-    band_hi = min(2.0**fam.kmax, 0.9 * fg.half_width)
-    for i in range(args.pairs):
-        f = verify.random_band_function(grid, rng, band_lo, band_hi)
-        w = random_weight(grid, rng)
-        sq = square_function_ratios(f, w, fam, Provenance(f"f{i}", f"w{i}", 0, 0.0, args.seed))
-        rows.append(("dyadic-forward", sq.forward))
-        rows.append(("dyadic-backward", sq.backward))
-        ok &= sq.reconstruction_error <= 1e-8
-        sf_ratios.append(sq.energy_ratio)
-    ok &= all(0.28 <= r <= 1.05 for r in sf_ratios)
-    spaced_consts = {}
-    for L in spacings:
-        f = verify.random_band_function(grid, rng, 0.0, 2.0**7)
-        w = random_weight(grid, rng)
-        rs = spaced_ratio(f, w, SpacedFamily(L), Provenance("band", "w", 0, 0.0, args.seed))
-        rows.append((f"spaced-L={L}", rs))
-        spaced_consts[repr(L)] = rs.ratio
+    families = cfg.get("spaced", [SpacedFamily(L) for L in (0.125, 0.5, 2.0, 8.0)])
+    dev, square, spaced = verify.lp_checks(cfg.get("dyadic", DyadicFamily(-2, 8)), families,
+                                           args.pairs, args.seed)
+    rows = [row for sq in square
+            for row in (("dyadic-forward", sq.forward), ("dyadic-backward", sq.backward))]
+    rows += [(f"spaced-L={L}", rs) for L, draws in spaced.items() for rs in draws]
     _atomic_write(os.path.join(args.out, "results.csv"),
                   lambda p: verify.ratio_rows_csv(p, rows))
+    ratios = [sq.energy_ratio for sq in square]
+    ok = (dev <= 1e-12 and all(sq.reconstruction_error <= 1e-8 for sq in square)
+          and all(0.28 <= r <= 1.05 for r in ratios))
     _write_summary(args.out, {
         "experiment": "check-lp", "telescoping_deviation": dev,
-        "square_ratio_range": [min(sf_ratios), max(sf_ratios)],
-        "spaced_constants": spaced_consts, "pass": bool(ok)})
+        "square_ratio_range": [min(ratios), max(ratios)],
+        "spaced_constants": {repr(L): max(rs.ratio for rs in draws)
+                             for L, draws in spaced.items()},
+        "pass": bool(ok)})
     print(f"telescoping deviation {dev:.2e}; square ratios "
-          f"[{min(sf_ratios):.3f}, {max(sf_ratios):.3f}]")
+          f"[{min(ratios):.3f}, {max(ratios):.3f}]")
     return 0 if ok else 1
 
 
 def _cmd_check_lemmas(args, cfg) -> int:
     phase, spec = _phase_spec(args, cfg, default_u=0.5)
-    lam = args.lambdas[0]
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    ok = True
-    grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * lam))
-    p_band = args.p
-    for i in range(args.pairs):
-        w = random_weight(grid, rng)
-        chain = dominating_weights(w, p_band, lam, args.ell, A1=1.0)
-        inner = slice(chain.margin_cells, grid.n - chain.margin_cells)
-        ok &= bool(np.all(chain.w1.values <= chain.w2.values))
-        ok &= bool(np.all(chain.w2.values[inner]
-                          <= chain.constant * chain.w3.values[inner] * (1 + 1e-9)))
-    step = admissible_step(phase, spec, lam) * 0.999
-    kgrid = Grid.from_step(0.0, 8.0, step)
-    kernel = build_kernel(phase, spec, lam, kgrid)
-    for i in range(max(1, args.pairs // 4)):
-        f = verify.random_band_function(kgrid, rng, 0.0, 8.0)
-        w = random_weight(kgrid, rng)
-        mol, mol2 = uncertainty_bounds_check(
-            f, kernel, w, (-10.0, 10.0),
-            Provenance(f"f{i}", f"w{i}", args.ell, lam, args.seed))
-        rows.append(("mol", mol))
-        rows.append(("mol2", mol2))
-        ok &= mol.ratio <= 1 + 1e-6 and mol2.ratio <= 1 + 1e-6
-    consts = []
-    for lam_e in args.lambdas:
-        k0 = 2.0 ** (p_band * args.ell / (args.ell - 1.0))
-        rs = envelope_check(phase, spec, lam_e, p_band, k=int(round(k0)), N=2)
-        rows.append((f"envelope-lam={lam_e}", rs))
-        consts.append(rs.ratio)
-    if len(consts) > 1 and min(consts) > 0:
-        ok &= max(consts) / min(consts) < 4.0
+    chain_holds, mols, envelope = verify.lemma_checks(
+        phase, spec, args.lambdas, args.p, args.pairs, args.seed, chain_tol=1e-9)
+    rows = [row for mol, mol2 in mols for row in (("mol", mol), ("mol2", mol2))]
+    rows += [(f"envelope-lam={lam}", rs) for lam, rs in zip(args.lambdas, envelope)]
     _atomic_write(os.path.join(args.out, "results.csv"),
                   lambda p: verify.ratio_rows_csv(p, rows))
+    consts = [rs.ratio for rs in envelope]
+    ok = chain_holds and all(rs.ratio <= 1 + 1e-6 for pair in mols for rs in pair)
+    if len(consts) > 1 and min(consts) > 0:
+        ok &= max(consts) / min(consts) < 4.0
     _write_summary(args.out, {
         "experiment": "check-lemmas", "ell": args.ell,
         "envelope_constants": consts, "pass": bool(ok)})
@@ -393,16 +347,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _phase_cfg(args, cfg) -> dict:
-    base = dict(cfg.get("phase", {}))
-    if getattr(args, "kind", None):
-        base["kind"] = args.kind
-    if getattr(args, "x0", None) is not None:
-        base["x0"] = args.x0
-    base.setdefault("ell", getattr(args, "ell", 2))
-    return base
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ and lam, and the rapid-decay product |K^| * |xi|^N beyond 2*A1*lam.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,10 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
     """Measure the decay quantities; the harness judges stability across lam.
 
     Requires the dual grid to reach 4*A1*lam, i.e. the build resolution
-    rule with a factor-of-two margin on the far field.
+    rule with a factor-of-two margin on the far field, and N >= 0.
     """
+    if N < 0:
+        raise ValueError(f"decay order N must be >= 0, got {N}")
     lam, ell = kernel.lam, kernel.spec.ell
     a1 = effective_a1(kernel.phase, kernel.spec)
     xi_max = np.pi / kernel.grid.h
@@ -183,8 +186,6 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
 
 
 def decay_reports_csv(reports, path: str) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "ell", "sup_low", "tail_max", "far_field"])

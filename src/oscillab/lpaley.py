@@ -56,8 +56,8 @@ class DyadicFamily:
     kmax: int
 
     def __post_init__(self):
-        if self.kmax < self.kmin:
-            raise ValueError("kmax must be >= kmin")
+        if not -1021 <= self.kmin <= self.kmax <= 1023:  # 2^(kmin-1), 2^kmax normal floats
+            raise ValueError(f"need -1021 <= kmin <= kmax <= 1023, got {self.kmin}, {self.kmax}")
 
     def multiplier(self, k: int, xi: np.ndarray) -> np.ndarray:
         a = np.abs(np.asarray(xi, dtype=float))
@@ -123,8 +123,8 @@ class SpacedFamily:
     L: float
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"spacing L must be finite and positive, not {self.L!r}")
 
     def window_hat(self, xi: np.ndarray) -> np.ndarray:
         t = np.asarray(xi, dtype=float) / self.L
@@ -263,6 +263,13 @@ class DominatedChain:
     scale: float
     constant: float
     margin_cells: int
+
+    def dominates(self, rel_tol: float) -> bool:
+        """w1 <= w2, and w2 <= constant * w3 * (1 + rel_tol) on interior cells."""
+        inner = slice(self.margin_cells, self.w2.grid.n - self.margin_cells)
+        return bool(np.all(self.w1.values <= self.w2.values)
+                    and np.all(self.w2.values[inner]
+                               <= self.constant * self.w3.values[inner] * (1 + rel_tol)))
 
 
 def dominating_weights(w: Weight, p: int, lam: float, ell: int, A1: float) -> DominatedChain:

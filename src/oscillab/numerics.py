@@ -31,8 +31,6 @@ __all__ = [
     "convolve",
     "lp_norm",
     "weighted_l2",
-    "save_sampled_csv",
-    "load_sampled_csv",
     "save_weight_csv",
     "load_weight_csv",
 ]
@@ -262,25 +260,6 @@ def weighted_l2(f: SampledFunction, w: Weight) -> float:
     """The weighted energy h * sum |f|^2 w (an integral, not a norm)."""
     _require_same_grid(f, w)
     return float(f.grid.h * np.sum(np.abs(f.values) ** 2 * w.values))
-
-
-def save_sampled_csv(f: SampledFunction, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for x, v in zip(f.grid.xs, f.values):
-            writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
-
-
-def load_sampled_csv(path: str) -> SampledFunction:
-    xs, vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            xs.append(float(row[0]))
-            vals.append(float(row[1]) + 1j * float(row[2]))
-    return SampledFunction(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
 
 
 def save_weight_csv(w: Weight, path: str) -> None:

@@ -121,14 +121,7 @@ class FiniteTypeSpec:
     support_halfwidth: float
 
     def __post_init__(self):
-        if self.ell < 2:
-            raise ValueError("ell must be >= 2")
-        if not math.isfinite(self.x0):
-            raise ValueError("x0 must be finite")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
-        if not 0 < self.support_halfwidth < math.inf:
-            raise ValueError("support halfwidth must be finite and positive")
+        _check_hypothesis(self.x0, self.ell, self.epsilon, self.support_halfwidth)
 
     def derivative_bound(self, j: int) -> float:
         if j >= len(self.bounds):
@@ -137,16 +130,28 @@ class FiniteTypeSpec:
         return self.bounds[j]
 
 
+def _check_hypothesis(x0: float, ell: int, epsilon: float | None, u: float | None) -> None:
+    """Reject ell < 2 and a non-finite x0, epsilon or u; None is not yet derived."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and positive")
+    if u is not None and not 0 < u < math.inf:
+        raise ValueError("support halfwidth must be finite and positive")
+
+
 def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = None,
                      support_halfwidth: float | None = None) -> FiniteTypeSpec:
-    """Build a :class:`FiniteTypeSpec`, filling defaults from the phase.
+    """Build a :class:`FiniteTypeSpec`, filling defaults from the phase once
+    the given values are checked.
 
     ``epsilon`` defaults to |phi^(ell)(x0)|. When the support halfwidth
     is absent, a halving search picks the largest u <= 1 such that
     |phi^(ell)| >= epsilon/2 across a 1024-point grid on [x0-u, x0+u].
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_hypothesis(x0, ell, epsilon, support_halfwidth)
     dval = float(np.asarray(phase.eval(ell, x0)))
     if epsilon is None:
         epsilon = abs(dval)

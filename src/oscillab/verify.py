@@ -14,15 +14,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._util import smooth_plateau, standard_bump
 from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
-from .kernels import Kernel, admissible_step, apply_T, build_kernel, kernel_spectrum
-from .lpaley import (DyadicFamily, SpacedFamily, dyadic_pieces, spaced_pieces,
-                     square_function)
+from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
+                      kernel_spectrum)
+from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights, dyadic_pieces,
+                     spaced_pieces, square_function)
 from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
@@ -46,6 +47,12 @@ __all__ = [
     "baseline_spaced_constants",
     "uncertainty_bounds_check",
     "envelope_check",
+    "weight_chain_holds",
+    "uncertainty_samples",
+    "envelope_constants",
+    "kernel_decay_sweep",
+    "lemma_checks",
+    "lp_checks",
     "maximal_norm_sweep",
     "operator_norm_sweep",
     "random_weight",
@@ -443,14 +450,8 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-
-
-def dual_exponent(ell: int) -> float:
-    """(ell/2)' = ell/(ell-2); infinity at ell = 2."""
-    if ell == 2:
-        return math.inf
-    return ell / (ell - 2.0)
+# sweeps: the CLI checks and the acceptance criteria measure through these and
+# keep their thresholds themselves
 
 
 def _largest_norm_ratio(op, corpus, p: float) -> float:
@@ -471,7 +472,7 @@ def maximal_norm_sweep(ell: int, lambdas, seed: int = 0, corpus: str = "full") -
     measured value has the closed form 2*lam^(-2/ell) up to window
     quantization.
     """
-    q = dual_exponent(ell)
+    q = math.inf if ell == 2 else ell / (ell - 2.0)
 
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
@@ -517,6 +518,82 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
     return _sweep_report([one(float(lam)) for lam in lambdas])
 
 
+def _band_samples(grid: Grid, band: tuple[float, float], draws: int,
+                  rng: np.random.Generator, measure, label: Provenance = Provenance()) -> list:
+    """measure(f, w, provenance) for ``draws`` random f with |xi| in band, each then a random w."""
+    return [measure(random_band_function(grid, rng, *band), random_weight(grid, rng),
+                    replace(label, f_id=f"f{i}", w_id=f"w{i}")) for i in range(draws)]
+
+
+def weight_chain_holds(p: int, lam: float, ell: int, draws: int,
+                       rng: np.random.Generator, rel_tol: float) -> bool:
+    """Whether the chain of band p at lam (A1 = 1) dominates to ``rel_tol`` for each of
+    ``draws`` random weights on [-4, 4] at step 1/(8 lam); all are drawn whatever the outcome."""
+    grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * lam))
+    return all([dominating_weights(random_weight(grid, rng), p, lam, ell, A1=1.0)
+                .dominates(rel_tol) for _ in range(draws)])
+
+
+def uncertainty_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, band_hi: float,
+                        draws: int, rng: np.random.Generator, seed: int = 0) -> list:
+    """(mol, mol2) of ``draws`` pairs on [-8, 8] at the kernel's admissible
+    step, f with |xi| <= band_hi inside the declared support [-10, 10]."""
+    grid = Grid.from_step(0.0, 8.0, admissible_step(phase, spec, lam) * 0.999)
+    kernel = build_kernel(phase, spec, lam, grid)
+    return _band_samples(
+        grid, (0.0, band_hi), draws, rng,
+        lambda f, w, pv: uncertainty_bounds_check(f, kernel, w, (-10.0, 10.0), pv),
+        Provenance(ell=spec.ell, lam=lam, seed=seed))
+
+
+def envelope_constants(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int) -> list[RatioSample]:
+    """The envelope constant of band p at each lam, with N = 2 and the
+    nominal |k| = 2^p lam^(1/ell) / L = 2^(p ell/(ell-1)) rounded."""
+    k0 = int(round(2.0 ** (p * spec.ell / (spec.ell - 1.0))))
+    return [envelope_check(phase, spec, lam, p, k=k0, N=2) for lam in lambdas]
+
+
+def kernel_decay_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, N: int,
+                       tail_slack: float) -> tuple[list, float, bool]:
+    """check_decay at each lam on [-2u, 2u] at the admissible step: the reports, max/min of
+    lam^(1/ell) sup_low (inf if one is 0), and whether each tail_max <= tail_slack * the first."""
+    reports = []
+    for lam in lambdas:
+        grid = Grid.from_step(0.0, 2.0 * spec.support_halfwidth,
+                              admissible_step(phase, spec, lam) * 0.999)
+        reports.append(check_decay(build_kernel(phase, spec, lam, grid), N=N))
+    sups = [r.sup_low * r.lam ** (1.0 / spec.ell) for r in reports]
+    factor = max(sups) / min(sups) if min(sups) > 0 else math.inf
+    return reports, factor, all(r.tail_max <= tail_slack * reports[0].tail_max
+                                for r in reports)
+
+
+def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int,
+                 seed: int, chain_tol: float) -> tuple[bool, list, list]:
+    """The check-lemmas corpus: from one RNG, at the first lam, the chain over ``pairs``
+    weights and max(1, pairs // 4) uncertainty samples with |xi| <= 8; the envelope."""
+    rng = np.random.default_rng(seed)
+    holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng, chain_tol)
+    mols = uncertainty_samples(phase, spec, lambdas[0], 8.0, max(1, pairs // 4), rng, seed)
+    return holds, mols, envelope_constants(phase, spec, lambdas, p)
+
+
+def lp_checks(fam: DyadicFamily, spaced, pairs: int, seed: int) -> tuple[float, list, dict]:
+    """The check-lp corpus on Grid(0, 16, 4096): fam's telescoping deviation,
+    then from one RNG ``pairs`` square samples with 2^kmin * 1.01 <= |xi| <=
+    min(2^kmax, 0.9 xi_max) and {L: [one sample with |xi| <= 128]}."""
+    grid = Grid(0.0, 16.0, 4096)
+    rng = np.random.default_rng(seed)
+    label = Provenance(seed=seed)
+    band = (2.0**fam.kmin * 1.01, min(2.0**fam.kmax, 0.9 * grid.freq_grid().half_width))
+    square = _band_samples(grid, band, pairs, rng,
+                           lambda f, w, pv: square_function_ratios(f, w, fam, pv), label)
+    return fam.telescoping_deviation(grid), square, {
+        sf.L: _band_samples(grid, (0.0, 2.0**7), 1, rng,
+                            lambda f, w, pv: spaced_ratio(f, w, sf, pv), label)
+        for sf in spaced}
+
+
 # ---------------------------------------------------------------------------
 # frozen-baseline recipes: tests/baselines.json holds their values and the
 # acceptance suite re-measures them
@@ -533,15 +610,9 @@ def baseline_two_weight(ell: int, pairs: int, seed: int) -> TwoWeightSweep:
 def baseline_square_samples(pairs: int, seed: int) -> list[SquareFunctionSample]:
     """Square-function samples of DyadicFamily(-2, 8) on Grid(0, 16, 4096),
     f band-limited to 0.5 <= |xi| <= 128, one RNG for all pairs."""
-    grid = Grid(0.0, 16.0, 4096)
     fam = DyadicFamily(-2, 8)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(pairs):
-        f = random_band_function(grid, rng, 0.5, 128.0)
-        w = random_weight(grid, rng)
-        out.append(square_function_ratios(f, w, fam))
-    return out
+    return _band_samples(Grid(0.0, 16.0, 4096), (0.5, 128.0), pairs, np.random.default_rng(seed),
+                         lambda f, w, pv: square_function_ratios(f, w, fam, pv))
 
 
 def baseline_spaced_constants(seed: int) -> dict[float, float]:
@@ -549,16 +620,9 @@ def baseline_spaced_constants(seed: int) -> dict[float, float]:
     Grid(0, 32, 8192), f band-limited to |xi| <= 60, one RNG for all L."""
     grid = Grid(0.0, 32.0, 8192)
     rng = np.random.default_rng(seed)
-    out = {}
-    for L in (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-        fam = SpacedFamily(L)
-        best = 0.0
-        for _ in range(4):
-            f = random_band_function(grid, rng, 0.0, 60.0)
-            w = random_weight(grid, rng)
-            best = max(best, spaced_ratio(f, w, fam).ratio)
-        out[L] = best
-    return out
+    return {fam.L: max(rs.ratio for rs in _band_samples(
+                grid, (0.0, 60.0), 4, rng, lambda f, w, pv: spaced_ratio(f, w, fam, pv)))
+            for fam in map(SpacedFamily, (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))}
 
 
 # ---------------------------------------------------------------------------

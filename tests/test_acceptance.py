@@ -15,8 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from oscillab.kernels import admissible_step, build_kernel, check_decay
-from oscillab.lpaley import DyadicFamily, dominating_weights
+from oscillab.lpaley import DyadicFamily
 from oscillab.maximal import (ApproachRegionParams, approach_maximal,
                               approach_maximal_brute, fractional_maximal,
                               fractional_maximal_brute, global_maximal,
@@ -26,10 +25,10 @@ from oscillab.maximal import (ApproachRegionParams, approach_maximal,
 from oscillab.numerics import Grid, Weight, convolve, convolve_direct, forward_transform
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import (baseline_spaced_constants, baseline_square_samples,
-                             baseline_two_weight, envelope_check, fit_power_law,
-                             h1_atom, maximal_norm_sweep, operator_norm_sweep,
-                             random_band_function, random_weight,
-                             uncertainty_bounds_check)
+                             baseline_two_weight, envelope_constants, fit_power_law,
+                             h1_atom, kernel_decay_sweep, maximal_norm_sweep,
+                             operator_norm_sweep, random_band_function, random_weight,
+                             uncertainty_samples, weight_chain_holds)
 
 with open(os.path.join(os.path.dirname(__file__), "baselines.json")) as _fh:
     BASELINES = json.load(_fh)
@@ -139,20 +138,13 @@ class TestCriterion3:
             phase = Phase.monomial(ell)
             spec = finite_type_spec(phase, 0.0, ell, epsilon=1.0,
                                     support_halfwidth=0.5)
-            sups, tails = [], []
-            for e in range(6, 15):
-                lam = float(2**e)
-                grid = Grid.from_step(0.0, 1.0,
-                                      admissible_step(phase, spec, lam) * 0.999)
-                rep = check_decay(build_kernel(phase, spec, lam, grid), N=4)
-                sups.append(rep.sup_low * lam ** (1.0 / ell))
-                tails.append(rep.tail_max)
-            factor = max(sups) / min(sups)
-            fitted = 1.25 * tails[0]  # constant fitted at the smallest lambda
-            tail_ok = all(t <= fitted for t in tails)
+            # the tail constant is fitted at the smallest lambda
+            reports, factor, tail_ok = kernel_decay_sweep(
+                phase, spec, [float(2**e) for e in range(6, 15)], N=4, tail_slack=1.25)
             ok &= factor < 3.0 and tail_ok
+            tails = [r.tail_max for r in reports]
             details.append(f"ell={ell}: sup factor {factor:.2f}, "
-                           f"tail max {max(tails):.3f} <= {fitted:.3f}")
+                           f"tail max {max(tails):.3f} <= {1.25 * tails[0]:.3f}")
         elapsed = time.monotonic() - t0
         ok &= elapsed < 180.0
         report(3, "kernel decay", ok, "; ".join(details) + f", {elapsed:.1f}s")
@@ -223,36 +215,18 @@ class TestCriterion7:
         details = []
         # dominating chain over 100 random weights per cell
         for ell, lam, p in ((3, 256.0, 2), (3, 256.0, 3), (2, 256.0, 3)):
-            grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * lam))
-            rng = np.random.default_rng(SEED)
-            for _ in range(100):
-                w = random_weight(grid, rng)
-                ch = dominating_weights(w, p, lam, ell, A1=1.0)
-                inner = slice(ch.margin_cells, grid.n - ch.margin_cells)
-                ok &= bool(np.all(ch.w1.values <= ch.w2.values))
-                ok &= bool(np.all(ch.w2.values[inner]
-                                  <= ch.constant * ch.w3.values[inner] * (1 + 1e-9)))
-        details.append("weight chain ok")
+            ok &= weight_chain_holds(p, lam, ell, 100, np.random.default_rng(SEED),
+                                     rel_tol=1e-9)
+        details.append(f"weight chain {'ok' if ok else 'FAILED'}")
         # envelope constants stable across lambda
         phase = Phase.monomial(3)
         spec = finite_type_spec(phase, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
-        consts = []
-        for lam in (256.0, 1024.0, 4096.0):
-            k0 = int(round(2.0 ** (3 * 3 / 2.0)))
-            consts.append(envelope_check(phase, spec, lam, 3, k=k0, N=2).ratio)
+        consts = [rs.ratio for rs in envelope_constants(phase, spec, (256.0, 1024.0, 4096.0), 3)]
         ok &= max(consts) / min(consts) < 4.0
         details.append(f"envelope {[round(c, 3) for c in consts]}")
         # uncertainty bounds never exceeded
-        lam = 128.0
-        grid = Grid.from_step(0.0, 8.0, admissible_step(phase, spec, lam) * 0.999)
-        kernel = build_kernel(phase, spec, lam, grid)
-        rng = np.random.default_rng(SEED)
-        worst = 0.0
-        for i in range(20):
-            f = random_band_function(grid, rng, 0.0, 9.0)
-            w = random_weight(grid, rng)
-            mol, mol2 = uncertainty_bounds_check(f, kernel, w, (-10.0, 10.0))
-            worst = max(worst, mol.ratio, mol2.ratio)
+        mols = uncertainty_samples(phase, spec, 128.0, 9.0, 20, np.random.default_rng(SEED))
+        worst = max(rs.ratio for pair in mols for rs in pair)
         ok &= worst <= 1.0 + 1e-6
         details.append(f"uncertainty max ratio {worst:.6f}")
         report(7, "weight chain, envelope, uncertainty", ok, "; ".join(details))

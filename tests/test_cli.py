@@ -1,8 +1,10 @@
 """CLI contract: exit codes, file outputs, determinism, config handling."""
 
+import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +54,27 @@ class TestExitCodes:
         assert run(["validate-phase", "--kind", "monomial", "--out", str(tmp_path)]
                    + argv) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    # the hypothesis values are checked before the support-halfwidth search
+    # and the sampling of the support, which used to blame the search or
+    # raise numpy RuntimeWarnings first
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon", "nan"], "epsilon must be finite"),
+        (["--u", "inf"], "support halfwidth must be finite"),
+        (["--kind", "cosine", "--x0", "inf"], "x0 must be finite")],
+        ids=["epsilon-nan", "u-inf", "cosine-x0-inf"])
+    def test_validate_phase_checks_hypothesis_on_entry(self, argv, message, tmp_path,
+                                                       capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate-phase", "--ell", "3", "--out", str(tmp_path)] + argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_decay_order_is_usage_error(self, tmp_path, capsys):
+        assert run(["kernel-decay", "--ell", "2", "--lambdas", "64", "--N", "-3",
+                    "--out", str(tmp_path)]) == 2
+        assert "N must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["no-such-command"]) == 2
@@ -183,21 +206,28 @@ class TestConfig:
         assert run(["sweep-maximal", "--config", str(cfg)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, nested", [
-        ("validate-phase", {"phase": 5}),
-        ("validate-phase", {"phase": {"x0": [1]}}),
-        ("check-lp", {"dyadic": [1]}),
-        ("check-lp", {"dyadic": None}),
-        ("check-lp", {"dyadic": {"kmin": 1}}),
-        ("check-lp", {"spaced": {}})],
+    # the range cases used to die in DyadicFamily.covered with an
+    # OverflowError (exit 1) or to blame a NaN-to-integer conversion
+    @pytest.mark.parametrize("command, nested, detail", [
+        ("validate-phase", {"phase": 5}, None),
+        ("validate-phase", {"phase": {"x0": [1]}}, None),
+        ("check-lp", {"dyadic": [1]}, None),
+        ("check-lp", {"dyadic": None}, None),
+        ("check-lp", {"dyadic": {"kmin": 1}}, None),
+        ("check-lp", {"spaced": {}}, None),
+        ("check-lp", {"dyadic": {"kmin": -2, "kmax": 2000}}, "kmax <= 1023"),
+        ("check-lp", {"spaced": {"L": math.nan}}, "L must be finite"),
+        ("check-lp", {"spaced": {"L": math.inf}}, "L must be finite")],
         ids=["phase-int", "phase-x0-list", "dyadic-list", "dyadic-null", "dyadic-no-kmax",
-             "spaced-no-L"])
-    def test_nested_config_of_wrong_shape_is_usage_error(self, command, nested, tmp_path,
-                                                         capsys):
+             "spaced-no-L", "dyadic-kmax-overflow", "spaced-L-nan", "spaced-L-inf"])
+    def test_nested_config_of_wrong_shape_is_usage_error(self, command, nested, detail,
+                                                         tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(nested))
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert f"config {next(iter(nested))}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config {next(iter(nested))}" in err
+        assert detail is None or detail in err
 
     @pytest.mark.parametrize("payload", ["[1, 2]", "3", '"text"', "null"])
     def test_non_object_config_is_usage_error(self, tmp_path, payload, capsys):
@@ -340,6 +370,31 @@ class TestChecks:
         assert len(rows) == 4
         assert [float(r.split(",")[2]) for r in rows] == [64.0, 64.0, 64.0, 128.0]
         assert not (tmp_path / "summary.json").exists()
+
+    # each lemma fails just past the threshold check-lemmas keeps: domination
+    # to a relative 1e-9, mollification ratios <= 1 + 1e-6, envelope
+    # constants less than a factor 4 apart
+    @pytest.mark.parametrize("name", ["dominating_weights", "uncertainty_bounds_check",
+                                      "envelope_check"])
+    def test_check_lemmas_violation_fails(self, name, tmp_path, capsys, monkeypatch):
+        real = getattr(verify, name)
+
+        def fake(*args, **kwargs):
+            if name == "dominating_weights":
+                ch = real(*args, **kwargs)
+                w3 = ch.w2.values / (ch.constant * (1 + 2e-9))
+                return dataclasses.replace(ch, w3=Weight(ch.w3.grid, w3))
+            if name == "uncertainty_bounds_check":
+                mol, _ = real(*args, **kwargs)
+                return mol, RatioSample.of(1.0 + 2e-6, 1.0)
+            lam = args[2]
+            return RatioSample.of(1.0 if lam == 256.0 else 4.0, 1.0)
+
+        monkeypatch.setattr(verify, name, fake)
+        assert run(["check-lemmas", "--ell", "3", "--lambdas", "256,1024", "--pairs", "4",
+                    "--out", str(tmp_path)]) == 1
+        assert "lemma checks FAIL" in capsys.readouterr().out
+        assert json.loads((tmp_path / "summary.json").read_text())["pass"] is False
 
     def test_check_lemmas_small(self, tmp_path, capsys):
         assert run(["check-lemmas", "--kind", "monomial", "--ell", "3",

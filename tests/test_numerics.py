@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, Weight, convolve,
                                convolve_direct, forward_transform,
-                               inverse_transform, load_sampled_csv,
-                               load_weight_csv, lp_norm, save_sampled_csv,
-                               save_weight_csv, weighted_l2)
+                               inverse_transform, load_weight_csv,
+                               lp_norm, save_weight_csv, weighted_l2)
 
 
 def gaussian(grid):
@@ -214,15 +213,6 @@ class TestWeight:
 
 
 class TestCsv:
-    def test_sampled_round_trip(self, tmp_path):
-        g = Grid(0.0, 8.0, 128)
-        f = SampledFunction.from_vectorized(g, lambda x: np.exp(1j * x) * np.exp(-x**2))
-        path = str(tmp_path / "f.csv")
-        save_sampled_csv(f, path)
-        back = load_sampled_csv(path)
-        assert back.grid.n == g.n
-        np.testing.assert_allclose(back.values, f.values, atol=0)
-
     def test_weight_round_trip(self, tmp_path):
         g = Grid(0.0, 8.0, 128)
         w = Weight(g, np.abs(np.sin(g.xs)))

@@ -11,8 +11,8 @@ from oscillab.lpaley import DyadicFamily
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import (Provenance, RatioSample, _sweep_report,
-                             envelope_check, fit_power_law, focusing_input,
-                             frequency_restricted_ratio, h1_atom,
+                             envelope_check, envelope_constants, fit_power_law,
+                             focusing_input, frequency_restricted_ratio, h1_atom,
                              two_weight_ratio, maximal_norm_sweep,
                              operator_norm_sweep, random_band_function,
                              random_test_function, random_weight,
@@ -222,17 +222,13 @@ class TestEnvelope:
             envelope_check(self.PH, self.SPEC, 256.0, 30, k=1, N=2)
 
     def test_constant_finite_and_stable(self):
-        consts = []
-        for lam in (256.0, 1024.0):
-            k0 = int(round(2.0 ** (3 * 3 / 2.0)))
-            rs = envelope_check(self.PH, self.SPEC, lam, 3, k=k0, N=2)
-            consts.append(rs.ratio)
+        consts = [rs.ratio for rs in envelope_constants(self.PH, self.SPEC, (256.0, 1024.0), 3)]
         assert all(np.isfinite(c) and c > 0 for c in consts)
         assert max(consts) / min(consts) < 4.0
 
     def test_sup_norm_variant(self):
-        k0 = int(round(2.0 ** (3 * 3 / 2.0)))
-        rs = envelope_check(self.PH, self.SPEC, 1024.0, 3, k=k0, N=0)
+        # 23 = round(2^(p ell/(ell-1))), the nominal |k| of band p = 3 at ell = 3
+        rs = envelope_check(self.PH, self.SPEC, 1024.0, 3, k=23, N=0)
         assert np.isfinite(rs.ratio) and rs.ratio > 0
 
 
