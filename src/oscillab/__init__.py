@@ -7,12 +7,13 @@ from .errors import (BadBand, CoverageGap, DegenerateSupport, GridMismatch,
                      ValidationFailed)
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
-                       lp_norm, weighted_l2)
+                       lp_norm, restrict, weighted_l2)
 from .phases import (ComparabilityReport, FiniteTypeSpec, Phase, TypeReport,
                      comparability_check, ensure_finite_type, finite_type_spec,
                      normalize_phase, validate_finite_type)
 from .kernels import (Cutoff, DecayReport, Kernel, apply_T, build_kernel,
-                      check_decay, kernel_spectrum, kernel_spectrum_quadrature)
+                      check_decay, kernel_spectrum, kernel_spectrum_quadrature,
+                      normalized_kernel)
 from .maximal import (ApproachRegionParams, BumpProfile, approach_maximal,
                       fractional_maximal, global_maximal, hardy_littlewood,
                       operator_by_name, regular_maximal)

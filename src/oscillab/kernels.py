@@ -20,13 +20,14 @@ from scipy.integrate import quad
 from ._util import standard_bump
 from .errors import GridMismatch, UnderResolved
 from .numerics import Grid, SampledFunction, SpectralFunction, convolve, forward_transform
-from .phases import FiniteTypeSpec, Phase, ensure_finite_type
+from .phases import FiniteTypeSpec, Phase, ensure_finite_type, normalize_phase
 
 __all__ = [
     "Cutoff",
     "Kernel",
     "DecayReport",
     "build_kernel",
+    "normalized_kernel",
     "apply_T",
     "kernel_spectrum",
     "kernel_spectrum_quadrature",
@@ -97,6 +98,17 @@ def build_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float, grid: Grid) -> 
     xs = grid.xs[inside]
     vals[inside] = np.exp(1j * lam * np.asarray(phase.eval(0, xs))) * psi[inside]
     return Kernel(phase, spec, float(lam), cutoff, SampledFunction(grid, vals))
+
+
+def normalized_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float,
+                      half_width: float) -> Kernel:
+    """The kernel in the phase's normalized frame on [-half_width, half_width], just
+    under the admissible step; its ``lam`` is lam * epsilon, its ``spec`` normalized."""
+    norm = normalize_phase(phase, spec)
+    lam_eff = lam * norm.lambda_scale
+    grid = Grid.from_step(0.0, half_width,
+                          admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
+    return build_kernel(norm.phase, norm.spec, lam_eff, grid)
 
 
 def apply_T(kernel: Kernel, f: SampledFunction) -> SampledFunction:

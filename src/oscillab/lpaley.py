@@ -20,8 +20,8 @@ import numpy as np
 
 from ._util import cells, sliding_max, smooth_plateau, standard_bump
 from .errors import BadBand, CoverageGap
-from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
-                       convolve, forward_transform, inverse_transform, lp_norm)
+from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, convolve,
+                       forward_transform, inverse_transform, lp_norm, restrict)
 
 __all__ = [
     "DyadicFamily",
@@ -36,12 +36,6 @@ __all__ = [
     "mollifier_weight",
     "band_limited_mollifier",
 ]
-
-
-def _restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:
-    """The function whose transform is f^ times the frequency multiplier."""
-    return inverse_transform(SpectralFunction(fhat.freq_grid, fhat.values * multiplier,
-                                              fhat.space_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def dyadic_pieces(f: SampledFunction, fam: DyadicFamily) -> list[SampledFunction
         if outside > 1e-8 * total:
             raise CoverageGap(
                 f"{outside / total:.2e} of the energy lies outside the covered bands")
-    return [_restrict(fhat, fam.multiplier(k, xs)) for k in fam.bands]
+    return [restrict(fhat, fam.multiplier(k, xs)) for k in fam.bands]
 
 
 def square_function(pieces: list[SampledFunction]) -> SampledFunction:
@@ -114,6 +108,9 @@ def square_function(pieces: list[SampledFunction]) -> SampledFunction:
 
 # ---------------------------------------------------------------------------
 # equally-spaced family
+
+# The piece budget: spaced_pieces holds every piece, each a full-grid function.
+MAX_PIECES = 2**16
 
 
 @dataclass(frozen=True)
@@ -139,15 +136,17 @@ class SpacedFamily:
         return self.window_hat(np.asarray(xi, dtype=float) - k * self.L)
 
     def k_range(self, freq_grid: Grid) -> range:
-        xi_max = freq_grid.half_width
-        kmax = int(math.ceil((xi_max + 2 * self.L) / self.L))
+        reach = (freq_grid.half_width + 2 * self.L) / self.L
+        if reach > MAX_PIECES // 2 - 1:  # 2*ceil(reach) + 1 > MAX_PIECES, or reach = inf
+            raise ValueError(f"spacing L={self.L!r} needs about {2 * reach:.3g} pieces, over "
+                             f"the piece budget MAX_PIECES = 2^16")
+        kmax = int(math.ceil(reach))
         return range(-kmax, kmax + 1)
 
     def spatial_window(self, grid: Grid) -> SampledFunction:
         """W_L sampled on the grid (inverse transform of W^_L)."""
-        fg = grid.freq_grid()
-        hat = SpectralFunction(fg, self.window_hat(fg.xs).astype(np.complex128), grid)
-        return inverse_transform(hat)
+        hat = self.window_hat(grid.freq_grid().xs).astype(np.complex128)
+        return inverse_transform(SpectralFunction(grid, hat))
 
     def decay_constant(self, grid: Grid, N: int) -> float:
         """Measured C_N in |W_L(x)| <= C_N * L / (1 + L|x|)^N."""
@@ -160,7 +159,7 @@ def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction
     """Pieces f_k with f_k^ = f^ * W^_L(. - kL), for k over the grid's range."""
     fhat = forward_transform(f)
     xs = fhat.freq_grid.xs
-    return [_restrict(fhat, fam.translate_hat(k, xs)) for k in fam.k_range(fhat.freq_grid)]
+    return [restrict(fhat, fam.translate_hat(k, xs)) for k in fam.k_range(fhat.freq_grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ class AnnuliIndex:
 def annuli_project(f: SampledFunction, idx: AnnuliIndex, p: int) -> SampledFunction:
     """Sharp frequency restriction of f to the p-th annulus."""
     fhat = forward_transform(f)
-    return _restrict(fhat, idx.membership(p, fhat.freq_grid.xs))
+    return restrict(fhat, idx.membership(p, fhat.freq_grid.xs))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +218,8 @@ def band_limited_mollifier(grid: Grid, scale: float) -> SampledFunction:
     step below uses |Phi| together with its mass, which is the exact
     majorant the uncertainty-principle inequality provides.
     """
-    fg = grid.freq_grid()
-    hat = smooth_plateau(fg.xs / scale, 4.0, 8.0).astype(np.complex128)
-    phi = inverse_transform(SpectralFunction(fg, hat, grid))
+    hat = smooth_plateau(grid.freq_grid().xs / scale, 4.0, 8.0).astype(np.complex128)
+    phi = inverse_transform(SpectralFunction(grid, hat))
     return SampledFunction(grid, phi.values.real.astype(np.complex128))
 
 
@@ -241,9 +239,8 @@ def _theta_samples(grid: Grid, L: float) -> np.ndarray:
     bump supported in [-L/2, L/2], so both sign conditions hold exactly
     (the spatial values are squared magnitudes; the transform is the
     autocorrelation of b_L)."""
-    fg = grid.freq_grid()
-    b = standard_bump(2.0 * fg.xs / L).astype(np.complex128)
-    g = inverse_transform(SpectralFunction(fg, b, grid))
+    b = standard_bump(2.0 * grid.freq_grid().xs / L).astype(np.complex128)
+    g = inverse_transform(SpectralFunction(grid, b))
     return 2.0 * np.pi * np.abs(g.values) ** 2
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "SpectralFunction",
     "forward_transform",
     "inverse_transform",
+    "restrict",
     "convolve",
     "lp_norm",
     "weighted_l2",
@@ -36,15 +37,12 @@ __all__ = [
 ]
 
 
+# The grid budget, checked before anything is allocated: one complex array is 64 MiB.
+MAX_GRID_POINTS = 2**22
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
-
-
-def next_pow2(m: float) -> int:
-    n = 1
-    while n < m:
-        n *= 2
-    return n
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,9 @@ class Grid:
             raise ValueError("half_width must be positive")
         if not _is_pow2(self.n):
             raise ValueError(f"n={self.n} is not a power of two")
+        if self.n > MAX_GRID_POINTS:
+            raise ValueError(f"n={self.n} samples exceed the grid budget "
+                             f"MAX_GRID_POINTS = 2^22")
 
     @property
     def h(self) -> float:
@@ -78,7 +79,13 @@ class Grid:
         """Grid with the requested extent whose step does not exceed ``max_step``."""
         if not max_step > 0:
             raise ValueError(f"max_step must be positive, got {max_step}")
-        n = next_pow2(2.0 * half_width / max_step)
+        m = 2.0 * half_width / max_step
+        if m > MAX_GRID_POINTS:  # checked first: the doubling never ends on m = inf
+            raise ValueError(f"step {max_step:.3e} over half-width {half_width} needs more "
+                             f"than the grid budget MAX_GRID_POINTS = 2^22 samples")
+        n = 1
+        while n < m:
+            n *= 2
         return cls(center, half_width, n)
 
     def index_of(self, x: float) -> int:
@@ -155,50 +162,40 @@ class Weight:
 class SpectralFunction:
     """Samples of a forward transform on the dual grid of ``space_grid``."""
 
-    freq_grid: Grid
-    values: np.ndarray
     space_grid: Grid
-    tail_warning: bool = field(default=False, compare=False)
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_complex(self.values, self.freq_grid.n))
+        object.__setattr__(self, "values", _as_complex(self.values, self.space_grid.n))
+
+    @property
+    def freq_grid(self) -> Grid:
+        return self.space_grid.freq_grid()
 
 
-def _tails_decay(values: np.ndarray) -> bool:
-    n = len(values)
-    m = max(1, n // 20)
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return True
-    edge = max(np.max(np.abs(values[:m])), np.max(np.abs(values[-m:])))
-    return bool(edge <= 1e-12 * peak)
+def _offset_phase(g: Grid, unit: complex) -> np.ndarray:
+    """exp(unit * xi * x_0) on the FFT frequencies, x_0 the first sample of ``g``."""
+    xi = np.fft.fftfreq(g.n, d=g.h) * 2.0 * np.pi
+    return np.exp(unit * xi * (g.center - g.half_width))
 
 
 def forward_transform(f: SampledFunction) -> SpectralFunction:
-    """Forward transform of ``f`` on the dual grid.
-
-    Sets ``tail_warning`` when the outer 5% of the grid carries more than
-    1e-12 of the peak magnitude (the function is then not safely compactly
-    supported on the grid).
-    """
+    """Forward transform of ``f`` on the dual grid."""
     g = f.grid
-    fg = g.freq_grid()
-    raw = np.fft.fft(f.values)
-    # fft uses exp(-2pi i jk/n); account for the grid offset x_0 and the h weight
-    xi = np.fft.fftfreq(g.n, d=g.h) * 2.0 * np.pi
-    x0 = g.center - g.half_width
-    vals = g.h * raw * np.exp(-1j * xi * x0)
-    vals = np.fft.fftshift(vals)
-    return SpectralFunction(fg, vals, g, tail_warning=not _tails_decay(f.values))
+    vals = g.h * np.fft.fft(f.values) * _offset_phase(g, -1j)
+    return SpectralFunction(g, np.fft.fftshift(vals))
 
 
 def inverse_transform(fhat: SpectralFunction) -> SampledFunction:
     """Exact inverse of :func:`forward_transform`."""
     g = fhat.space_grid
-    xi = np.fft.fftfreq(g.n, d=g.h) * 2.0 * np.pi
-    x0 = g.center - g.half_width
-    raw = np.fft.ifftshift(fhat.values) * np.exp(1j * xi * x0) / g.h
+    raw = np.fft.ifftshift(fhat.values) * _offset_phase(g, 1j) / g.h
     return SampledFunction(g, np.fft.ifft(raw))
+
+
+def restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:
+    """The function whose transform is f^ times the frequency multiplier."""
+    return inverse_transform(SpectralFunction(fhat.space_grid, fhat.values * multiplier))
 
 
 def _require_same_grid(a, b):

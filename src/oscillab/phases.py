@@ -14,7 +14,7 @@ phase is rescaled so its ell-th derivative at the base point is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -280,7 +280,8 @@ class NormalizedPhase:
 
 
 def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
-    """Translate to x0 = 0, remove the affine part, rescale by epsilon."""
+    """Translate to x0 = 0, remove the affine part, rescale by epsilon. The
+    normalized spec bounds the normalized phase on the same support half-width."""
     x0, eps = spec.x0, spec.epsilon
     a = float(np.asarray(phase.eval(0, x0)))
     b = float(np.asarray(phase.eval(1, x0)))
@@ -295,7 +296,7 @@ def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
         return sign * np.asarray(phase.eval(k, x + x0)) / eps
 
     out = Phase(f"{phase.kind}-normalized", ev, phase.max_analytic_order)
-    nspec = replace(spec, x0=0.0, epsilon=1.0,
-                    bounds=tuple(bv / eps for bv in spec.bounds))
+    nspec = finite_type_spec(out, 0.0, spec.ell, epsilon=1.0,
+                             support_halfwidth=spec.support_halfwidth)
     return NormalizedPhase(out, nspec, lambda_scale=eps, linear_coeff=b, offset=a,
                            conjugate=(sign < 0))

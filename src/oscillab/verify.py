@@ -21,13 +21,13 @@ import numpy as np
 from ._util import smooth_plateau, standard_bump
 from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
 from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
-                      kernel_spectrum)
+                      kernel_spectrum, normalized_kernel)
 from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights, dyadic_pieces,
                      spaced_pieces, square_function)
 from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
-                       lp_norm, weighted_l2)
+                       lp_norm, restrict, weighted_l2)
 from .phases import FiniteTypeSpec, Phase, finite_type_spec, normalize_phase
 
 __all__ = [
@@ -214,7 +214,7 @@ def random_band_function(grid: Grid, rng: np.random.Generator, lo: float,
     vals = np.zeros(grid.n, dtype=np.complex128)
     vals[sel] = rng.normal(size=int(sel.sum())) + 1j * rng.normal(size=int(sel.sum()))
     vals[sel] *= np.exp(-np.abs(fg.xs[sel]) / max(hi, 1.0))
-    return inverse_transform(SpectralFunction(fg, vals, grid))
+    return inverse_transform(SpectralFunction(grid, vals))
 
 
 def random_test_function(grid: Grid, rng: np.random.Generator, max_freq: float,
@@ -360,7 +360,7 @@ def _flat_window(grid: Grid, lo: float, hi: float) -> SampledFunction:
     fg = grid.freq_grid()
     c, rho = (lo + hi) / 2.0, (hi - lo) / 2.0
     hat = smooth_plateau((fg.xs - c) / rho, 1.0, 2.0).astype(np.complex128)
-    return inverse_transform(SpectralFunction(fg, hat, grid))
+    return inverse_transform(SpectralFunction(grid, hat))
 
 
 def _abs_convolve(a: SampledFunction, w: Weight) -> np.ndarray:
@@ -424,22 +424,18 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
     whose stability across (lam, p) is the stationary-phase envelope
     claim.
     """
-    norm = normalize_phase(phase, spec)
-    lam_eff = lam * norm.lambda_scale
-    ell = spec.ell
-    a1 = max(norm.spec.derivative_bound(1), 0.25)
+    kernel = normalized_kernel(phase, spec, lam, 8.0)
+    lam_eff, ell = kernel.lam, spec.ell
+    a1 = max(kernel.spec.derivative_bound(1), 0.25)
     if p < 0 or 2.0**p >= 4.0 * a1 * lam_eff ** ((ell - 1.0) / ell):
         raise BadBand(f"band p={p} outside range")
     L = 2.0 ** (-p / (ell - 1.0)) * lam_eff ** (1.0 / ell)
     k0 = 2.0**p * lam_eff ** (1.0 / ell) / L
     if not (0.5 * k0 <= abs(k) <= 2.0 * k0):
         raise BadBand(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
-    grid = Grid.from_step(0.0, 8.0, admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
-    kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
+    grid = kernel.grid
     khat = kernel_spectrum(kernel)
-    xs = khat.freq_grid.xs
-    psi_hat = smooth_plateau((xs - k * L) / L, 2.0, 4.0)
-    tpsi = inverse_transform(SpectralFunction(khat.freq_grid, khat.values * psi_hat, grid))
+    tpsi = restrict(khat, smooth_plateau((khat.freq_grid.xs - k * L) / L, 2.0, 4.0))
     half = grid.n // 4  # inner window: spectral wrap pollutes the outer edge
     mid = grid.n // 2
     window = slice(mid - half, mid + half)
@@ -497,16 +493,14 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
     band-limited functions; the measured value is a certified lower
     bound on the discretized operator norm.
     """
-    norm = normalize_phase(phase, spec)
     ell = spec.ell
 
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
-        lam_eff = lam * norm.lambda_scale
-        grid = Grid.from_step(0.0, 4.0, admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
-        kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
+        kernel = normalized_kernel(phase, spec, lam, 4.0)
+        grid = kernel.grid
         corpus = [focusing_input(kernel)]
-        base = lam_eff ** (1.0 / ell)
+        base = kernel.lam ** (1.0 / ell)
         for frac in (0.0, 0.35, 0.7):
             mod = np.exp(1j * frac * base * grid.xs)
             corpus.append(SampledFunction(grid, mod * standard_bump(grid.xs / 2.0)))
@@ -536,12 +530,11 @@ def weight_chain_holds(p: int, lam: float, ell: int, draws: int,
 
 def uncertainty_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, band_hi: float,
                         draws: int, rng: np.random.Generator, seed: int = 0) -> list:
-    """(mol, mol2) of ``draws`` pairs on [-8, 8] at the kernel's admissible
-    step, f with |xi| <= band_hi inside the declared support [-10, 10]."""
-    grid = Grid.from_step(0.0, 8.0, admissible_step(phase, spec, lam) * 0.999)
-    kernel = build_kernel(phase, spec, lam, grid)
+    """(mol, mol2) of ``draws`` pairs through the normalized kernel on [-8, 8],
+    f with |xi| <= band_hi inside the declared support [-10, 10]."""
+    kernel = normalized_kernel(phase, spec, lam, 8.0)
     return _band_samples(
-        grid, (0.0, band_hi), draws, rng,
+        kernel.grid, (0.0, band_hi), draws, rng,
         lambda f, w, pv: uncertainty_bounds_check(f, kernel, w, (-10.0, 10.0), pv),
         Provenance(ell=spec.ell, lam=lam, seed=seed))
 
@@ -555,13 +548,11 @@ def envelope_constants(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int) -> l
 
 def kernel_decay_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, N: int,
                        tail_slack: float) -> tuple[list, float, bool]:
-    """check_decay at each lam on [-2u, 2u] at the admissible step: the reports, max/min of
-    lam^(1/ell) sup_low (inf if one is 0), and whether each tail_max <= tail_slack * the first."""
-    reports = []
-    for lam in lambdas:
-        grid = Grid.from_step(0.0, 2.0 * spec.support_halfwidth,
-                              admissible_step(phase, spec, lam) * 0.999)
-        reports.append(check_decay(build_kernel(phase, spec, lam, grid), N=N))
+    """check_decay of the normalized kernel on [-2u, 2u], reported at each lam: the reports,
+    max/min of lam^(1/ell) sup_low (inf if one is 0), whether all tail_max <= tail_slack * first."""
+    u = spec.support_halfwidth
+    reports = [replace(check_decay(normalized_kernel(phase, spec, lam, 2.0 * u), N=N),
+                       lam=float(lam)) for lam in lambdas]
     sups = [r.sup_low * r.lam ** (1.0 / spec.ell) for r in reports]
     factor = max(sups) / min(sups) if min(sups) > 0 else math.inf
     return reports, factor, all(r.tail_max <= tail_slack * reports[0].tail_max

@@ -76,6 +76,25 @@ class TestExitCodes:
         assert "N must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    # refused before anything is allocated: these died with a numpy
+    # MemoryError (exit 1), and 1e307 gives a step that needs infinitely many
+    # samples, on which Grid.from_step never ended
+    @pytest.mark.parametrize("argv", [["maximal", "--ell", "3", "--lambda", "1e15"],
+                                      ["maximal", "--ell", "3", "--lambda", "1e307"],
+                                      ["kernel-decay", "--ell", "2", "--lambdas", "1e15"]],
+                             ids=["maximal", "maximal-infinite-count", "kernel-decay"])
+    def test_grid_over_budget_is_usage_error(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert "grid budget MAX_GRID_POINTS = 2^22" in capsys.readouterr().err
+
+    def test_spaced_family_over_budget_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spaced": {"L": 1e-6}}))
+        assert run(["check-lp", "--config", str(cfg), "--pairs", "1",
+                    "--out", str(tmp_path)]) == 2
+        assert "piece budget MAX_PIECES = 2^16" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["no-such-command"]) == 2
 
@@ -168,6 +187,25 @@ class TestSweepOutputs:
                     "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert abs(payload["slope"] - payload["target_slope"]) <= 0.1
+
+    def test_kernel_decay_of_recentred_cosine(self, tmp_path, capsys):
+        # the kernel is measured in the normalized frame; sampled around 0
+        # instead of pi/2 it was identically zero, every row read 0.0 and the
+        # factor was inf
+        run(["kernel-decay", "--kind", "cosine", "--x0", "1.5707963267948966", "--ell", "3",
+             "--lambdas", "64..512", "--out", str(tmp_path)])
+        rows = (tmp_path / "results.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 4 and all(float(r.split(",")[2]) > 0 for r in rows)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert math.isfinite(summary["sup_low_normalized_factor"])
+
+    def test_kernel_decay_reports_requested_lambda(self, tmp_path, capsys):
+        # with epsilon = 2 the kernel runs at 2 lambda; its rows keep the
+        # lambda asked for
+        run(["kernel-decay", "--ell", "3", "--epsilon", "2", "--lambdas", "64..256",
+             "--out", str(tmp_path)])
+        rows = (tmp_path / "results.csv").read_text().strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [64.0, 128.0, 256.0]
 
     def test_csv_values_trace_to_report(self, tmp_path, capsys):
         assert run(["sweep-maximal", "--ell", "3", "--lambdas", "16..64",

@@ -33,7 +33,7 @@ def band_limited(grid, seed, hi):
     vals[sel] = rng.normal(size=int(sel.sum())) + 1j * rng.normal(size=int(sel.sum()))
     from oscillab.numerics import SpectralFunction
 
-    return inverse_transform(SpectralFunction(fg, vals, grid))
+    return inverse_transform(SpectralFunction(grid, vals))
 
 
 class TestBuildKernel:

@@ -127,7 +127,7 @@ class TestSpacedFamily:
         vals = np.zeros(GRID.n, dtype=np.complex128)
         sel = (fg.xs >= (k0 - 1) * fam.L) & (fg.xs <= (k0 + 1) * fam.L)
         vals[sel] = 1.0
-        f = inverse_transform(SpectralFunction(fg, vals, GRID))
+        f = inverse_transform(SpectralFunction(GRID, vals))
         pieces = spaced_pieces(f, fam)
         ks = list(fam.k_range(fg))
         total = lp_norm(f, 2)
@@ -164,6 +164,14 @@ class TestSpacedFamily:
     def test_spacing_positive(self):
         with pytest.raises(ValueError):
             SpacedFamily(0.0)
+
+    def test_piece_budget(self):
+        # 6,439 pieces is the most any run makes; L = 1e-6 would be about 8e8
+        # full-grid pieces, and the smallest float spacing an infinite count
+        assert len(SpacedFamily(0.125).k_range(Grid(0.0, 32.0, 8192).freq_grid())) == 6439
+        for L in (1e-6, 5e-324):
+            with pytest.raises(ValueError, match="MAX_PIECES"):
+                SpacedFamily(L).k_range(GRID.freq_grid())
 
 
 class TestAnnuli:

@@ -1,6 +1,8 @@
 """Grid, transform, convolution and norm contracts, checked against
 closed forms and a direct-summation oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +27,7 @@ def random_band(grid, seed, lo=0.0, hi=20.0):
     vals[sel] = rng.normal(size=int(sel.sum())) + 1j * rng.normal(size=int(sel.sum()))
     from oscillab.numerics import SpectralFunction
 
-    return inverse_transform(SpectralFunction(fg, vals, grid))
+    return inverse_transform(SpectralFunction(grid, vals))
 
 
 class TestGrid:
@@ -47,6 +49,16 @@ class TestGrid:
         assert g.h == 0.5
         np.testing.assert_allclose(np.diff(g.xs), g.h)
         assert g.xs[0] == -1.0
+
+    def test_grid_budget(self):
+        # refused before anything is allocated; a step needing infinitely many
+        # samples used to loop forever in Grid.from_step
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            Grid(0.0, 1.0, 2**23)
+        assert Grid.from_step(0.0, 1.0, 2.0 / 2**22).n == 2**22
+        for step in (1e-15, 1e-320):
+            with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+                Grid.from_step(0.0, 1.0, step)
 
     def test_dual_grid_step(self):
         g = Grid(0.0, 4.0, 64)
@@ -88,11 +100,43 @@ class TestForwardTransform:
         err = np.sqrt(g.h * np.sum(np.abs(back.values - f.values) ** 2))
         assert err <= 1e-10 * max(scale, 1.0)
 
-    def test_tail_warning_flag(self):
-        g = Grid(0.0, 4.0, 128)
-        assert forward_transform(
-            SampledFunction(g, np.ones(g.n))).tail_warning
-        assert not forward_transform(gaussian(Grid(0.0, 16.0, 512))).tail_warning
+
+# The transform convention frozen as the expressions forward_transform and
+# inverse_transform evaluated before they shared one offset-phase helper, so
+# that any change in the bits shows up.
+def reference_forward(f):
+    g = f.grid
+    raw = np.fft.fft(f.values)
+    xi = np.fft.fftfreq(g.n, d=g.h) * 2.0 * np.pi
+    x0 = g.center - g.half_width
+    return np.fft.fftshift(g.h * raw * np.exp(-1j * xi * x0))
+
+
+def reference_inverse(g, values):
+    xi = np.fft.fftfreq(g.n, d=g.h) * 2.0 * np.pi
+    x0 = g.center - g.half_width
+    return np.fft.ifft(np.fft.ifftshift(values) * np.exp(1j * xi * x0) / g.h)
+
+
+@st.composite
+def off_centre_samples(draw):
+    g = Grid(draw(st.floats(-50.0, 50.0)), draw(st.floats(1e-3, 1e3)),
+             2 ** draw(st.integers(0, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = [rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(2)]
+    return g, *vals
+
+
+@given(off_centre_samples())
+def test_transforms_match_frozen_convention_bitwise(case):
+    g, vals, spectrum = case
+    f = SampledFunction(g, vals)
+    fhat = forward_transform(f)
+    assert fhat.freq_grid == g.freq_grid()
+    assert fhat.values.tobytes() == reference_forward(f).tobytes()
+    back = inverse_transform(dataclasses.replace(fhat, values=spectrum))
+    assert back.grid == g
+    assert back.values.tobytes() == reference_inverse(g, spectrum).tobytes()
 
 
 class TestConvolve:

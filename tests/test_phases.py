@@ -174,6 +174,9 @@ class TestNormalization:
         assert norm.lambda_scale == pytest.approx(1.0)
         assert norm.linear_coeff == pytest.approx(-1.0)
         assert not norm.conjugate
+        # the normalized spec bounds x - sin(x) on [-1/2, 1/2], not cos on U
+        assert norm.spec.derivative_bound(0) == pytest.approx(0.5 - np.sin(0.5))
+        assert norm.spec.derivative_bound(1) == pytest.approx(1.0 - np.cos(0.5))
 
     def test_low_orders_vanish_after_normalization(self):
         ph = Phase.cosine()

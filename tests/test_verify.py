@@ -16,7 +16,8 @@ from oscillab.verify import (Provenance, RatioSample, _sweep_report,
                              two_weight_ratio, maximal_norm_sweep,
                              operator_norm_sweep, random_band_function,
                              random_test_function, random_weight,
-                             square_function_ratios, uncertainty_bounds_check)
+                             square_function_ratios, uncertainty_bounds_check,
+                             uncertainty_samples)
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
@@ -158,7 +159,7 @@ class TestSquareFunctionRatios:
         vals = np.zeros(self.GRID.n, dtype=np.complex128)
         j = int(np.argmin(np.abs(fg.xs - 2.0**4)))
         vals[j] = 1.0
-        f = inverse_transform(SpectralFunction(fg, vals, self.GRID))
+        f = inverse_transform(SpectralFunction(self.GRID, vals))
         w = random_weight(self.GRID, np.random.default_rng(6))
         assert square_function_ratios(f, w, self.FAM).forward.ratio <= 1.0 + 0.05
 
@@ -207,6 +208,14 @@ class TestUncertaintyBounds:
         K, f, w = self.setup_case(2)
         with pytest.raises(SupportViolation):
             uncertainty_bounds_check(f, K, w, (-2.0, 2.0))
+
+    def test_recentred_cosine_samples_at_most_one(self):
+        # measured through the normalized kernel; the kernel of cos itself,
+        # built around its base point pi/2, gave mol2 ratios in the thousands
+        ph = Phase.cosine()
+        spec = finite_type_spec(ph, np.pi / 2, 3, epsilon=1.0, support_halfwidth=0.5)
+        pairs = uncertainty_samples(ph, spec, 256.0, 8.0, 5, np.random.default_rng(2))
+        assert all(rs.ratio <= 1.0 + 1e-6 for pair in pairs for rs in pair)
 
 
 class TestEnvelope:
