@@ -19,6 +19,6 @@ from .maximal import (ApproachRegionParams, BumpProfile, approach_maximal,
                       operator_by_name, regular_maximal)
 from .lpaley import (AnnuliIndex, DominatedChain, DyadicFamily, SpacedFamily,
                      annuli_project, dominating_weights, dyadic_pieces,
-                     spaced_pieces, square_function)
+                     spaced_energy, spaced_pieces, square_function)
 
 __version__ = "0.1.0"

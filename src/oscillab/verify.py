@@ -23,7 +23,7 @@ from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolat
 from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
                       kernel_spectrum, normalized_kernel)
 from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights, dyadic_pieces,
-                     spaced_pieces, square_function)
+                     spaced_energy, square_function)
 from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
@@ -373,7 +373,7 @@ def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
                  provenance: Provenance = Provenance()) -> RatioSample:
     """Equally-spaced family: lhs = sum_k integral |P_k f|^2 w over
     rhs = integral |f|^2 (|W_L| * w), with W_L the family's spatial window."""
-    lhs = sum(weighted_l2(p, w) for p in spaced_pieces(f, fam))
+    lhs = spaced_energy(f, w, fam)
     conv = _abs_convolve(fam.spatial_window(f.grid), w)
     rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * conv))
     return RatioSample.of(lhs, rhs, provenance)
@@ -572,8 +572,11 @@ def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int
 def lp_checks(fam: DyadicFamily, spaced, pairs: int, seed: int) -> tuple[float, list, dict]:
     """The check-lp corpus on Grid(0, 16, 4096): fam's telescoping deviation,
     then from one RNG ``pairs`` square samples with 2^kmin * 1.01 <= |xi| <=
-    min(2^kmax, 0.9 xi_max) and {L: [one sample with |xi| <= 128]}."""
+    min(2^kmax, 0.9 xi_max) and {L: [one sample with |xi| <= 128]}. Every
+    spacing's piece budget is checked before the first draw."""
     grid = Grid(0.0, 16.0, 4096)
+    for sf in spaced:
+        sf.k_range(grid.freq_grid())
     rng = np.random.default_rng(seed)
     label = Provenance(seed=seed)
     band = (2.0**fam.kmin * 1.01, min(2.0**fam.kmax, 0.9 * grid.freq_grid().half_width))

@@ -87,13 +87,19 @@ class TestExitCodes:
         assert run(argv + ["--out", str(tmp_path)]) == 2
         assert "grid budget MAX_GRID_POINTS = 2^22" in capsys.readouterr().err
 
-    def test_spaced_family_over_budget_is_usage_error(self, tmp_path, capsys):
+    # the budget is checked before the first draw: the square samples used to
+    # be measured first
+    def test_spaced_family_over_budget_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        measured = []
+        real = verify.square_function_ratios
+        monkeypatch.setattr(verify, "square_function_ratios",
+                            lambda *a, **k: measured.append(1) or real(*a, **k))
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"spaced": {"L": 1e-6}}))
-        assert run(["check-lp", "--config", str(cfg), "--pairs", "1",
-                    "--out", str(tmp_path)]) == 2
+        assert run(["check-lp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "piece budget MAX_PIECES = 2^16" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+        assert measured == []
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["no-such-command"]) == 2
@@ -146,6 +152,14 @@ class TestMaximalCommand:
             assert float(out.splitlines()[0].split(":")[1]) == pytest.approx(1.0)
         else:
             assert "grid too coarse" in err
+
+    def test_csv_weight_at_nan_positions_is_usage_error(self, tmp_path, capsys):
+        # used to build Grid(nan, nan, 4), print "value at center: 1.0" and exit 0
+        path = tmp_path / "w.csv"
+        path.write_text("x,w\n" + "nan,1\n" * 4)
+        assert run(["maximal", "--ell", "3", "--lambda", "64", "--weight", f"csv:{path}",
+                    "--op", "M", "--out", str(tmp_path)]) == 2
+        assert "finite center" in capsys.readouterr().err
 
     def test_csv_weight_without_samples_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "w.csv"

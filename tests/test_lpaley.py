@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.errors import BadBand, CoverageGap
-from oscillab.lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily,
-                             _theta_samples, annuli_project,
-                             dominating_weights, dyadic_pieces, spaced_pieces,
-                             square_function)
+from oscillab.lpaley import (_BLOCK_SAMPLES, AnnuliIndex, DyadicFamily, SpacedFamily,
+                             _theta_samples, _translate_support, annuli_project,
+                             dominating_weights, dyadic_pieces, spaced_energy,
+                             spaced_pieces, square_function)
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction,
                                Weight, forward_transform, inverse_transform,
-                               lp_norm, weighted_l2)
+                               lp_norm, restrict, weighted_l2)
 from oscillab.verify import random_band_function, random_weight
 
 GRID = Grid(0.0, 16.0, 4096)
@@ -164,6 +164,45 @@ class TestSpacedFamily:
     def test_spacing_positive(self):
         with pytest.raises(ValueError):
             SpacedFamily(0.0)
+
+    # the spacings of check-lp and of the frozen spaced constants; 100.0 makes
+    # fewer pieces than one block, and no count here is a multiple of the block
+    @pytest.mark.parametrize("grid, L", [
+        (GRID, 0.125), (GRID, 0.5), (GRID, 2.0), (GRID, 8.0), (GRID, 100.0),
+        (Grid(0.0, 32.0, 8192), 0.125), (Grid(0.0, 32.0, 8192), 1.0),
+        (Grid(0.0, 32.0, 8192), 8.0)])
+    def test_energy_is_the_piece_sum_bitwise(self, grid, L):
+        fam = SpacedFamily(L)
+        rng = np.random.default_rng(int(8 * L))
+        f = random_band_function(grid, rng, 0.0, 60.0)
+        w = random_weight(grid, rng)
+        pieces = spaced_pieces(f, fam)
+        assert len(pieces) % (_BLOCK_SAMPLES // grid.n) != 0
+        assert spaced_energy(f, w, fam) == sum(weighted_l2(p, w) for p in pieces)
+
+    # at 5e307 every window is the whole grid, and 2L overflows
+    @pytest.mark.parametrize("L", [0.125, 0.5, 2.0, 8.0, 100.0, 5e307])
+    def test_support_slices_are_the_translates_bitwise(self, L):
+        fam = SpacedFamily(L)
+        fg = GRID.freq_grid()
+        ks = np.array(fam.k_range(fg))
+        idx, mult = _translate_support(fam, fg, ks)
+        full = np.zeros((len(ks), fg.n))
+        np.put_along_axis(full, idx, mult, axis=-1)
+        for k, row in zip(ks, full):
+            assert row.tobytes() == fam.translate_hat(int(k), fg.xs).tobytes()
+
+    @pytest.mark.parametrize("L", [0.5, 8.0])
+    def test_pieces_are_the_restrictions_bitwise(self, L):
+        fam = SpacedFamily(L)
+        f = band_limited(9, lo=0.0, hi=100.0)
+        fhat = forward_transform(f)
+        xs = fhat.freq_grid.xs
+        pieces = spaced_pieces(f, fam)
+        assert len(pieces) == len(fam.k_range(fhat.freq_grid))
+        for k, piece in zip(fam.k_range(fhat.freq_grid), pieces):
+            expected = restrict(fhat, fam.translate_hat(k, xs))
+            assert piece.values.tobytes() == expected.values.tobytes()
 
     def test_piece_budget(self):
         # 6,439 pieces is the most any run makes; L = 1e-6 would be about 8e8

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscillab.errors import GridMismatch
-from oscillab.numerics import (Grid, SampledFunction, Weight, convolve,
+from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
+                               _inverse_rows, _offset_phase, convolve,
                                convolve_direct, forward_transform,
                                inverse_transform, load_weight_csv,
                                lp_norm, save_weight_csv, weighted_l2)
@@ -59,6 +60,14 @@ class TestGrid:
         for step in (1e-15, 1e-320):
             with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
                 Grid.from_step(0.0, 1.0, step)
+
+    # every comparison with NaN is false, so `half_width <= 0` let a NaN grid through
+    @pytest.mark.parametrize("center, half_width", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (0.0, float("nan")), (0.0, float("inf")),
+        (0.0, 0.0), (0.0, -1.0)])
+    def test_center_and_half_width_must_be_finite(self, center, half_width):
+        with pytest.raises(ValueError, match="finite center and a finite positive half_width"):
+            Grid(center, half_width, 8)
 
     def test_dual_grid_step(self):
         g = Grid(0.0, 4.0, 64)
@@ -125,6 +134,26 @@ def off_centre_samples(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = [rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n) for _ in range(2)]
     return g, *vals
+
+
+# The spaced family inverts a block of pieces with one FFT over its rows, which
+# is only bit for bit the per-piece inverse if pocketfft treats rows alone.
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_ifft_over_rows_matches_single_calls_bitwise(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+    rows = np.fft.ifft(a, axis=-1)
+    for row, single in zip(rows, a):
+        assert row.tobytes() == np.fft.ifft(single).tobytes()
+
+
+def test_inverse_rows_match_inverse_transform_bitwise():
+    g = Grid(3.0, 16.0, 4096)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((5, g.n)) + 1j * rng.standard_normal((5, g.n))
+    rows = _inverse_rows(v, _offset_phase(g, 1j), g.h)
+    for row, spectrum in zip(rows, v):
+        assert row.tobytes() == inverse_transform(SpectralFunction(g, spectrum)).values.tobytes()
 
 
 @given(off_centre_samples())
@@ -264,3 +293,10 @@ class TestCsv:
         save_weight_csv(w, path)
         back = load_weight_csv(path)
         np.testing.assert_allclose(back.values, w.values, atol=0)
+
+    def test_nan_positions_are_refused(self, tmp_path):
+        # used to load as a weight on Grid(nan, nan, 4)
+        path = tmp_path / "w.csv"
+        path.write_text("x,w\n" + "nan,1\n" * 4)
+        with pytest.raises(ValueError, match="finite center"):
+            load_weight_csv(str(path))
