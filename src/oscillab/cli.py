@@ -105,7 +105,7 @@ def _emit_sweep(out_dir: str, name: str, ell: int, report, emit_plots: bool) -> 
 
 def _parse_lambdas(value) -> list[float]:
     """"64..4096" doubles from 64 to 4096; "16,64,256" or a list is literal."""
-    if isinstance(value, list) and all(isinstance(v, (int, float)) for v in value):
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
         lams = [float(v) for v in value]
     elif not isinstance(value, str):
         raise ValueError(f"lambdas must be a string or a list of numbers, not {value!r}")
@@ -355,8 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, lambdas_default=None):
-        # --out, --seed, --lambdas and --ell default to None so that _resolve
-        # can tell an explicit flag from a config value
+        # --out, --seed, --lambdas, --ell and --emit-plots default to None so
+        # that _resolve can tell an explicit flag from a config value
         p.add_argument("--config", default=None)
         p.add_argument("--kind", default=None, choices=["monomial", "cosine"])
         p.add_argument("--ell", type=int, default=None)
@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--u", type=float, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--emit-plots", action="store_true")
+        p.add_argument("--emit-plots", action="store_true", default=None)
         if lambdas_default is not None:
             p.add_argument("--lambdas", type=str, default=None)
             p.set_defaults(lambdas_default=lambdas_default)
@@ -420,18 +420,18 @@ _HANDLERS = {
 
 def _resolve(args, cfg: dict) -> None:
     """Fill the flags a config may set: an explicit flag wins over the
-    config, the config over the default."""
+    config, the config over the default. A JSON true is a bool, not the int 1."""
     for flag, key, default, kind in (("ell", "ell", 2, int), ("seed", "seed", 0, int),
-                                     ("out", "out_dir", "results", str)):
+                                     ("out", "out_dir", "results", str),
+                                     ("emit_plots", "emit_plots", False, bool)):
         if getattr(args, flag) is None:
             value = cfg.get(key, default)
-            if not isinstance(value, kind):
+            if type(value) is not kind:
                 raise ValueError(f"config {key} must be {kind.__name__}, not {value!r}")
             setattr(args, flag, value)
     if hasattr(args, "lambdas"):
         args.lambdas = _parse_lambdas(cfg.get("lambdas", args.lambdas_default)
                                       if args.lambdas is None else args.lambdas)
-    args.emit_plots = args.emit_plots or bool(cfg.get("emit_plots"))
 
 
 def run(argv=None) -> int:

@@ -12,6 +12,7 @@ and lam, and the rapid-decay product |K^| * |xi|^N beyond 2*A1*lam.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,13 +162,19 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
     """Measure the decay quantities; the harness judges stability across lam.
 
     Requires the dual grid to reach 4*A1*lam, i.e. the build resolution
-    rule with a factor-of-two margin on the far field, and N >= 0.
+    rule with a factor-of-two margin on the far field, and N >= 0 with
+    |xi|^N finite up to that reach.
     """
+    xi_max = np.pi / kernel.grid.h
     if N < 0:
         raise ValueError(f"decay order N must be >= 0, got {N}")
+    try:
+        math.pow(xi_max, N)
+    except OverflowError:
+        raise ValueError(f"decay order N={N} overflows the far-field factor |xi|^N, "
+                         f"|xi| <= {xi_max:.4g}") from None
     lam, ell = kernel.lam, kernel.spec.ell
     a1 = effective_a1(kernel.phase, kernel.spec)
-    xi_max = np.pi / kernel.grid.h
     if xi_max < 4.0 * a1 * lam * (1.0 - 1e-9):
         raise UnderResolved("dual grid does not reach 4*A1*lam",
                             np.pi / (4.0 * a1 * lam))

@@ -20,9 +20,9 @@ import numpy as np
 
 from ._util import cells, sliding_max, smooth_plateau, standard_bump
 from .errors import BadBand, CoverageGap
-from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, _inverse_rows,
-                       _offset_phase, _require_same_grid, convolve, forward_transform,
-                       inverse_transform, lp_norm, restrict)
+from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, _require_same_grid,
+                       _support_rows, convolve, forward_transform, inverse_transform,
+                       lp_norm, restrict)
 
 __all__ = [
     "DyadicFamily",
@@ -112,8 +112,10 @@ def square_function(pieces: list[SampledFunction]) -> SampledFunction:
 # equally-spaced family
 
 # The piece budget: k_range refuses more translates than this, which bounds the work of
-# spaced_energy and spaced_pieces at one full-grid inverse FFT per piece. spaced_energy
-# holds one block of pieces at a time; spaced_pieces returns every piece.
+# spaced_energy and spaced_pieces at one full-grid inverse FFT per piece. The window
+# and its products with f^, the phase and 1/h are evaluated only on each translate's
+# support; the rest of a row is copied from a precomputed zero row. spaced_energy holds
+# one block of pieces at a time; spaced_pieces returns every piece.
 MAX_PIECES = 2**16
 # Samples in one block of pieces (2 MiB of complex128, about one core's L2 cache):
 # 32 pieces on the n = 4096 grid, 16 on n = 8192, 1 from n = 2^17 on.
@@ -181,17 +183,15 @@ def _translate_support(fam: SpacedFamily, freq_grid: Grid,
 
 def _spaced_blocks(f: SampledFunction, fam: SpacedFamily):
     """The pieces of :func:`spaced_pieces` in k order, as the rows of one
-    (block, n) array per block of at most _BLOCK_SAMPLES samples."""
+    (block, n) array per block of at most _BLOCK_SAMPLES samples, each row
+    inverted from its translate's support alone."""
     fhat = forward_transform(f)
-    fg, g = fhat.freq_grid, f.grid
+    fg = fhat.freq_grid
     ks = np.array(fam.k_range(fg))
-    phase = _offset_phase(g, 1j)
-    block = max(1, _BLOCK_SAMPLES // g.n)
-    for lo in range(0, len(ks), block):
-        idx, mult = _translate_support(fam, fg, ks[lo:lo + block])
-        rows = np.zeros((len(idx), g.n), dtype=np.complex128)
-        np.put_along_axis(rows, idx, fhat.values[idx] * mult, axis=-1)
-        yield _inverse_rows(rows, phase, g.h)
+    block = max(1, _BLOCK_SAMPLES // f.grid.n)
+    supports = (_translate_support(fam, fg, ks[lo:lo + block])
+                for lo in range(0, len(ks), block))
+    return _support_rows(f.grid, ((idx, fhat.values[idx] * mult) for idx, mult in supports))
 
 
 def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction]:

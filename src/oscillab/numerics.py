@@ -188,18 +188,33 @@ def forward_transform(f: SampledFunction) -> SpectralFunction:
     return SpectralFunction(g, np.fft.fftshift(vals))
 
 
-def _inverse_rows(v: np.ndarray, phase: np.ndarray, h: float) -> np.ndarray:
-    """Inverse transform of each row of ``v``, given ``_offset_phase(g, 1j)`` and ``g.h``.
-
-    One FFT over a block of rows gives each row the bits it gets alone.
-    """
-    return np.fft.ifft(np.fft.ifftshift(v, axes=-1) * phase / h, axis=-1)
-
-
 def inverse_transform(fhat: SpectralFunction) -> SampledFunction:
     """Exact inverse of :func:`forward_transform`."""
     g = fhat.space_grid
-    return SampledFunction(g, _inverse_rows(fhat.values, _offset_phase(g, 1j), g.h))
+    return SampledFunction(g, np.fft.ifft(np.fft.ifftshift(fhat.values)
+                                          * _offset_phase(g, 1j) / g.h))
+
+
+def _support_rows(g: Grid, supports):
+    """For each (idx, vals) of ``supports``: one row per r, the inverse transform of
+    the spectrum that is vals[r] at the samples idx[r] of g's dual grid and 0.0 at
+    the others, bit for bit what :func:`inverse_transform` returns for it.
+
+    The phase and 1/h are applied only on the support, scattered straight to the
+    ifftshifted positions; every other sample is the (0j * phase) / h that the
+    dense expression writes there, signed zeros included. One FFT over a block of
+    rows gives each row the bits it gets alone.
+    """
+    phase = _offset_phase(g, 1j)
+    empty = np.zeros(g.n, dtype=np.complex128) * phase / g.h
+    for idx, vals in supports:
+        jdx = (idx - g.n // 2) % g.n
+        rows = np.tile(empty, (len(idx), 1))
+        # np.multiply, not *: on a large block numpy would reuse the temporary
+        # phase[jdx] and compute phase[jdx] * vals, which FMA rounds differently
+        spectrum = np.multiply(vals, phase[jdx])
+        np.put_along_axis(rows, jdx, spectrum / g.h, axis=-1)
+        yield np.fft.ifft(rows, axis=-1)
 
 
 def restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:

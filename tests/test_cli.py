@@ -76,6 +76,15 @@ class TestExitCodes:
         assert "N must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    # |xi|^N overflowed: a RuntimeWarning, far_field = inf in results.csv, exit 0
+    def test_overflowing_decay_order_is_usage_error(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["kernel-decay", "--ell", "2", "--lambdas", "64", "--N", "100000",
+                        "--out", str(tmp_path)]) == 2
+        assert "N=100000 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     # refused before anything is allocated: these died with a numpy
     # MemoryError (exit 1), and 1e307 gives a step that needs infinitely many
     # samples, on which Grid.from_step never ended
@@ -244,14 +253,25 @@ class TestConfig:
         assert run(["sweep-operator", "--config", str(cfg)]) == 0
         assert (tmp_path / "cfgout" / "summary.json").exists()
 
+    @pytest.mark.parametrize("plots", [True, False])
+    def test_config_emit_plots(self, plots, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"emit_plots": plots, "out_dir": str(tmp_path)}))
+        assert run(["sweep-maximal", "--config", str(cfg), "--lambdas", "16..64"]) == 0
+        assert (tmp_path / "plot-sweep-maximal.svg").exists() == plots
+
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert run(["sweep-operator", "--config", str(cfg)]) == 2
 
+    # a JSON true is a Python bool, and so an int: {"seed": true} ran as seed 1,
+    # [true, 2] as lambda 1 and 2, and "no" turned plots on
     @pytest.mark.parametrize("key, value", [("seed", "x"), ("ell", "3"), ("out_dir", 5),
                                             ("lambdas", 64), ("lambdas", [64, None]),
-                                            ("lambdas", [])])
+                                            ("lambdas", []), ("seed", True), ("ell", True),
+                                            ("lambdas", [True, 2]), ("emit_plots", "no"),
+                                            ("emit_plots", 1)])
     def test_config_value_of_wrong_type_is_usage_error(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))

@@ -251,6 +251,18 @@ class TestDecay:
         assert float(vals[0]) == lam and int(vals[1]) == 2
         assert float(vals[2]) == rep.sup_low
 
+    def test_far_field_order_must_not_overflow(self):
+        ph = Phase.monomial(2)
+        spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
+        grid = Grid.from_step(0.0, 1.0, admissible_step(ph, spec, 64.0) * 0.999)
+        K = build_kernel(ph, spec, 64.0, grid)
+        # the largest N with |xi|^N finite up to the dual grid's reach pi/h
+        top = int(np.log(np.finfo(float).max) / np.log(np.pi / grid.h))
+        assert np.isfinite(check_decay(K, N=top).far_field)
+        for N in (top + 1, 100000, 10**400):
+            with pytest.raises(ValueError, match=f"N={N} overflows"):
+                check_decay(K, N=N)
+
     def test_under_resolved_far_field(self):
         ph = Phase.monomial(2)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oscillab.errors import BadBand, CoverageGap
 from oscillab.lpaley import (_BLOCK_SAMPLES, AnnuliIndex, DyadicFamily, SpacedFamily,
-                             _theta_samples, _translate_support, annuli_project,
-                             dominating_weights, dyadic_pieces, spaced_energy,
-                             spaced_pieces, square_function)
+                             _spaced_blocks, _theta_samples, _translate_support,
+                             annuli_project, dominating_weights, dyadic_pieces,
+                             spaced_energy, spaced_pieces, square_function)
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction,
                                Weight, forward_transform, inverse_transform,
                                lp_norm, restrict, weighted_l2)
@@ -203,6 +203,27 @@ class TestSpacedFamily:
         for k, piece in zip(fam.k_range(fhat.freq_grid), pieces):
             expected = restrict(fhat, fam.translate_hat(k, xs))
             assert piece.values.tobytes() == expected.values.tobytes()
+
+    # Every piece against the dense transform of its full spectrum, off centre,
+    # where the phase is not trivial; the dual grid reaches about 100 at every n.
+    # From L = 1e3 each window is the whole grid, and a block of rows passes
+    # numpy's 256 KiB threshold for reusing a temporary in place.
+    @pytest.mark.parametrize("center", [3.0, -7.5])
+    @pytest.mark.parametrize("n", [32, 1024, 4096, 8192])
+    @pytest.mark.parametrize("L", [0.125, 0.7, 3.0, 1e3, 5e307])
+    def test_block_rows_are_the_dense_inverse_bitwise(self, center, n, L):
+        g = Grid(center, n / 64.0, n)
+        fam = SpacedFamily(L)
+        rng = np.random.default_rng(n)
+        f = SampledFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        fhat = forward_transform(f)
+        xs = fhat.freq_grid.xs
+        rows = np.concatenate(list(_spaced_blocks(f, fam)))
+        ks = fam.k_range(fhat.freq_grid)
+        assert len(rows) == len(ks)
+        for k, row in zip(ks, rows):
+            dense = inverse_transform(SpectralFunction(g, fhat.values * fam.translate_hat(k, xs)))
+            assert row.tobytes() == dense.values.tobytes()
 
     def test_piece_budget(self):
         # 6,439 pieces is the most any run makes; L = 1e-6 would be about 8e8

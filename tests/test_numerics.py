@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
-                               _inverse_rows, _offset_phase, convolve,
+                               _support_rows, convolve,
                                convolve_direct, forward_transform,
                                inverse_transform, load_weight_csv,
                                lp_norm, save_weight_csv, weighted_l2)
@@ -121,10 +121,15 @@ def reference_forward(f):
     return np.fft.fftshift(g.h * raw * np.exp(-1j * xi * x0))
 
 
-def reference_inverse(g, values):
+def reference_inverse_input(g, values):
+    """What the inverse transform hands to the FFT."""
     xi = np.fft.fftfreq(g.n, d=g.h) * 2.0 * np.pi
     x0 = g.center - g.half_width
-    return np.fft.ifft(np.fft.ifftshift(values) * np.exp(1j * xi * x0) / g.h)
+    return np.fft.ifftshift(values) * np.exp(1j * xi * x0) / g.h
+
+
+def reference_inverse(g, values):
+    return np.fft.ifft(reference_inverse_input(g, values))
 
 
 @st.composite
@@ -147,12 +152,25 @@ def test_ifft_over_rows_matches_single_calls_bitwise(n):
         assert row.tobytes() == np.fft.ifft(single).tobytes()
 
 
-def test_inverse_rows_match_inverse_transform_bitwise():
+# Whole-grid supports, windows, and an empty one; 8 whole rows of 4096 are past
+# numpy's 256 KiB threshold for reusing a temporary in place. The FFT's input is
+# checked too: off the support the FFT absorbs the sign of a zero, so only the
+# input shows that every zero is the dense expression's (0j * phase) / h.
+@pytest.mark.parametrize("width", [4096, 300, 1, 0])
+def test_support_rows_match_inverse_transform_bitwise(width, monkeypatch):
     g = Grid(3.0, 16.0, 4096)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((5, g.n)) + 1j * rng.standard_normal((5, g.n))
-    rows = _inverse_rows(v, _offset_phase(g, 1j), g.h)
-    for row, spectrum in zip(rows, v):
+    rng = np.random.default_rng(width)
+    first = rng.integers(0, g.n - width + 1, size=8)
+    idx = first[:, None] + np.arange(width)
+    vals = rng.standard_normal(idx.shape) + 1j * rng.standard_normal(idx.shape)
+    inputs, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: inputs.append(a.copy()) or ifft(a, **kw))
+    [rows] = _support_rows(g, [(idx, vals)])
+    monkeypatch.undo()
+    for row, row_input, i, v in zip(rows, inputs[0], idx, vals):
+        spectrum = np.zeros(g.n, dtype=np.complex128)
+        spectrum[i] = v
+        assert row_input.tobytes() == reference_inverse_input(g, spectrum).tobytes()
         assert row.tobytes() == inverse_transform(SpectralFunction(g, spectrum)).values.tobytes()
 
 
