@@ -12,8 +12,7 @@ from .phases import (ComparabilityReport, FiniteTypeSpec, Phase, TypeReport,
                      comparability_check, ensure_finite_type, finite_type_spec,
                      normalize_phase, validate_finite_type)
 from .kernels import (Cutoff, DecayReport, Kernel, apply_T, build_kernel,
-                      check_decay, kernel_spectrum, kernel_spectrum_quadrature,
-                      normalized_kernel)
+                      check_decay, kernel_spectrum, normalized_kernel)
 from .maximal import (ApproachRegionParams, BumpProfile, approach_maximal,
                       fractional_maximal, global_maximal, hardy_littlewood,
                       operator_by_name, regular_maximal)

@@ -1,7 +1,8 @@
 """Small shared helpers: sliding-window maxima, window arithmetic, bumps.
 
 Window sums come as a ladder: one prefix sum per call, one O(n) slice
-difference per rung (:func:`window_sum_ladder`).
+difference per rung (:func:`window_sum_ladder`). Sliding maxima double
+their span with one shifted ``np.maximum`` per pass (:func:`sliding_max`).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 
 def cells(radius: float, h: float) -> int:
@@ -32,19 +32,45 @@ def snap_radius(r: float, h: float) -> float:
     return (2 * cells(r, h) + 1) * h / 2.0
 
 
+# Outputs per block of :func:`sliding_max`, raised to twice the window so
+# that the overlap between blocks stays under half the work. For windows
+# up to 2^14 cells a block's passes then touch at most 1.5 * 2^15 doubles
+# (384 KiB), which stay in a 2 MiB L2 cache; unblocked, each pass over
+# n = 2^18 streams from L3 and took about twice as long (2-core Xeon).
+_SLIDING_BLOCK = 1 << 15
+
+
 def sliding_max(values: np.ndarray, halfwidth: int) -> np.ndarray:
     """Centered sliding maximum over windows of 2*halfwidth+1 cells.
 
-    Windows overflowing the array are clamped to it. Max is exact, so the
-    production path (a C maximum filter) agrees bitwise with any naive
-    evaluation of the same windows.
+    Windows overflowing the array are clamped to it. The array is padded
+    with -inf; pass j leaves each cell holding the maximum of the 2^j
+    cells starting there, and each window is covered by two overlapping
+    blocks of the largest such span that fits in it. Long arrays are
+    done in blocks of outputs, each from its own slice of the padding.
+    Max is exact, so this agrees bitwise with any naive evaluation of the
+    same windows, save the sign of a zero maximum over a window holding
+    both 0.0 and -0.0.
     """
     if halfwidth <= 0:
         return values.copy()
+    n = len(values)
     size = 2 * halfwidth + 1
-    if size >= 2 * len(values):
+    if size >= 2 * n:
         return np.full_like(values, np.max(values))
-    return maximum_filter1d(values, size=size, mode="constant", cval=-np.inf)
+    pad = np.full(halfwidth, -np.inf)
+    padded = np.concatenate([pad, values, pad])
+    out = np.empty_like(values)
+    step = max(_SLIDING_BLOCK, 2 * size)
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        m = padded[lo:lo + k + size - 1]
+        span = 1
+        while 2 * span <= size:
+            m = np.maximum(m[:-span], m[span:])
+            span *= 2
+        np.maximum(m[:k], m[size - span:size - span + k], out=out[lo:lo + k])
+    return out
 
 
 def sliding_max_naive(values: np.ndarray, halfwidth: int) -> np.ndarray:

@@ -229,13 +229,14 @@ def _cmd_maximal(args, cfg) -> int:
     lam = args.lam
     grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
     w = _weight_from_arg(args.weight, grid)
-    if args.op:
+    if args.op is not None:
         out = operator_by_name(args.op)(w)
     else:
         out = approach_maximal(w, ApproachRegionParams(args.ell, lam))
     value = float(out.values[out.grid.n // 2])
     print(f"value at center: {value!r}")
-    if args.weight == "const":
+    # the closed form is the approach operator's; a named operator is only reported
+    if args.op is None and args.weight == "const":
         target = 2.0 * lam ** (-2.0 / args.ell)
         rel = abs(value / target - 1.0)
         print(f"constant-weight closed form {target!r}, relative deviation {rel:.5f}")

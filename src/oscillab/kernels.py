@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._util import standard_bump
 from .errors import GridMismatch, UnderResolved
@@ -31,7 +30,6 @@ __all__ = [
     "normalized_kernel",
     "apply_T",
     "kernel_spectrum",
-    "kernel_spectrum_quadrature",
     "check_decay",
     "decay_reports_csv",
 ]
@@ -122,27 +120,6 @@ def apply_T(kernel: Kernel, f: SampledFunction) -> SampledFunction:
 def kernel_spectrum(kernel: Kernel) -> SpectralFunction:
     """K^ on the dual grid."""
     return forward_transform(kernel.samples)
-
-
-def kernel_spectrum_quadrature(kernel: Kernel, xis) -> np.ndarray:
-    """Adaptive-quadrature evaluation of K^ at arbitrary frequencies.
-
-    Independent of the FFT path; absolute tolerance 1e-10 per component.
-    """
-    spec = kernel.spec
-    lo = spec.x0 - spec.support_halfwidth
-    hi = spec.x0 + spec.support_halfwidth
-    phase0 = lambda x: float(np.asarray(kernel.phase.eval(0, x)))
-    out = []
-    for xi in np.atleast_1d(xis):
-        def integrand(x, part, xi=xi):
-            val = np.exp(1j * (kernel.lam * phase0(x) - xi * x)) * kernel.cutoff(x)
-            return val.real if part == 0 else val.imag
-
-        re, _ = quad(integrand, lo, hi, args=(0,), epsabs=1e-10, epsrel=1e-10, limit=4000)
-        im, _ = quad(integrand, lo, hi, args=(1,), epsabs=1e-10, epsrel=1e-10, limit=4000)
-        out.append(re + 1j * im)
-    return np.asarray(out)
 
 
 @dataclass(frozen=True)

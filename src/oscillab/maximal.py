@@ -234,17 +234,27 @@ def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn
     """sup over (y, r): factor(r) * row_r(y), |y - x| <= aperture(r).
 
     ``rows`` yields, per radius, the rung's row (scaled in place) and the
-    half-width of the window behind it. ``naive`` swaps the sliding
-    maximum for its oracle counterpart.
+    half-width of the window behind it. The radii increase and the
+    apertures shrink, and sliding maxima compose (half-widths a then b
+    make a + b): so the rows merge into one array that each rung widens
+    by the aperture's shrinkage, and only the last aperture is applied in
+    full. ``naive`` swaps the sliding maximum for its oracle counterpart.
     """
     wmax = sliding_max_naive if naive else sliding_max
-    best = np.full(grid.n, -np.inf)
-    reach = 0
+    merged, width, reach = None, 0, 0
     for r, (row, s) in zip(radii, rows):
         t = cells(aperture_fn(r), grid.h)
         np.multiply(row, factor_fn(r), out=row)
-        np.maximum(best, wmax(row, t), out=best)
+        if merged is None:
+            merged = row.copy()
+        elif t > width:
+            raise ValueError("region apertures must not grow with the radius")
+        else:
+            merged = wmax(merged, width - t)
+            np.maximum(merged, row, out=merged)
+        width = t
         reach = max(reach, s + t)
+    best = np.full(grid.n, -np.inf) if merged is None else wmax(merged, width)
     return Weight(grid, best, boundary=boundary_mask(grid.n, reach))
 
 
@@ -277,8 +287,9 @@ def approach_maximal(w: Weight, params: ApproachRegionParams) -> Weight:
     """The approach-region maximal function on the grid.
 
     Fast path: one prefix sum per call, one O(n) slice difference per
-    rung for the clamped window sums, and the aperture supremum by a
-    sliding-window maximum; O(n) per rung.
+    rung for the clamped window sums, and the aperture supremum by
+    sliding-window maxima of log2(2d+1) doubling passes each, where d is
+    the cells the aperture shrinks by at that rung (see ``_region_sup``).
     """
     return _approach(w, params, naive=False)
 
@@ -341,9 +352,10 @@ def default_bump() -> BumpProfile:
     return _DEFAULT_BUMP
 
 
-def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], conv: str):
-    """|P_r * f| per rung for the default bump. 'direct' uses np.convolve;
-    'fft' the padded FFT path."""
+def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], fft: bool):
+    """|P_r * f| per rung for the default bump: by the padded FFT path when
+    ``fft`` is set and the bump fits inside the grid window, else by
+    np.convolve."""
     h = grid.h
     bump = default_bump()
     out = []
@@ -351,7 +363,7 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], c
         pr = bump.scaled_samples(h, r)
         k = len(pr) // 2
         mid = grid.n // 2
-        if conv == "fft" and k < mid:  # bump must fit inside the grid window
+        if fft and k < mid:
             kern = np.zeros(grid.n, dtype=np.complex128)
             kern[mid - k: mid + k + 1] = pr
             kgrid = Grid(0.0, grid.half_width, grid.n)
@@ -365,7 +377,7 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], c
 
 
 def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: float | None,
-             radii: Sequence[float] | None, conv: str, naive: bool) -> Weight:
+             radii: Sequence[float] | None, naive: bool) -> Weight:
     if (lam is None) == (beta is None):
         raise ValueError("exactly one of lam and beta must be given")
     if beta is not None and not (0.0 <= beta <= 1.0):
@@ -379,9 +391,7 @@ def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: flo
     if radii is None:
         radii = regular_radii(ell, lam if lam is not None else 1.0, h)
     else:
-        radii = [snap_radius(r, h) for r in radii]
-    if conv == "auto":
-        conv = "direct" if grid.n <= 4096 else "fft"
+        radii = sorted(snap_radius(r, h) for r in radii)
     e = 1.0 / (ell - 1)
     if lam is not None:
         factor = lambda r: r * (lam * r) ** (-e)
@@ -389,62 +399,72 @@ def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: flo
     else:
         factor = lambda r: r ** (ell * beta * e)
         aperture = lambda r: r ** (-e)
-    convs = _bump_convolutions(np.asarray(w.values), grid, radii, conv)
+    # the oracle always convolves directly; the fast form by FFT above n = 4096
+    convs = _bump_convolutions(np.asarray(w.values), grid, radii,
+                               fft=not naive and grid.n > 4096)
     rows = zip(convs, [cells(2.0 * r, h) for r in radii])
     return _region_sup(grid, radii, rows, factor, aperture, naive)
 
 
 def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
-                    beta: float | None = None, radii: Sequence[float] | None = None,
-                    conv: str = "auto") -> Weight:
+                    beta: float | None = None, radii: Sequence[float] | None = None) -> Weight:
     """Bump-regularized maximal family.
 
     Exactly one of ``lam`` (the lam-form, radii in (0, lam^(-1/ell)],
     objective r*(lam*r)^(-1/(ell-1)) |P_r * w|) and ``beta`` (the
     analytic family at lam = 1, objective r^(ell*beta/(ell-1)) |P_r * w|)
     must be given. Signed input is allowed: the objective takes absolute
-    values, as the analytic family is tested on mean-zero atoms.
+    values, as the analytic family is tested on mean-zero atoms. Each rung's
+    bump convolution is direct up to n = 4096 samples and by padded FFT above.
     """
-    return _regular(w, ell, lam, beta, radii, conv, naive=False)
+    return _regular(w, ell, lam, beta, radii, naive=False)
 
 
 def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
                           beta: float | None = None) -> Weight:
     """Oracle: shares the per-rung convolution primitive (validated separately
     against direct quadrature) but evaluates region suprema naively."""
-    return _regular(w, ell, lam, beta, None, "direct", naive=True)
+    return _regular(w, ell, lam, beta, None, naive=True)
 
 
 # ---------------------------------------------------------------------------
 # config-string dispatch
 
 
+# the config-string format of each operator, by head
+_OPERATOR_FORMATS = {"M": "M", "Mk": "Mk:K", "Malpha": "Malpha:ALPHA", "Mll": "Mll:ELL:LAM",
+                     "Mtilde": "Mtilde:ELL", "Mreg": "Mreg:ELL:LAM", "Mbeta": "Mbeta:ELL:BETA"}
+
+
 def operator_by_name(name: str):
     """Operator factory for config strings.
 
     Formats: "M", "Mk:4", "Malpha:0.5", "Mll:3:256", "Mtilde:3",
-    "Mreg:3:256", "Mbeta:3:1.0".
+    "Mreg:3:256", "Mbeta:3:1.0". An unknown head or a wrong number of
+    fields raises ValueError.
     """
-    parts = name.split(":")
-    head = parts[0]
-    if head == "M" and len(parts) == 1:
+    head, *fields = name.split(":")
+    form = _OPERATOR_FORMATS.get(head)
+    if form is None:
+        raise ValueError(f"unknown maximal operator name: {name!r}")
+    if len(fields) != form.count(":"):
+        raise ValueError(f"maximal operator {name!r} must have the format {form!r}")
+    if head == "M":
         return lambda w: hardy_littlewood(w, 1)
     if head == "Mk":
-        k = int(parts[1])
+        k = int(fields[0])
         return lambda w: hardy_littlewood(w, k)
     if head == "Malpha":
-        alpha = float(parts[1])
+        alpha = float(fields[0])
         return lambda w: fractional_maximal(w, alpha)
     if head == "Mll":
-        ell, lam = int(parts[1]), float(parts[2])
+        ell, lam = int(fields[0]), float(fields[1])
         return lambda w: approach_maximal(w, ApproachRegionParams(ell, lam))
     if head == "Mtilde":
-        ell = int(parts[1])
+        ell = int(fields[0])
         return lambda w: global_maximal(w, ell)
     if head == "Mreg":
-        ell, lam = int(parts[1]), float(parts[2])
+        ell, lam = int(fields[0]), float(fields[1])
         return lambda w: regular_maximal(w, ell, lam=lam)
-    if head == "Mbeta":
-        ell, beta = int(parts[1]), float(parts[2])
-        return lambda w: regular_maximal(w, ell, beta=beta)
-    raise ValueError(f"unknown maximal operator name: {name!r}")
+    ell, beta = int(fields[0]), float(fields[1])  # Mbeta
+    return lambda w: regular_maximal(w, ell, beta=beta)

@@ -126,7 +126,7 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class Weight:
-    """Nonnegative real function on a grid.
+    """Finite nonnegative real function on a grid.
 
     ``boundary`` optionally marks cells whose defining windows overflowed the
     grid; such cells are excluded from interior-only assertions.
@@ -140,8 +140,8 @@ class Weight:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if np.any(v < 0):
-            raise ValueError("weight values must be nonnegative")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("weight values must be finite and nonnegative")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -99,10 +99,10 @@ class TestCriterion2:
                 cases.append((f"global ell={ell}", global_maximal(w, ell),
                               global_maximal_brute(w, ell)))
             cases.append(("regular lam-form",
-                          regular_maximal(w, 3, lam=lam, conv="direct"),
+                          regular_maximal(w, 3, lam=lam),
                           regular_maximal_brute(w, 3, lam=lam)))
             cases.append(("regular beta-form",
-                          regular_maximal(w, 3, beta=0.5, conv="direct"),
+                          regular_maximal(w, 3, beta=0.5),
                           regular_maximal_brute(w, 3, beta=0.5)))
             for name, fast, brute in cases:
                 if not np.array_equal(fast.values, brute.values):

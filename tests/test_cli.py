@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -161,6 +163,40 @@ class TestMaximalCommand:
             assert float(out.splitlines()[0].split(":")[1]) == pytest.approx(1.0)
         else:
             assert "grid too coarse" in err
+
+    @pytest.mark.parametrize("op, value", [("M", 1.0), ("Mll:3:64", 2.0 * 64.0 ** (-2 / 3))])
+    def test_named_operator_is_reported_not_judged(self, op, value, tmp_path, capsys):
+        # the approach operator's closed form 2*lam^(-2/ell), with the default
+        # ell = 2, used to be applied to any --op: M printed deviation 31.0
+        # and exited 1
+        assert run(["maximal", "--lambda", "64", "--op", op, "--out", str(tmp_path)]) == 0
+        [line] = capsys.readouterr().out.splitlines()
+        assert float(line.split(":")[1]) == pytest.approx(value, rel=0.03)
+
+    @pytest.mark.parametrize("op, message", [
+        ("Mk", "format 'Mk:K'"), ("Mk:2:3", "format 'Mk:K'"), ("Malpha", "format 'Malpha:ALPHA'"),
+        ("Mll:3", "format 'Mll:ELL:LAM'"), ("Mtilde", "format 'Mtilde:ELL'"),
+        ("Mreg:3", "format 'Mreg:ELL:LAM'"), ("Mbeta", "format 'Mbeta:ELL:BETA'"),
+        ("M:1", "format 'M'"), ("", "unknown maximal operator")])
+    def test_malformed_operator_name_is_usage_error(self, op, message, tmp_path, capsys):
+        # Mk used to end in an IndexError traceback and exit 1, Mk:2:3 dropped
+        # its extra field, and an empty --op was ignored
+        assert run(["maximal", "--lambda", "64", "--op", op, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", [None, "M"])
+    def test_csv_weight_with_nan_value_is_usage_error(self, op, tmp_path, capsys):
+        # with --op M this used to print "value at center: nan" and exit 0
+        lam = 64.0
+        g = Grid.from_step(0.0, 2.0, 1.0 / (16 * lam))
+        path = tmp_path / "w.csv"
+        save_weight_csv(Weight(g, np.ones(g.n)), str(path))
+        lines = path.read_text().splitlines()
+        lines[7] = lines[7].split(",")[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["maximal", "--lambda", "64", "--weight", f"csv:{path}", "--out", str(tmp_path)]
+        assert run(argv + (["--op", op] if op else [])) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
 
     def test_csv_weight_at_nan_positions_is_usage_error(self, tmp_path, capsys):
         # used to build Grid(nan, nan, 4), print "value at center: 1.0" and exit 0
@@ -485,3 +521,14 @@ class TestChecks:
         payload = json.loads((out / "summary.json").read_text())
         assert list(payload["spaced_constants"]) == ["1.0"]
 
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the test oracles only
+    import oscillab
+
+    src = os.path.dirname(os.path.dirname(oscillab.__file__))
+    code = ("import sys, oscillab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

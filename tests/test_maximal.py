@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import maximal
+from oscillab._util import cells, sliding_max_naive, window_sums_naive
 from oscillab.errors import UnderResolved
 from oscillab.maximal import (ApproachRegionParams, BumpProfile,
                               _eighth_octave_cells, approach_maximal,
                               approach_maximal_brute, approach_radii, default_bump,
                               fractional_maximal, fractional_maximal_brute,
-                              global_maximal, global_maximal_brute,
+                              global_maximal, global_maximal_brute, global_radii,
                               hardy_littlewood, hardy_littlewood_brute,
                               operator_by_name, regular_maximal,
                               regular_maximal_brute, regular_radii)
@@ -300,18 +301,26 @@ class TestRegular:
     def test_brute_force_bitexact(self, seed):
         g = Grid(0.0, 2.0, 1024)
         w = qweight(g, seed)
-        fast = regular_maximal(w, 3, lam=32.0, conv="direct")
+        fast = regular_maximal(w, 3, lam=32.0)
         brute = regular_maximal_brute(w, 3, lam=32.0)
         assert np.array_equal(fast.values, brute.values)
 
     def test_bump_wider_than_grid_falls_back_to_direct(self):
-        # the fft kernel embedding cannot hold a bump wider than the grid
-        # window; those rungs must silently take the direct path
-        g = Grid(0.0, 1.0, 1024)
+        # above n = 4096 the rungs convolve by FFT, but the kernel embedding
+        # cannot hold a bump wider than the grid window; those rungs must
+        # take the direct path bit for bit, the others agree to rounding
+        g = Grid(0.0, 1.0, 8192)
         w = qweight(g, 29)
-        a = regular_maximal(w, 3, beta=0.8, conv="fft")
-        b = regular_maximal_brute(w, 3, beta=0.8)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(b.values)
+        radii = regular_radii(3, 1.0, g.h)
+        wide = [cells(2.0 * r, g.h) >= g.n // 2 for r in radii]
+        assert any(wide) and not all(wide)
+        fft = maximal._bump_convolutions(w.values, g, radii, fft=True)
+        direct = maximal._bump_convolutions(w.values, g, radii, fft=False)
+        for over, a, b in zip(wide, fft, direct):
+            if over:
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(b)
 
     def test_signed_input_allowed(self):
         from oscillab.verify import h1_atom
@@ -366,6 +375,31 @@ class TestOracleIndependence:
         w = qweight(g, 31)
         for op in ops:
             assert op(w).values.shape == (g.n,)
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_merged_ladder_is_the_rung_by_rung_supremum_bitwise(self, ell):
+        # fast and brute forms share the merging of rows along the ladder,
+        # so it is checked here against the supremum taken rung by rung
+        g = Grid(0.0, 2.0, 1024)
+        w = qweight(g, 37)
+        params = ApproachRegionParams(ell, 32.0)
+        e = 1.0 / (ell - 1)
+        cases = [(approach_maximal(w, params), approach_radii(ell, 32.0, g.h),
+                  lambda r: (32.0 * r) ** (-e)),
+                 (global_maximal(w, ell), global_radii(g.h), lambda r: r ** (-e))]
+        for out, radii, scale in cases:
+            best = np.full(g.n, -np.inf)
+            for r in radii:
+                row = window_sums_naive(w.values, cells(r, g.h)) * (scale(r) * g.h)
+                best = np.maximum(best, sliding_max_naive(row, cells(scale(r), g.h)))
+            assert out.values.tobytes() == best.tobytes()
+
+    def test_growing_aperture_is_refused(self):
+        g = Grid(0.0, 2.0, 64)
+        rows = [(np.ones(g.n), 0), (np.ones(g.n), 0)]
+        with pytest.raises(ValueError, match="must not grow"):
+            maximal._region_sup(g, [0.1, 0.2], iter(rows), lambda r: 1.0, lambda r: r,
+                                naive=False)
 
 
 class TestOperatorByName:

@@ -296,6 +296,15 @@ class TestWeight:
         with pytest.raises(ValueError):
             Weight(g, np.full(g.n, -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_enforced(self, bad):
+        # a NaN used to pass the sign check and reach every operator
+        g = Grid(0.0, 4.0, 64)
+        values = np.ones(g.n)
+        values[5] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Weight(g, values)
+
     def test_values_immutable(self):
         g = Grid(0.0, 4.0, 64)
         w = Weight(g, np.ones(g.n))

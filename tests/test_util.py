@@ -1,16 +1,20 @@
-"""Window-sum ladder: bit-for-bit agreement with the per-rung prefix formula.
+"""Window-sum ladder and sliding maximum: bit-for-bit agreement with frozen
+references.
 
-The reference below is the clamped prefix difference that ``window_sums``
-evaluated rung by rung before the ladder shared one prefix sum per call;
-it is frozen here so that any change in the bits shows up.
+``reference_window_sums`` is the clamped prefix difference that
+``window_sums`` evaluated rung by rung before the ladder shared one prefix
+sum per call. ``reference_sliding_max`` is the C maximum filter that
+``sliding_max`` called before it took its doubling form in numpy. Both are
+frozen here so that any change in the bits shows up.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
-from oscillab._util import window_sum_ladder, window_sums
+from oscillab._util import sliding_max, sliding_max_naive, window_sum_ladder, window_sums
 
 
 def reference_window_sums(values, halfwidth):
@@ -22,17 +26,27 @@ def reference_window_sums(values, halfwidth):
     return prefix[hi + 1] - prefix[lo]
 
 
-@st.composite
-def ladder_inputs(draw):
-    n = draw(st.integers(1, 300))
+def reference_sliding_max(values, halfwidth):
+    if halfwidth <= 0:
+        return values.copy()
+    return maximum_filter1d(values, size=2 * halfwidth + 1, mode="constant", cval=-np.inf)
+
+
+def draw_values(draw, n):
+    """Lattice values (ties and negatives), scaled Gaussians, or all -0.0."""
     kind = draw(st.sampled_from(["lattice", "gaussian", "negative-zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "lattice":
-        values = rng.integers(-4096, 4096, n) / 4096.0
-    elif kind == "gaussian":
-        values = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 6))
-    else:
-        values = np.full(n, -0.0)
+        return rng.integers(-4096, 4096, n) / 4096.0
+    if kind == "gaussian":
+        return rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 6))
+    return np.full(n, -0.0)
+
+
+@st.composite
+def ladder_inputs(draw):
+    n = draw(st.integers(1, 300))
+    values = draw_values(draw, n)
     special = [0, n - 1, n, 2 * n + 3]
     extra = draw(st.lists(st.integers(0, 2 * n + 3), max_size=8))
     halfwidths = draw(st.permutations(special + extra))
@@ -47,6 +61,35 @@ def test_ladder_matches_reference_bitwise(case):
         want = reference_window_sums(values, s).tobytes()
         assert got.tobytes() == want, s
         assert window_sums(values, s).tobytes() == want, s
+
+
+@st.composite
+def sliding_max_inputs(draw):
+    n = draw(st.integers(1, 300))
+    values = draw_values(draw, n)
+    special = [0, 1, n - 1, n, n + 1, 2 * n, 2 * n + 3]
+    extra = draw(st.lists(st.integers(0, 2 * n + 3), max_size=8))
+    return values, special + extra
+
+
+# A window holding both 0.0 and -0.0 and nothing larger has a maximum whose
+# sign depends on the order of comparison: the naive oracle and the C filter
+# already disagree there, so the drawn values never mix the two zeros.
+@given(sliding_max_inputs())
+def test_sliding_max_matches_references_bitwise(case):
+    values, halfwidths = case
+    for s in halfwidths:
+        got = sliding_max(values, s).tobytes()
+        assert got == sliding_max_naive(values, s).tobytes(), s
+        assert got == reference_sliding_max(values, s).tobytes(), s
+
+
+@pytest.mark.parametrize("n", [2**15 + 1, 3 * 2**15 - 5, 2**17])
+def test_sliding_max_in_blocks_matches_reference_bitwise(n):
+    # arrays longer than one block of outputs are done block by block
+    values = np.random.default_rng(n).integers(-4096, 4096, n) / 4096.0
+    for s in [1, 7, 1000, 2**14, 2**15 - 1, n // 2, n - 1]:
+        assert sliding_max(values, s).tobytes() == reference_sliding_max(values, s).tobytes(), s
 
 
 def test_ladder_reuses_one_buffer():
