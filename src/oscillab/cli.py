@@ -137,6 +137,10 @@ _NESTED_CONFIG = {
 }
 _FAMILIES = {"dyadic": lambda obj: DyadicFamily(obj["kmin"], obj["kmax"]),
              "spaced": lambda obj: [SpacedFamily(float(obj["L"]))]}
+# The flags a top-level config value may fill: (flag, key, default, type).
+_CONFIG_FLAGS = (("ell", "ell", 2, int), ("seed", "seed", 0, int),
+                 ("out", "out_dir", "results", str), ("emit_plots", "emit_plots", False, bool))
+_CONFIG_KEYS = (*_NESTED_CONFIG, "lambdas", *(key for _, key, _, _ in _CONFIG_FLAGS))
 
 
 def _load_config(path: str | None) -> dict:
@@ -147,6 +151,9 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object, "
                          f"not {type(cfg).__name__}")
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config key {key!r} is not one of {', '.join(_CONFIG_KEYS)}")
     for name, fields in _NESTED_CONFIG.items():
         if name not in cfg:
             continue
@@ -355,44 +362,49 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="oscillatory-integral numerical laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, lambdas_default=None):
-        # --out, --seed, --lambdas, --ell and --emit-plots default to None so
-        # that _resolve can tell an explicit flag from a config value
+    def common(p, lambdas_default=None, phase=False, ell=False, plots=False):
+        # a subcommand registers only the flags its handler reads, apart from
+        # --config, --out and --seed, which every subcommand takes. --out,
+        # --seed, --lambdas, --ell and --emit-plots default to None so that
+        # _resolve can tell an explicit flag from a config value
         p.add_argument("--config", default=None)
-        p.add_argument("--kind", default=None, choices=["monomial", "cosine"])
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--x0", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--u", type=float, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--emit-plots", action="store_true", default=None)
+        if phase:  # read by _phase_spec
+            p.add_argument("--kind", default=None, choices=["monomial", "cosine"])
+            p.add_argument("--x0", type=float, default=None)
+            p.add_argument("--epsilon", type=float, default=None)
+            p.add_argument("--u", type=float, default=None)
+        if phase or ell:
+            p.add_argument("--ell", type=int, default=None)
+        if plots:
+            p.add_argument("--emit-plots", action="store_true", default=None)
         if lambdas_default is not None:
             p.add_argument("--lambdas", type=str, default=None)
             p.set_defaults(lambdas_default=lambdas_default)
 
     p = sub.add_parser("validate-phase")
-    common(p)
+    common(p, phase=True)
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("kernel-decay")
-    common(p, "64..16384")
+    common(p, "64..16384", phase=True, plots=True)
     p.add_argument("--N", type=int, default=4)
 
     p = sub.add_parser("maximal")
-    common(p)
+    common(p, ell=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--weight", default="const")
     p.add_argument("--op", default=None)
 
     p = sub.add_parser("sweep-maximal")
-    common(p, "16..4096")
+    common(p, "16..4096", ell=True, plots=True)
 
     p = sub.add_parser("sweep-operator")
-    common(p, "64..4096")
+    common(p, "64..4096", phase=True, plots=True)
 
     p = sub.add_parser("check-main")
-    common(p, "64..1024")
+    common(p, "64..1024", phase=True)
     p.add_argument("--pairs", type=_positive_int, default=50)
 
     p = sub.add_parser("check-lp")
@@ -400,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_positive_int, default=8)
 
     p = sub.add_parser("check-lemmas")
-    common(p, "256..4096")
+    common(p, "256..4096", phase=True)
     p.add_argument("--pairs", type=_positive_int, default=20)
     p.add_argument("--p", type=int, default=3)
 
@@ -421,11 +433,10 @@ _HANDLERS = {
 
 def _resolve(args, cfg: dict) -> None:
     """Fill the flags a config may set: an explicit flag wins over the
-    config, the config over the default. A JSON true is a bool, not the int 1."""
-    for flag, key, default, kind in (("ell", "ell", 2, int), ("seed", "seed", 0, int),
-                                     ("out", "out_dir", "results", str),
-                                     ("emit_plots", "emit_plots", False, bool)):
-        if getattr(args, flag) is None:
+    config, the config over the default. A JSON true is a bool, not the int 1.
+    A flag the subcommand does not register is left alone."""
+    for flag, key, default, kind in _CONFIG_FLAGS:
+        if hasattr(args, flag) and getattr(args, flag) is None:
             value = cfg.get(key, default)
             if type(value) is not kind:
                 raise ValueError(f"config {key} must be {kind.__name__}, not {value!r}")

@@ -62,16 +62,9 @@ class Kernel:
         return self.samples.grid
 
 
-def effective_a1(phase: Phase, spec: FiniteTypeSpec) -> float:
-    """Bound on |phi'| over the cutoff support: the sharper of the computed
-    sup on U and the supplied global bound."""
-    xs = spec.x0 + np.linspace(-spec.support_halfwidth, spec.support_halfwidth, 1024)
-    local = float(np.max(np.abs(np.asarray(phase.eval(1, xs)))))
-    return min(local, spec.derivative_bound(1)) if len(spec.bounds) > 1 else local
-
-
 def admissible_step(phase: Phase, spec: FiniteTypeSpec, lam: float) -> float:
-    a1 = effective_a1(phase, spec)
+    """The largest step the build accepts: A1 is the spec's sup of |phi'| on U."""
+    a1 = spec.derivative_bound(1)
     osc = np.inf if a1 == 0.0 else np.pi / (4.0 * lam * a1)
     return min(osc, spec.support_halfwidth / 64.0)
 
@@ -151,7 +144,7 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
         raise ValueError(f"decay order N={N} overflows the far-field factor |xi|^N, "
                          f"|xi| <= {xi_max:.4g}") from None
     lam, ell = kernel.lam, kernel.spec.ell
-    a1 = effective_a1(kernel.phase, kernel.spec)
+    a1 = kernel.spec.derivative_bound(1)
     if xi_max < 4.0 * a1 * lam * (1.0 - 1e-9):
         raise UnderResolved("dual grid does not reach 4*A1*lam",
                             np.pi / (4.0 * a1 * lam))

@@ -431,6 +431,10 @@ def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float |
 # config-string dispatch
 
 
+# Mk:K makes K passes over the weight's grid; K * n above this budget is
+# refused before the first pass.
+MAX_ITERATED_CELLS = 2**22
+
 # the config-string format of each operator, by head
 _OPERATOR_FORMATS = {"M": "M", "Mk": "Mk:K", "Malpha": "Malpha:ALPHA", "Mll": "Mll:ELL:LAM",
                      "Mtilde": "Mtilde:ELL", "Mreg": "Mreg:ELL:LAM", "Mbeta": "Mbeta:ELL:BETA"}
@@ -441,7 +445,8 @@ def operator_by_name(name: str):
 
     Formats: "M", "Mk:4", "Malpha:0.5", "Mll:3:256", "Mtilde:3",
     "Mreg:3:256", "Mbeta:3:1.0". An unknown head or a wrong number of
-    fields raises ValueError.
+    fields raises ValueError, and so does applying Mk:K to a weight of n
+    samples when K * n exceeds ``MAX_ITERATED_CELLS``.
     """
     head, *fields = name.split(":")
     form = _OPERATOR_FORMATS.get(head)
@@ -453,7 +458,14 @@ def operator_by_name(name: str):
         return lambda w: hardy_littlewood(w, 1)
     if head == "Mk":
         k = int(fields[0])
-        return lambda w: hardy_littlewood(w, k)
+
+        def iterated(w: Weight) -> Weight:
+            if k * w.grid.n > MAX_ITERATED_CELLS:
+                raise ValueError(f"maximal operator {name!r} makes {k} passes over "
+                                 f"{w.grid.n} cells, more than the budget "
+                                 f"MAX_ITERATED_CELLS = 2^22 cells")
+            return hardy_littlewood(w, k)
+        return iterated
     if head == "Malpha":
         alpha = float(fields[0])
         return lambda w: fractional_maximal(w, alpha)

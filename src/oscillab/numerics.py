@@ -299,7 +299,12 @@ def load_weight_csv(path: str) -> Weight:
         for row in reader:
             xs.append(float(row[0]))
             vals.append(float(row[1]))
-    return Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
+    w = Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
+    with np.errstate(over="ignore"):
+        total = np.cumsum(w.values)[-1]  # the prefix sum every window sum is taken from
+    if not np.isfinite(total):
+        raise ValueError(f"weight {path}: the sum of its values overflows")
+    return w
 
 
 def _grid_from_samples(xs: np.ndarray) -> Grid:

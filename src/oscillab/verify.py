@@ -260,46 +260,29 @@ def h1_atom(grid: Grid, width: float) -> SampledFunction:
 # inequality instances
 
 
-def _mod_input(f: SampledFunction, lam: float, norm) -> SampledFunction:
-    """Transfer the input to the normalized frame: modulate away the
-    affine phase part, conjugating when the leading derivative was negative."""
-    vals = f.values * np.exp(-1j * lam * norm.linear_coeff * f.grid.xs)
-    if norm.conjugate:
-        vals = np.conj(vals)
-    return SampledFunction(f.grid, vals)
-
-
-def _two_weight_ratio(f: SampledFunction, w: Weight, phase: Phase,
-                      spec: FiniteTypeSpec, lam: float, provenance: Provenance,
+def _two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight, provenance: Provenance,
                       k_inner: int, k_outer: int) -> RatioSample:
-    """lhs = integral |T f|^2 w, rhs = integral |f|^2 * (M^k_outer M_approach M^k_inner w).
-
-    Both sides are evaluated in the normalized frame (base point zero,
-    affine part modulated away), which leaves the ratio unchanged.
-    """
-    norm = normalize_phase(phase, spec)
-    lam_eff = lam * norm.lambda_scale
-    kernel = build_kernel(norm.phase, norm.spec, lam_eff, f.grid)
-    lhs = weighted_l2(apply_T(kernel, _mod_input(f, lam, norm)), w)
+    """lhs = integral |T f|^2 w, rhs = integral |f|^2 * (M^k_outer M_approach M^k_inner w),
+    with the approach region at the kernel's lam."""
+    lhs = weighted_l2(apply_T(kernel, f), w)
     inner = hardy_littlewood(w, k_inner)
-    mid = approach_maximal(inner, ApproachRegionParams(spec.ell, lam_eff))
+    mid = approach_maximal(inner, ApproachRegionParams(kernel.spec.ell, kernel.lam))
     outer = hardy_littlewood(mid, k_outer)
     rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * outer.values))
     return RatioSample.of(lhs, rhs, provenance)
 
 
-def two_weight_ratio(f: SampledFunction, w: Weight, phase: Phase, spec: FiniteTypeSpec,
-                       lam: float, provenance: Provenance = Provenance()) -> RatioSample:
+def two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
+                     provenance: Provenance = Provenance()) -> RatioSample:
     """The two-weight inequality: lhs = integral |T f|^2 w, rhs =
     integral |f|^2 * (M^2 M_approach M^4 w)."""
-    return _two_weight_ratio(f, w, phase, spec, lam, provenance, 4, 2)
+    return _two_weight_ratio(kernel, f, w, provenance, 4, 2)
 
 
-def frequency_restricted_ratio(f: SampledFunction, w: Weight, phase: Phase,
-                               spec: FiniteTypeSpec, lam: float,
+def frequency_restricted_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
                                provenance: Provenance = Provenance()) -> RatioSample:
     """Single-annulus form: rhs uses M M_approach M instead of M^2 ... M^4."""
-    return _two_weight_ratio(f, w, phase, spec, lam, provenance, 1, 1)
+    return _two_weight_ratio(kernel, f, w, provenance, 1, 1)
 
 
 def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
@@ -307,22 +290,27 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
     """Two-weight ratios of ``pairs`` seeded (f, w) pairs at each lam in
     turn, stopping at the first sample with rhs = 0 < lhs.
 
-    The grid resolves both the kernel and the approach region on
-    [-4, 4]; f is a random trigonometric polynomial with frequencies up
-    to 2*lam^(1/ell) under a bump of half-width 1.5, w a random weight.
-    Each lam draws from a fresh RNG seeded with ``seed``.
+    One kernel per lam, built in the phase's normalized frame at
+    lam * epsilon on a grid that resolves both the kernel and the approach
+    region on [-4, 4]. f is a random trigonometric polynomial with
+    frequencies up to 2*lam^(1/ell) under a bump of half-width 1.5, w a
+    random weight; f, w and |T f|^2 all live in that frame, so w weighs
+    the kernel's output where it is computed. Each lam draws from a fresh
+    RNG seeded with ``seed``.
     """
+    norm = normalize_phase(phase, spec)
     samples, maxima = [], []
     for lam in lambdas:
         rng = np.random.default_rng(seed)
         step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
         grid = Grid.from_step(0.0, 4.0, step)
+        kernel = build_kernel(norm.phase, norm.spec, lam * norm.lambda_scale, grid)
         best = 0.0
         for i in range(pairs):
             f = random_test_function(grid, rng, max_freq=2.0 * lam ** (1.0 / spec.ell),
                                      support_halfwidth=1.5)
             w = random_weight(grid, rng)
-            rs = two_weight_ratio(f, w, phase, spec, lam,
+            rs = two_weight_ratio(kernel, f, w,
                                   Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed))
             samples.append(rs)
             if rs.vacuous and rs.lhs > 1e-10:

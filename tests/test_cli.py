@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscillab import verify
+from oscillab import maximal, verify
 from oscillab.cli import _atomic_write, run
 from oscillab.numerics import Grid, Weight, save_weight_csv
 from oscillab.verify import RatioSample
@@ -112,6 +112,28 @@ class TestExitCodes:
         assert not (tmp_path / "summary.json").exists()
         assert measured == []
 
+    # each subcommand registers only the flags its handler reads; these
+    # used to be accepted and ignored, with exit 0
+    @pytest.mark.parametrize("argv, flag", [
+        (["check-lp", "--kind", "cosine"], "--kind"), (["check-lp", "--ell", "9"], "--ell"),
+        (["check-lp", "--x0", "7"], "--x0"), (["sweep-maximal", "--u", "-3"], "--u"),
+        (["sweep-maximal", "--epsilon", "2"], "--epsilon"),
+        (["maximal", "--lambda", "64", "--kind", "cosine"], "--kind"),
+        (["check-main", "--emit-plots"], "--emit-plots"),
+        (["check-lemmas", "--emit-plots"], "--emit-plots"),
+        (["validate-phase", "--emit-plots"], "--emit-plots"),
+        (["validate-phase", "--lambdas", "64"], "--lambdas")])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, flag, tmp_path,
+                                                              capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    # --config, --out and --seed stay on every subcommand, used or not
+    def test_seed_is_accepted_where_unused(self, tmp_path, capsys):
+        assert run(["kernel-decay", "--ell", "2", "--lambdas", "64", "--seed", "3",
+                    "--out", str(tmp_path)]) == 0
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["no-such-command"]) == 2
 
@@ -197,6 +219,30 @@ class TestMaximalCommand:
         argv = ["maximal", "--lambda", "64", "--weight", f"csv:{path}", "--out", str(tmp_path)]
         assert run(argv + (["--op", op] if op else [])) == 2
         assert "finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", [None, "M"])
+    def test_csv_weight_with_overflowing_sum_is_usage_error(self, op, tmp_path, capsys):
+        # every value 1e308: the prefix sum of the window sums overflowed with
+        # three RuntimeWarnings, and the exit 2 blamed the operator's output
+        g = Grid.from_step(0.0, 2.0, 1.0 / (16 * 64.0))
+        path = tmp_path / "big.csv"
+        save_weight_csv(Weight(g, np.full(g.n, 1e308)), str(path))
+        argv = ["maximal", "--lambda", "64", "--weight", f"csv:{path}", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + (["--op", op] if op else [])) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "sum of its values overflows" in err
+
+    def test_iterated_operator_over_budget_is_usage_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Mk:2000 made 2000 passes over the 4096-cell grid (3 s), and the time
+        # grew linearly in K
+        passes = []
+        monkeypatch.setattr(maximal, "hardy_littlewood", lambda w, k: passes.append(k) or w)
+        assert run(["maximal", "--lambda", "64", "--op", "Mk:2000", "--out", str(tmp_path)]) == 2
+        assert "budget MAX_ITERATED_CELLS = 2^22" in capsys.readouterr().err
+        assert passes == []
 
     def test_csv_weight_at_nan_positions_is_usage_error(self, tmp_path, capsys):
         # used to build Grid(nan, nan, 4), print "value at center: 1.0" and exit 0
@@ -337,6 +383,17 @@ class TestConfig:
         assert f"config {next(iter(nested))}" in err
         assert detail is None or detail in err
 
+    # these keys used to be ignored without a word
+    @pytest.mark.parametrize("payload, key", [
+        ({"pairs": 2, "lamdas": "64..128"}, "pairs"), ({"lamdas": "64..128"}, "lamdas"),
+        ({"out": "elsewhere"}, "out"), ({"emit-plots": True}, "emit-plots")])
+    def test_unknown_config_key_is_usage_error(self, payload, key, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["check-main", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     @pytest.mark.parametrize("payload", ["[1, 2]", "3", '"text"', "null"])
     def test_non_object_config_is_usage_error(self, tmp_path, payload, capsys):
         cfg = tmp_path / "list.json"
@@ -463,11 +520,11 @@ class TestChecks:
         real = verify.two_weight_ratio
         calls = []
 
-        def fourth_violates(f, w, phase, spec, lam, provenance):
-            calls.append(lam)
+        def fourth_violates(kernel, f, w, provenance):
+            calls.append(provenance.lam)
             if len(calls) == 4:
                 return RatioSample.of(1.0, 0.0, provenance)
-            return real(f, w, phase, spec, lam, provenance)
+            return real(kernel, f, w, provenance)
 
         monkeypatch.setattr(verify, "two_weight_ratio", fourth_violates)
         assert run(["check-main", "--ell", "2", "--lambdas", "64,128", "--pairs", "3",

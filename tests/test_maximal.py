@@ -416,3 +416,19 @@ class TestOperatorByName:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             operator_by_name("Mfoo:1")
+
+    def test_iterated_within_budget_is_the_iterate(self):
+        w = qweight(Grid(0.0, 2.0, 4096), 24)
+        got = operator_by_name("Mk:4")(w)
+        assert got.values.tobytes() == maximal.hardy_littlewood(w, 4).values.tobytes()
+
+    def test_iterated_budget_edge(self, monkeypatch):
+        # K * n may reach MAX_ITERATED_CELLS; one more pass is refused before the first
+        passes = []
+        monkeypatch.setattr(maximal, "hardy_littlewood", lambda w, k: passes.append(k) or w)
+        w = Weight(Grid(0.0, 2.0, 4096), np.ones(4096))
+        k = maximal.MAX_ITERATED_CELLS // 4096
+        operator_by_name(f"Mk:{k}")(w)
+        with pytest.raises(ValueError, match="budget MAX_ITERATED_CELLS"):
+            operator_by_name(f"Mk:{k + 1}")(w)
+        assert passes == [k]

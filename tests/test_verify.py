@@ -4,20 +4,21 @@ inequality instances on small seeded corpora."""
 import numpy as np
 import pytest
 
+from oscillab import verify
 from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
 from oscillab.kernels import admissible_step, apply_T, build_kernel
 from oscillab.lpaley import DyadicFamily
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
-from oscillab.phases import Phase, finite_type_spec
+from oscillab.phases import Phase, finite_type_spec, normalize_phase
 from oscillab.verify import (Provenance, RatioSample, _sweep_report,
                              envelope_check, envelope_constants, fit_power_law,
                              focusing_input, frequency_restricted_ratio, h1_atom,
                              two_weight_ratio, maximal_norm_sweep,
                              operator_norm_sweep, random_band_function,
                              random_test_function, random_weight,
-                             square_function_ratios, uncertainty_bounds_check,
-                             uncertainty_samples)
+                             square_function_ratios, two_weight_sweep,
+                             uncertainty_bounds_check, uncertainty_samples)
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
@@ -80,7 +81,8 @@ class TestTwoWeightInequality:
     def test_zero_input(self):
         ph, spec, g = cubic(self.LAM)
         w = random_weight(g, np.random.default_rng(0))
-        rs = two_weight_ratio(SampledFunction(g, np.zeros(g.n)), w, ph, spec, self.LAM)
+        K = build_kernel(ph, spec, self.LAM, g)
+        rs = two_weight_ratio(K, SampledFunction(g, np.zeros(g.n)), w)
         assert rs.lhs == 0.0 and rs.ratio == 0.0
 
     def test_constant_weight_closed_form(self):
@@ -90,8 +92,8 @@ class TestTwoWeightInequality:
         rng = np.random.default_rng(1)
         f = random_test_function(g, rng, max_freq=self.LAM ** (1 / 3), support_halfwidth=1.0)
         w = Weight(g, np.ones(g.n))
-        rs = two_weight_ratio(f, w, ph, spec, self.LAM)
         K = build_kernel(ph, spec, self.LAM, g)
+        rs = two_weight_ratio(K, f, w)
         direct = weighted_l2(apply_T(K, f), w) / (
             2.0 * self.LAM ** (-2.0 / 3.0) * lp_norm(f, 2) ** 2)
         assert rs.ratio == pytest.approx(direct, rel=0.05)
@@ -101,8 +103,9 @@ class TestTwoWeightInequality:
         rng = np.random.default_rng(2)
         f = random_test_function(g, rng, max_freq=8.0, support_halfwidth=1.5)
         w = random_weight(g, rng)
-        r1 = two_weight_ratio(f, w, ph, spec, self.LAM)
-        r2 = two_weight_ratio(f, w, ph, spec, self.LAM)
+        K = build_kernel(ph, spec, self.LAM, g)
+        r1 = two_weight_ratio(K, f, w)
+        r2 = two_weight_ratio(K, f, w)
         assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
         assert not r1.vacuous
         assert r1.ratio < 10.0
@@ -117,7 +120,9 @@ class TestTwoWeightInequality:
         rng = np.random.default_rng(3)
         f = random_test_function(g, rng, max_freq=6.0, support_halfwidth=1.0)
         w = random_weight(g, rng)
-        rs = two_weight_ratio(f, w, ph, spec, lam)
+        norm = normalize_phase(ph, spec)
+        K = build_kernel(norm.phase, norm.spec, lam * norm.lambda_scale, g)
+        rs = two_weight_ratio(K, f, w)
         assert rs.lhs > 0 and rs.rhs > 0 and np.isfinite(rs.ratio)
 
     def test_frequency_restricted_stable_in_p(self):
@@ -125,6 +130,7 @@ class TestTwoWeightInequality:
 
         lam = 128.0
         ph, spec, g = cubic(lam)
+        K = build_kernel(ph, spec, lam, g)
         idx = AnnuliIndex(3, lam)
         rng = np.random.default_rng(4)
         w = random_weight(g, rng)
@@ -133,11 +139,43 @@ class TestTwoWeightInequality:
             f0 = random_test_function(g, rng, max_freq=2 * idx.base * 2.0**p,
                                       support_halfwidth=1.2)
             f = annuli_project(f0, idx, p)
-            rs = frequency_restricted_ratio(f, w, ph, spec, lam,
-                                            Provenance(p=p))
+            rs = frequency_restricted_ratio(K, f, w, Provenance(p=p))
             if not rs.vacuous:
                 ratios.append(rs.ratio)
         assert ratios and max(ratios) < 20.0
+
+
+class TestTwoWeightSweep:
+    def test_cosine_input_lands_in_the_kernel_band(self):
+        # f used to be drawn around xi = 0 in the original frame and then
+        # modulated by exp(-i lam phi'(x0) x), which put it near xi = lam, far
+        # outside the normalized kernel's band: the largest ratios read 2.9e-7,
+        # 1.6e-9 and 2.5e-12 instead of the x^3 scale
+        ph = Phase.cosine()
+        spec = finite_type_spec(ph, np.pi / 2, 3, epsilon=1.0, support_halfwidth=0.5)
+        sweep = two_weight_sweep(ph, spec, (64.0, 128.0, 256.0), pairs=4, seed=0)
+        assert sweep.violation is None
+        assert [lam for lam, _ in sweep.maxima] == [64.0, 128.0, 256.0]
+        assert all(best >= 1e-3 for _, best in sweep.maxima)
+
+    def test_one_kernel_per_lambda(self, monkeypatch):
+        counts = {"build_kernel": 0, "normalize_phase": 0}
+
+        def counting(name):
+            real = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(verify, name, counting(name))
+        ph = Phase.monomial(2)
+        spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
+        sweep = two_weight_sweep(ph, spec, (64.0, 128.0, 256.0), pairs=4, seed=0)
+        assert len(sweep.samples) == 12
+        assert counts == {"build_kernel": 3, "normalize_phase": 1}
 
 
 class TestSquareFunctionRatios:
