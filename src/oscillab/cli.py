@@ -430,6 +430,9 @@ _HANDLERS = {
     "check-lemmas": _cmd_check_lemmas,
 }
 
+# Subcommands that only print: they leave no output directory behind.
+_PRINT_ONLY = ("validate-phase", "maximal")
+
 
 def _resolve(args, cfg: dict) -> None:
     """Fill the flags a config may set: an explicit flag wins over the
@@ -455,7 +458,8 @@ def run(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _resolve(args, cfg)
-        os.makedirs(args.out, exist_ok=True)
+        if args.command not in _PRINT_ONLY:
+            os.makedirs(args.out, exist_ok=True)
         return _HANDLERS[args.command](args, cfg)
     except (OscillabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,7 +62,7 @@ class Kernel:
         return self.samples.grid
 
 
-def admissible_step(phase: Phase, spec: FiniteTypeSpec, lam: float) -> float:
+def admissible_step(spec: FiniteTypeSpec, lam: float) -> float:
     """The largest step the build accepts: A1 is the spec's sup of |phi'| on U."""
     a1 = spec.derivative_bound(1)
     osc = np.inf if a1 == 0.0 else np.pi / (4.0 * lam * a1)
@@ -80,7 +80,7 @@ def build_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float, grid: Grid) -> 
     if lam < 1:
         raise ValueError("lam must be >= 1")
     ensure_finite_type(phase, spec)
-    max_step = admissible_step(phase, spec, lam)
+    max_step = admissible_step(spec, lam)
     if grid.h > max_step:
         raise UnderResolved(f"step {grid.h:.3e} cannot resolve lam={lam}", max_step)
     cutoff = Cutoff(spec.x0, spec.support_halfwidth)
@@ -99,7 +99,7 @@ def normalized_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float,
     norm = normalize_phase(phase, spec)
     lam_eff = lam * norm.lambda_scale
     grid = Grid.from_step(0.0, half_width,
-                          admissible_step(norm.phase, norm.spec, lam_eff) * 0.999)
+                          admissible_step(norm.spec, lam_eff) * 0.999)
     return build_kernel(norm.phase, norm.spec, lam_eff, grid)
 
 

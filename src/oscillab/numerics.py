@@ -237,19 +237,26 @@ def _linear_convolution(f: SampledFunction, g: SampledFunction, full_of) -> Samp
     if abs(c_cells - round(c_cells)) > 1e-9:
         raise GridMismatch("grid center must be an integer multiple of the step")
     full = full_of(f.values, g.values)
-    # linear conv index k sits at position 2*(center-half_width) + k*h
+    # linear conv index k sits at position 2*(center-half_width) + k*h; output
+    # sample j is full[j + shift], 0 where that index falls outside full
     shift = n // 2 - int(round(c_cells))
-    idx = np.arange(n) + shift
+    lo, hi = max(shift, 0), min(shift + n, len(full))
     out = np.zeros(n, dtype=np.complex128)
-    ok = (idx >= 0) & (idx < len(full))
-    out[ok] = full[idx[ok]]
-    return SampledFunction(grid, grid.h * out)
+    if lo < hi:
+        out[lo - shift: hi - shift] = full[lo:hi]
+    return SampledFunction(grid, np.multiply(grid.h, out, out=out))
 
 
 def _padded_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution by FFT, both inputs zero-padded to twice their length."""
+    """Linear convolution by FFT, both inputs zero-padded to twice their length.
+
+    The product and its inverse overwrite a's spectrum, so one padded
+    spectrum besides b's is alive at a time.
+    """
     n = 2 * len(a)
-    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
+    fa = np.fft.fft(a, n)
+    np.multiply(fa, np.fft.fft(b, n), out=fa)
+    return np.fft.ifft(fa, out=fa)
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:

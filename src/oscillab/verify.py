@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -192,18 +193,20 @@ def random_weight(grid: Grid, rng: np.random.Generator, quantize: bool = True) -
     return Weight(grid, vals)
 
 
-def weight_corpus(grid: Grid, rng: np.random.Generator) -> list[Weight]:
-    """Constants, a centered bump, a spike, a block, plus 8 random mixtures."""
-    xs = grid.xs
+def weight_corpus(grid: Grid, rng: np.random.Generator) -> Iterator[Weight]:
+    """Constants, a centered bump, a spike, a block, plus 8 random mixtures.
+
+    The weights are streamed: each is built when the next one is asked for,
+    so a consumer that lets go of one before taking the next holds one at a
+    time. Only the mixtures draw from ``rng``, in order.
+    """
     span = 0.5 * grid.half_width
-    out = [Weight(grid, np.ones(grid.n))]
-    out.append(Weight(grid, standard_bump(xs / span)))
-    spike = np.zeros(grid.n)
-    spike[grid.n // 2] = 1.0
-    out.append(Weight(grid, spike))
-    out.append(Weight(grid, ((xs >= -span / 4) & (xs <= span / 4)).astype(float)))
-    out.extend(random_weight(grid, rng) for _ in range(8))
-    return out
+    yield Weight(grid, np.ones(grid.n))
+    yield Weight(grid, standard_bump(grid.xs / span))
+    yield Weight(grid, np.arange(grid.n) == grid.n // 2)
+    yield Weight(grid, np.abs(grid.xs) <= span / 4)
+    for _ in range(8):
+        yield random_weight(grid, rng)
 
 
 def random_band_function(grid: Grid, rng: np.random.Generator, lo: float,
@@ -219,15 +222,29 @@ def random_band_function(grid: Grid, rng: np.random.Generator, lo: float,
 
 def random_test_function(grid: Grid, rng: np.random.Generator, max_freq: float,
                          support_halfwidth: float) -> SampledFunction:
-    """Smooth random 6-term trigonometric polynomial under a compact envelope."""
+    """Smooth random 6-term trigonometric polynomial under a compact envelope.
+
+    The polynomial is evaluated only on the envelope's support; the samples
+    outside it are 0.
+    """
     xs = grid.xs
     env = standard_bump(xs / support_halfwidth)
-    acc = np.zeros(grid.n, dtype=np.complex128)
+    inside = np.flatnonzero(env)
+    support = slice(inside[0], inside[-1] + 1) if len(inside) else slice(0, 0)
+    xs = xs[support].copy()  # a view would keep every position alive
+    acc = np.zeros(len(xs), dtype=np.complex128)
+    # bit for bit the dense acc += amp * np.exp(...) over the whole grid: from
+    # 16384 complex samples (256 KiB) numpy reuses that temporary and computes
+    # exp * amp, and a complex product rounds differently with its operands swapped
+    elided = grid.n >= 16384
     for _ in range(6):
         freq = rng.uniform(-max_freq, max_freq)
         amp = rng.normal() + 1j * rng.normal()
-        acc += amp * np.exp(1j * freq * xs)
-    return SampledFunction(grid, acc * env)
+        wave = np.exp(1j * freq * xs)
+        acc += np.multiply(wave, amp) if elided else np.multiply(amp, wave)
+    vals = np.zeros(grid.n, dtype=np.complex128)
+    vals[support] = acc * env[support]
+    return SampledFunction(grid, vals)
 
 
 def focusing_input(kernel: Kernel) -> SampledFunction:
@@ -302,7 +319,7 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
     samples, maxima = [], []
     for lam in lambdas:
         rng = np.random.default_rng(seed)
-        step = min(1.0 / (4.0 * lam), admissible_step(phase, spec, lam))
+        step = min(1.0 / (4.0 * lam), admissible_step(spec, lam))
         grid = Grid.from_step(0.0, 4.0, step)
         kernel = build_kernel(norm.phase, norm.spec, lam * norm.lambda_scale, grid)
         best = 0.0
@@ -439,7 +456,11 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
 
 
 def _largest_norm_ratio(op, corpus, p: float) -> float:
-    """max over the corpus of ||op(x)||_p / ||x||_p; zero inputs are skipped."""
+    """max over the corpus of ||op(x)||_p / ||x||_p; zero inputs are skipped.
+
+    ``corpus`` is iterated once, so a generator streams it: each input is
+    built only after the previous one has been measured.
+    """
     best = 0.0
     for x in corpus:
         denom = lp_norm(x, p)
@@ -478,24 +499,25 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int =
 
     The corpus holds the focusing input, modulated wide bumps at
     frequencies spread through the low band, and seeded random
-    band-limited functions; the measured value is a certified lower
-    bound on the discretized operator norm.
+    band-limited functions, streamed in that order; the measured value is
+    a certified lower bound on the discretized operator norm.
     """
     ell = spec.ell
 
-    def one(lam: float) -> tuple[float, float]:
-        rng = np.random.default_rng(seed)
-        kernel = normalized_kernel(phase, spec, lam, 4.0)
+    def corpus(kernel: Kernel, rng: np.random.Generator):
         grid = kernel.grid
-        corpus = [focusing_input(kernel)]
+        yield focusing_input(kernel)
         base = kernel.lam ** (1.0 / ell)
         for frac in (0.0, 0.35, 0.7):
-            mod = np.exp(1j * frac * base * grid.xs)
-            corpus.append(SampledFunction(grid, mod * standard_bump(grid.xs / 2.0)))
+            yield SampledFunction(grid, np.multiply(np.exp(1j * frac * base * grid.xs),
+                                                    standard_bump(grid.xs / 2.0)))
         for _ in range(n_random):
-            corpus.append(random_test_function(grid, rng, max_freq=2.0 * base,
-                                               support_halfwidth=2.0))
-        return float(lam), _largest_norm_ratio(lambda f: apply_T(kernel, f), corpus, ell)
+            yield random_test_function(grid, rng, max_freq=2.0 * base, support_halfwidth=2.0)
+
+    def one(lam: float) -> tuple[float, float]:
+        kernel = normalized_kernel(phase, spec, lam, 4.0)
+        return float(lam), _largest_norm_ratio(lambda f: apply_T(kernel, f),
+                                               corpus(kernel, np.random.default_rng(seed)), ell)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])
 

@@ -42,7 +42,7 @@ def kernel_spectrum_quadrature(kernel: Kernel, xis) -> np.ndarray:
 def cubic_setup(lam=128.0, half_width=2.0, u=0.5):
     ph = Phase.monomial(3)
     spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=u)
-    grid = Grid.from_step(0.0, half_width, admissible_step(ph, spec, lam) * 0.999)
+    grid = Grid.from_step(0.0, half_width, admissible_step(spec, lam) * 0.999)
     return ph, spec, build_kernel(ph, spec, lam, grid)
 
 
@@ -156,7 +156,7 @@ class TestApplyT:
         ])
         spec0 = finite_type_spec(base, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
         spec1 = finite_type_spec(mod, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
-        step = min(admissible_step(base, spec0, lam), admissible_step(mod, spec1, lam))
+        step = min(admissible_step(spec0, lam), admissible_step(spec1, lam))
         grid = Grid.from_step(0.0, 2.0, step * 0.999)
         K0 = build_kernel(base, spec0, lam, grid)
         K1 = build_kernel(mod, spec1, lam, grid)
@@ -213,7 +213,7 @@ class TestSpectrum:
         lam, a = 64.0, 0.5
         ph = Phase.monomial(3)
         spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
-        grid = Grid.from_step(0.0, 2.0, admissible_step(ph, spec, lam) * 0.999)
+        grid = Grid.from_step(0.0, 2.0, admissible_step(spec, lam) * 0.999)
         a = grid.h * round(a / grid.h)  # keep the shift on the grid
         K = build_kernel(ph, spec, lam, grid)
         shifted_phase = ph.translated(a)
@@ -247,7 +247,7 @@ class TestDecay:
         sups, tails, fars = [], [], []
         for e in range(6, 11):
             lam = float(2**e)
-            grid = Grid.from_step(0.0, 1.0, admissible_step(ph, spec, lam) * 0.999)
+            grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
             rep = check_decay(build_kernel(ph, spec, lam, grid), N=4)
             sups.append(rep.sup_low * lam ** (1.0 / ell))
             tails.append(rep.tail_max)
@@ -262,7 +262,7 @@ class TestDecay:
         ph = Phase.monomial(2)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
         lam = 64.0
-        grid = Grid.from_step(0.0, 1.0, admissible_step(ph, spec, lam) * 0.999)
+        grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
         rep = check_decay(build_kernel(ph, spec, lam, grid))
         path = str(tmp_path / "decay.csv")
         decay_reports_csv([rep], path)
@@ -275,7 +275,7 @@ class TestDecay:
     def test_far_field_order_must_not_overflow(self):
         ph = Phase.monomial(2)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
-        grid = Grid.from_step(0.0, 1.0, admissible_step(ph, spec, 64.0) * 0.999)
+        grid = Grid.from_step(0.0, 1.0, admissible_step(spec, 64.0) * 0.999)
         K = build_kernel(ph, spec, 64.0, grid)
         # the largest N with |xi|^N finite up to the dual grid's reach pi/h
         top = int(np.log(np.finfo(float).max) / np.log(np.pi / grid.h))
@@ -288,7 +288,7 @@ class TestDecay:
         ph = Phase.monomial(2)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
         lam = 64.0
-        grid = Grid.from_step(0.0, 1.0, admissible_step(ph, spec, lam) * 0.999)
+        grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
         K = build_kernel(ph, spec, lam, grid)
         coarse = Kernel(K.phase, K.spec, 4 * lam, K.cutoff, K.samples)
         with pytest.raises(UnderResolved):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
+                               _linear_convolution, _padded_fft_convolve,
                                _support_rows, convolve,
                                convolve_direct, forward_transform,
                                inverse_transform, load_weight_csv,
@@ -244,6 +245,59 @@ class TestConvolve:
         h = gaussian(Grid(0.0, 8.0, 512))
         with pytest.raises(GridMismatch):
             convolve(f, h)
+
+
+def frozen_padded_fft_convolve(a, b):
+    """The padded FFT convolution as one expression, with its temporaries."""
+    n = 2 * len(a)
+    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
+
+
+def frozen_linear_convolution(f, g, full_of):
+    """The linear convolution's placement as an index gather, then grid.h * out."""
+    grid = f.grid
+    n = grid.n
+    full = full_of(f.values, g.values)
+    shift = n // 2 - int(round(grid.center / grid.h))
+    idx = np.arange(n) + shift
+    out = np.zeros(n, dtype=np.complex128)
+    ok = (idx >= 0) & (idx < len(full))
+    out[ok] = full[idx[ok]]
+    return grid.h * out
+
+
+class TestInPlaceConvolution:
+    """The in-place product and inverse, and the sliced placement, give the bits
+    of the expressions they replace. The padded spectra hold 2n complex
+    samples, so n = 4096 stays under numpy's 256 KiB temporary-elision
+    threshold and n >= 8192 reaches it."""
+
+    @pytest.mark.parametrize("n", [64, 4096, 8192, 16384, 32768])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_padded_fft_convolve_bitwise(self, n, dtype):
+        rng = np.random.default_rng(n)
+        a, b = (rng.normal(size=n) + (1j * rng.normal(size=n) if dtype is np.complex128
+                                      else 0.0) for _ in range(2))
+        assert a.dtype == dtype
+        assert _padded_fft_convolve(a, b).tobytes() == frozen_padded_fft_convolve(a, b).tobytes()
+
+    # the grid center sits frac * n + 37 cells off 0, so the output range
+    # [n/2 - cells, 3n/2 - cells) of the full convolution lies inside it
+    # (frac = 0), overhangs its start or its end (+-0.75), misses it (1.5)
+    # or meets only its last 37 samples (-1.5)
+    @pytest.mark.parametrize("n", [256, 8192, 16384])
+    @pytest.mark.parametrize("frac", [0.0, 0.75, -0.75, 1.5, -1.5])
+    def test_linear_convolution_bitwise(self, n, frac):
+        rng = np.random.default_rng(7)
+        h = 8.0 / n
+        grid = Grid((int(frac * n) + 37) * h, 4.0, n)
+        assert grid.h == h
+        f, g = (SampledFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+                for _ in range(2))
+        paths = [_padded_fft_convolve] + ([np.convolve] if n <= 256 else [])
+        for full_of in paths:
+            got = _linear_convolution(f, g, full_of).values
+            assert got.tobytes() == frozen_linear_convolution(f, g, full_of).tobytes()
 
 
 class TestNorms:

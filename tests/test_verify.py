@@ -1,13 +1,16 @@
 """Harness operations: ratio records, power-law fits, sweeps and the
 inequality instances on small seeded corpora."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oscillab import verify
+from oscillab._util import standard_bump
 from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
-from oscillab.kernels import admissible_step, apply_T, build_kernel
+from oscillab.kernels import admissible_step, apply_T, build_kernel, normalized_kernel
 from oscillab.lpaley import DyadicFamily
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
@@ -18,13 +21,14 @@ from oscillab.verify import (Provenance, RatioSample, _sweep_report,
                              operator_norm_sweep, random_band_function,
                              random_test_function, random_weight,
                              square_function_ratios, two_weight_sweep,
-                             uncertainty_bounds_check, uncertainty_samples)
+                             uncertainty_bounds_check, uncertainty_samples,
+                             weight_corpus)
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
     ph = Phase.monomial(3)
     spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
-    step = admissible_step(ph, spec, lam) * 0.999
+    step = admissible_step(spec, lam) * 0.999
     if for_approach:
         step = min(step, 1.0 / (4.0 * lam))
     return ph, spec, Grid.from_step(0.0, half_width, step)
@@ -115,7 +119,7 @@ class TestTwoWeightInequality:
         lam = 64.0
         ph = Phase.cosine()
         spec = finite_type_spec(ph, np.pi / 2, 3, epsilon=1.0, support_halfwidth=0.5)
-        step = min(admissible_step(ph, spec, lam) * 0.999, 1.0 / (4 * lam))
+        step = min(admissible_step(spec, lam) * 0.999, 1.0 / (4 * lam))
         g = Grid.from_step(0.0, 4.0, step)
         rng = np.random.default_rng(3)
         f = random_test_function(g, rng, max_freq=6.0, support_halfwidth=1.0)
@@ -214,7 +218,7 @@ class TestUncertaintyBounds:
         lam = 64.0
         ph = Phase.monomial(3)
         spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
-        g = Grid.from_step(0.0, 8.0, admissible_step(ph, spec, lam) * 0.999)
+        g = Grid.from_step(0.0, 8.0, admissible_step(spec, lam) * 0.999)
         K = build_kernel(ph, spec, lam, g)
         rng = np.random.default_rng(seed)
         f = random_band_function(g, rng, 0.0, 9.0)
@@ -306,6 +310,35 @@ class TestSweeps:
         assert ratio >= 0.2 * lam ** (-1.0 / 3.0)
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy reports its buffers) during a
+    second call of fn; the first one pays for imports and caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepMemory:
+    """The norm sweeps stream their corpora, so one lambda's traced peak is a
+    few grid-sized arrays, not its 12-input corpus. At lambda = 256 the
+    streamed sweeps peaked at 8.3 float arrays (maximal) and 6.0 complex
+    arrays (operator); holding the corpus as a list, at 19.3 and 19.6."""
+
+    def test_maximal_sweep_holds_one_weight_at_a_time(self):
+        n = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * 256.0)).n
+        assert traced_peak(lambda: maximal_norm_sweep(3, [256.0])) <= 12 * 8 * n
+
+    def test_operator_sweep_holds_one_input_at_a_time(self):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0)
+        n = normalized_kernel(ph, spec, 256.0, 4.0).grid.n
+        assert traced_peak(lambda: operator_norm_sweep(ph, spec, [256.0])) <= 10 * 16 * n
+
+
 class TestCorpora:
     def test_quantized_weights_on_lattice(self):
         g = Grid(0.0, 2.0, 512)
@@ -329,3 +362,74 @@ class TestCorpora:
         fh = forward_transform(f)
         sel = (np.abs(fh.freq_grid.xs) < 2.0) | (np.abs(fh.freq_grid.xs) > 8.0)
         assert np.max(np.abs(fh.values[sel])) <= 1e-9 * np.max(np.abs(fh.values))
+
+    def test_weight_corpus_stream_is_the_frozen_list(self):
+        # the list the corpus was built as before it was streamed: same weights,
+        # same order, same draws
+        def frozen_weight_corpus(grid, rng):
+            xs = grid.xs
+            span = 0.5 * grid.half_width
+            out = [Weight(grid, np.ones(grid.n))]
+            out.append(Weight(grid, standard_bump(xs / span)))
+            spike = np.zeros(grid.n)
+            spike[grid.n // 2] = 1.0
+            out.append(Weight(grid, spike))
+            out.append(Weight(grid, ((xs >= -span / 4) & (xs <= span / 4)).astype(float)))
+            out.extend(random_weight(grid, rng) for _ in range(8))
+            return out
+
+        g = Grid(0.0, 2.0, 4096)
+        rng_new, rng_old = np.random.default_rng(11), np.random.default_rng(11)
+        got = list(weight_corpus(g, rng_new))
+        want = frozen_weight_corpus(g, rng_old)
+        assert [w.values.tobytes() for w in got] == [w.values.tobytes() for w in want]
+        assert rng_new.random() == rng_old.random()
+
+
+def frozen_random_test_function(grid, rng, max_freq, support_halfwidth):
+    """The test function evaluated on the whole grid, as it was first written."""
+    xs = grid.xs
+    env = standard_bump(xs / support_halfwidth)
+    acc = np.zeros(grid.n, dtype=np.complex128)
+    for _ in range(6):
+        freq = rng.uniform(-max_freq, max_freq)
+        amp = rng.normal() + 1j * rng.normal()
+        acc += amp * np.exp(1j * freq * xs)
+    return SampledFunction(grid, acc * env)
+
+
+class TestSupportOnlyTestFunction:
+    """random_test_function evaluates the polynomial on its envelope's support
+    only. On the support its bits are the dense function's, on both sides of
+    numpy's 256 KiB temporary-elision threshold (16384 complex samples), which
+    decides the operand order of the dense amp * exp(...). Off the support the
+    dense function holds signed zeros acc * 0 and this one +0; no norm and no
+    convolution output sees the difference."""
+
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    @pytest.mark.parametrize("support_halfwidth", [0.3, 1.5, 5.0])
+    def test_bits_on_the_support(self, n, support_halfwidth):
+        g = Grid(0.0, 4.0, n)
+        rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
+        got = random_test_function(g, rng_new, 40.0, support_halfwidth).values
+        want = frozen_random_test_function(g, rng_old, 40.0, support_halfwidth).values
+        inside = standard_bump(g.xs / support_halfwidth) > 0.0
+        assert got[inside].tobytes() == want[inside].tobytes()
+        assert not np.any(got[~inside]) and not np.any(want[~inside])
+        assert rng_new.random() == rng_old.random()
+
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    def test_zero_signs_reach_no_output(self, n):
+        lam = 256.0
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        g = Grid(0.0, 4.0, n)
+        K = build_kernel(ph, spec, lam, g)
+        w = random_weight(g, np.random.default_rng(1))
+        got = random_test_function(g, np.random.default_rng(2), 12.0, 1.5)
+        want = frozen_random_test_function(g, np.random.default_rng(2), 12.0, 1.5)
+        assert got.values.tobytes() != want.values.tobytes()  # the zero signs differ
+        assert apply_T(K, got).values.tobytes() == apply_T(K, want).values.tobytes()
+        for p in (1, 2, 3, np.inf):
+            assert lp_norm(got, p) == lp_norm(want, p)
+        assert weighted_l2(got, w) == weighted_l2(want, w)
