@@ -10,6 +10,7 @@ byte-identical CSV/JSON outputs; files are written atomically.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import verify
 from .errors import OscillabError
-from .kernels import decay_reports_csv
 from .lpaley import DyadicFamily, SpacedFamily
 from .maximal import ApproachRegionParams, approach_maximal, operator_by_name
 from .numerics import Grid, Weight, load_weight_csv
@@ -45,9 +45,35 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
+def _write_csv(out_dir: str, name: str, header, rows) -> None:
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    _atomic_write(os.path.join(out_dir, name), write)
+
+
 def _write_summary(out_dir: str, payload: dict) -> None:
-    _atomic_write(os.path.join(out_dir, "summary.json"),
-                  lambda p: verify.summary_json(p, payload))
+    def write(path):
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    _atomic_write(os.path.join(out_dir, "summary.json"), write)
+
+
+def _write_ratios(out_dir: str, rows) -> None:
+    """results.csv with one line per (experiment, RatioSample) row."""
+    def line(name, rs):
+        pv = rs.provenance
+        return (name, pv.ell, repr(pv.lam), "" if pv.p is None else pv.p, pv.seed,
+                repr(rs.lhs), repr(rs.rhs), repr(rs.ratio))
+
+    _write_csv(out_dir, "results.csv",
+               ["experiment", "ell", "lambda", "p", "seed", "lhs", "rhs", "ratio"],
+               [line(*row) for row in rows])
 
 
 def _loglog_svg(path: str, points, slope: float, intercept: float, title: str) -> None:
@@ -95,8 +121,8 @@ def _loglog_svg(path: str, points, slope: float, intercept: float, title: str) -
 
 
 def _emit_sweep(out_dir: str, name: str, ell: int, report, emit_plots: bool) -> None:
-    _atomic_write(os.path.join(out_dir, "sweep.csv"),
-                  lambda p: verify.sweep_csv(p, name, ell, report))
+    _write_csv(out_dir, "sweep.csv", ["experiment", "ell", "lambda", "value"],
+               [(name, ell, repr(lam), repr(v)) for lam, v in report.points])
     if emit_plots and report.points:
         _atomic_write(os.path.join(out_dir, f"plot-{name}.svg"),
                       lambda p: _loglog_svg(p, report.points, report.slope,
@@ -217,8 +243,9 @@ def _cmd_kernel_decay(args, cfg) -> int:
     phase, spec = _phase_spec(args, cfg, default_u=0.5)
     reports, factor, tail_ok = verify.kernel_decay_sweep(phase, spec, args.lambdas, args.N,
                                                          tail_slack=1.25)
-    _atomic_write(os.path.join(args.out, "results.csv"),
-                  lambda p: decay_reports_csv(reports, p))
+    _write_csv(args.out, "results.csv", ["lambda", "ell", "sup_low", "tail_max", "far_field"],
+               [(repr(r.lam), r.ell, repr(r.sup_low), repr(r.tail_max), repr(r.far_field))
+                for r in reports])
     rep = verify._sweep_report([(r.lam, r.sup_low) for r in reports])
     _emit_sweep(args.out, "kernel-decay", args.ell, rep, args.emit_plots)
     passed = factor < 3.0 and tail_ok
@@ -289,8 +316,7 @@ def _cmd_check_main(args, cfg) -> int:
     phase, spec = _phase_spec(args, cfg, default_u=0.5)
     sweep = two_weight_sweep(phase, spec, args.lambdas, args.pairs, args.seed)
     rows = [("check-main", rs) for rs in sweep.samples]
-    _atomic_write(os.path.join(args.out, "results.csv"),
-                  lambda p: verify.ratio_rows_csv(p, rows))
+    _write_ratios(args.out, rows)
     if sweep.violation is not None:
         return _fail_ratio("two-weight inequality (rhs = 0, lhs > 0)", sweep.violation)
     vals = [v for _, v in sweep.maxima]
@@ -311,8 +337,7 @@ def _cmd_check_lp(args, cfg) -> int:
     rows = [row for sq in square
             for row in (("dyadic-forward", sq.forward), ("dyadic-backward", sq.backward))]
     rows += [(f"spaced-L={L}", rs) for L, draws in spaced.items() for rs in draws]
-    _atomic_write(os.path.join(args.out, "results.csv"),
-                  lambda p: verify.ratio_rows_csv(p, rows))
+    _write_ratios(args.out, rows)
     ratios = [sq.energy_ratio for sq in square]
     ok = (dev <= 1e-12 and all(sq.reconstruction_error <= 1e-8 for sq in square)
           and all(0.28 <= r <= 1.05 for r in ratios))
@@ -333,8 +358,7 @@ def _cmd_check_lemmas(args, cfg) -> int:
         phase, spec, args.lambdas, args.p, args.pairs, args.seed, chain_tol=1e-9)
     rows = [row for mol, mol2 in mols for row in (("mol", mol), ("mol2", mol2))]
     rows += [(f"envelope-lam={lam}", rs) for lam, rs in zip(args.lambdas, envelope)]
-    _atomic_write(os.path.join(args.out, "results.csv"),
-                  lambda p: verify.ratio_rows_csv(p, rows))
+    _write_ratios(args.out, rows)
     consts = [rs.ratio for rs in envelope]
     ok = chain_holds and all(rs.ratio <= 1 + 1e-6 for pair in mols for rs in pair)
     if len(consts) > 1 and min(consts) > 0:

@@ -11,7 +11,6 @@ and lam, and the rapid-decay product |K^| * |xi|^N beyond 2*A1*lam.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "apply_T",
     "kernel_spectrum",
     "check_decay",
-    "decay_reports_csv",
 ]
 
 
@@ -173,11 +171,3 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
     far_field = float(np.max(mags[far] * np.abs(xs[far]) ** N)) if np.any(far) else 0.0
     return DecayReport(lam, ell, sup_low, tuple(consts), tail_max, far_field, N)
 
-
-def decay_reports_csv(reports, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "ell", "sup_low", "tail_max", "far_field"])
-        for r in reports:
-            writer.writerow([repr(r.lam), r.ell, repr(r.sup_low),
-                             repr(r.tail_max), repr(r.far_field)])

@@ -105,7 +105,7 @@ def square_function(pieces: list[SampledFunction]) -> SampledFunction:
     acc = np.zeros(pieces[0].grid.n)
     for p in pieces:
         acc += np.abs(p.values) ** 2
-    return SampledFunction(pieces[0].grid, np.sqrt(acc).astype(np.complex128))
+    return SampledFunction(pieces[0].grid, np.sqrt(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ class SpacedFamily:
 
     def spatial_window(self, grid: Grid) -> SampledFunction:
         """W_L sampled on the grid (inverse transform of W^_L)."""
-        hat = self.window_hat(grid.freq_grid().xs).astype(np.complex128)
+        hat = self.window_hat(grid.freq_grid().xs)
         return inverse_transform(SpectralFunction(grid, hat))
 
     def decay_constant(self, grid: Grid, N: int) -> float:
@@ -263,9 +263,9 @@ def band_limited_mollifier(grid: Grid, scale: float) -> SampledFunction:
     step below uses |Phi| together with its mass, which is the exact
     majorant the uncertainty-principle inequality provides.
     """
-    hat = smooth_plateau(grid.freq_grid().xs / scale, 4.0, 8.0).astype(np.complex128)
+    hat = smooth_plateau(grid.freq_grid().xs / scale, 4.0, 8.0)
     phi = inverse_transform(SpectralFunction(grid, hat))
-    return SampledFunction(grid, phi.values.real.astype(np.complex128))
+    return SampledFunction(grid, phi.values.real)
 
 
 def mollifier_weight(w: Weight, scale: float) -> Weight:
@@ -273,8 +273,8 @@ def mollifier_weight(w: Weight, scale: float) -> Weight:
     grid0 = Grid(0.0, w.grid.half_width, w.grid.n)
     phi = band_limited_mollifier(grid0, scale)
     mass = lp_norm(phi, 1)
-    absphi = SampledFunction(grid0, np.abs(phi.values).astype(np.complex128))
-    conv = convolve(absphi, SampledFunction(grid0, w.values.astype(np.complex128)))
+    absphi = SampledFunction(grid0, np.abs(phi.values))
+    conv = convolve(absphi, SampledFunction(grid0, w.values))
     return Weight(w.grid, mass * np.maximum(conv.values.real, 0.0))
 
 
@@ -284,7 +284,7 @@ def _theta_samples(grid: Grid, L: float) -> np.ndarray:
     bump supported in [-L/2, L/2], so both sign conditions hold exactly
     (the spatial values are squared magnitudes; the transform is the
     autocorrelation of b_L)."""
-    b = standard_bump(2.0 * grid.freq_grid().xs / L).astype(np.complex128)
+    b = standard_bump(2.0 * grid.freq_grid().xs / L)
     g = inverse_transform(SpectralFunction(grid, b))
     return 2.0 * np.pi * np.abs(g.values) ** 2
 
@@ -337,8 +337,7 @@ def dominating_weights(w: Weight, p: int, lam: float, ell: int, A1: float) -> Do
 
     grid0 = Grid(0.0, w.grid.half_width, w.grid.n)
     theta = _theta_samples(grid0, L)
-    conv = convolve(SampledFunction(grid0, theta.astype(np.complex128)),
-                    SampledFunction(grid0, w2.values.astype(np.complex128)))
+    conv = convolve(SampledFunction(grid0, theta), SampledFunction(grid0, w2.values))
     w3 = Weight(w.grid, np.maximum(conv.values.real, 0.0))
 
     mid = grid0.n // 2  # x = 0 sits at this index of the zero-centered grid

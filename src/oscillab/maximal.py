@@ -367,8 +367,7 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], f
             kern = np.zeros(grid.n, dtype=np.complex128)
             kern[mid - k: mid + k + 1] = pr
             kgrid = Grid(0.0, grid.half_width, grid.n)
-            res = convolve(SampledFunction(kgrid, kern),
-                           SampledFunction(kgrid, values.astype(np.complex128)))
+            res = convolve(SampledFunction(kgrid, kern), SampledFunction(kgrid, values))
             out.append(np.abs(res.values))
         else:
             full = np.convolve(values, pr)

@@ -101,10 +101,9 @@ class Grid:
 
 
 def _as_complex(values: Iterable[complex], n: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.complex128)
+    v = np.array(values, dtype=np.complex128)  # a copy: the caller may keep writing its array
     if v.shape != (n,):
         raise ValueError(f"expected {n} samples, got shape {v.shape}")
-    v = v.copy()
     v.flags.writeable = False
     return v
 
@@ -137,27 +136,20 @@ class Weight:
     boundary: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
         if not np.all(np.isfinite(v) & (v >= 0)):
             raise ValueError("weight values must be finite and nonnegative")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if self.boundary is not None:
-            b = np.asarray(self.boundary, dtype=bool).copy()
+            b = np.array(self.boundary, dtype=bool)
             b.flags.writeable = False
             object.__setattr__(self, "boundary", b)
 
     def as_sampled(self) -> SampledFunction:
-        return SampledFunction(self.grid, self.values.astype(np.complex128))
-
-    def interior(self) -> np.ndarray:
-        """Values with boundary-flagged cells dropped."""
-        if self.boundary is None:
-            return self.values
-        return self.values[~self.boundary]
+        return SampledFunction(self.grid, self.values)
 
 
 @dataclass(frozen=True)

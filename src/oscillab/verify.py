@@ -11,8 +11,6 @@ claim under test, rather than the constant.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -62,9 +60,6 @@ __all__ = [
     "focusing_input",
     "h1_atom",
     "weight_corpus",
-    "ratio_rows_csv",
-    "sweep_csv",
-    "summary_json",
 ]
 
 
@@ -270,7 +265,7 @@ def h1_atom(grid: Grid, width: float) -> SampledFunction:
     actual = 2 * half_cells * grid.h
     vals[mid - half_cells: mid] = 1.0 / actual
     vals[mid: mid + half_cells] = -1.0 / actual
-    return SampledFunction(grid, vals.astype(np.complex128))
+    return SampledFunction(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +280,7 @@ def _two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight, provenance:
     inner = hardy_littlewood(w, k_inner)
     mid = approach_maximal(inner, ApproachRegionParams(kernel.spec.ell, kernel.lam))
     outer = hardy_littlewood(mid, k_outer)
-    rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * outer.values))
-    return RatioSample.of(lhs, rhs, provenance)
+    return RatioSample.of(lhs, weighted_l2(f, outer), provenance)
 
 
 def two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
@@ -364,14 +358,14 @@ def _flat_window(grid: Grid, lo: float, hi: float) -> SampledFunction:
     interval."""
     fg = grid.freq_grid()
     c, rho = (lo + hi) / 2.0, (hi - lo) / 2.0
-    hat = smooth_plateau((fg.xs - c) / rho, 1.0, 2.0).astype(np.complex128)
+    hat = smooth_plateau((fg.xs - c) / rho, 1.0, 2.0)
     return inverse_transform(SpectralFunction(grid, hat))
 
 
-def _abs_convolve(a: SampledFunction, w: Weight) -> np.ndarray:
-    conv = convolve(SampledFunction(a.grid, np.abs(a.values).astype(np.complex128)),
-                    w.as_sampled())
-    return np.maximum(conv.values.real, 0.0)
+def _abs_convolve(a: SampledFunction, w: Weight) -> Weight:
+    """|a| * w, clipped at 0, on a's grid."""
+    conv = convolve(SampledFunction(a.grid, np.abs(a.values)), w.as_sampled())
+    return Weight(a.grid, np.maximum(conv.values.real, 0.0))
 
 
 def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
@@ -379,8 +373,7 @@ def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
     """Equally-spaced family: lhs = sum_k integral |P_k f|^2 w over
     rhs = integral |f|^2 (|W_L| * w), with W_L the family's spatial window."""
     lhs = spaced_energy(f, w, fam)
-    conv = _abs_convolve(fam.spatial_window(f.grid), w)
-    rhs = float(f.grid.h * np.sum(np.abs(f.values) ** 2 * conv))
+    rhs = weighted_l2(f, _abs_convolve(fam.spatial_window(f.grid), w))
     return RatioSample.of(lhs, rhs, provenance)
 
 
@@ -407,11 +400,9 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
     psi = _flat_window(grid, lo, hi)
     tf = apply_T(kernel, f)
     lhs = weighted_l2(tf, w)
-    mol_rhs = lp_norm(psi, 1) * float(
-        grid.h * np.sum(np.abs(tf.values) ** 2 * _abs_convolve(psi, w)))
+    mol_rhs = lp_norm(psi, 1) * weighted_l2(tf, _abs_convolve(psi, w))
     tpsi = apply_T(kernel, psi)
-    mol2_rhs = lp_norm(tpsi, 1) * float(
-        grid.h * np.sum(np.abs(f.values) ** 2 * _abs_convolve(tpsi, w)))
+    mol2_rhs = lp_norm(tpsi, 1) * weighted_l2(f, _abs_convolve(tpsi, w))
     return RatioSample.of(lhs, mol_rhs, provenance), RatioSample.of(lhs, mol2_rhs, provenance)
 
 
@@ -469,25 +460,17 @@ def _largest_norm_ratio(op, corpus, p: float) -> float:
     return best
 
 
-def maximal_norm_sweep(ell: int, lambdas, seed: int = 0, corpus: str = "full") -> SweepReport:
-    """Per lambda, the largest ||M_approach w||_q / ||w||_q over the corpus,
-    with q = (ell/2)' and w on [-2, 2] at step 1/(16 lam).
-
-    ``corpus="const"`` restricts to the constant weight, for which the
-    measured value has the closed form 2*lam^(-2/ell) up to window
-    quantization.
-    """
+def maximal_norm_sweep(ell: int, lambdas, seed: int = 0) -> SweepReport:
+    """Per lambda, the largest ||M_approach w||_q / ||w||_q over the weight
+    corpus, with q = (ell/2)' and w on [-2, 2] at step 1/(16 lam)."""
     q = math.inf if ell == 2 else ell / (ell - 2.0)
 
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
         grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
-        if corpus == "const":
-            ws = [Weight(grid, np.ones(grid.n))]
-        else:
-            ws = weight_corpus(grid, rng)
         params = ApproachRegionParams(ell, lam)
-        return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, params), ws, q)
+        return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, params),
+                                               weight_corpus(grid, rng), q)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])
 
@@ -627,33 +610,3 @@ def baseline_spaced_constants(seed: int) -> dict[float, float]:
     return {fam.L: max(rs.ratio for rs in _band_samples(
                 grid, (0.0, 60.0), 4, rng, lambda f, w, pv: spaced_ratio(f, w, fam, pv)))
             for fam in map(SpacedFamily, (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))}
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def ratio_rows_csv(path: str, rows) -> None:
-    """rows: iterable of (experiment, RatioSample)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "ell", "lambda", "p", "seed", "lhs", "rhs", "ratio"])
-        for name, rs in rows:
-            pv = rs.provenance
-            writer.writerow([name, pv.ell, repr(pv.lam),
-                             "" if pv.p is None else pv.p, pv.seed,
-                             repr(rs.lhs), repr(rs.rhs), repr(rs.ratio)])
-
-
-def sweep_csv(path: str, experiment: str, ell: int, report: SweepReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "ell", "lambda", "value"])
-        for lam, v in report.points:
-            writer.writerow([experiment, ell, repr(lam), repr(v)])
-
-
-def summary_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,12 +1,15 @@
 """CLI contract: exit codes, file outputs, determinism, config handling."""
 
+import ast
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from oscillab import maximal, verify
 from oscillab.cli import _atomic_write, run
 from oscillab.numerics import Grid, Weight, save_weight_csv
+from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import RatioSample
 
 
@@ -501,6 +505,51 @@ class TestAtomicWrite:
             _atomic_write(str(target), writer)
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
         assert target.read_text() == "old"
+
+
+class TestResultsFiles:
+    def test_kernel_decay_csv_columns(self, tmp_path, capsys):
+        assert run(["kernel-decay", "--ell", "2", "--lambdas", "64",
+                    "--out", str(tmp_path)]) == 0
+        ph = Phase.monomial(2)
+        spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
+        (rep,), _, _ = verify.kernel_decay_sweep(ph, spec, [64.0], 4, tail_slack=1.25)
+        rows = (tmp_path / "results.csv").read_text().strip().splitlines()
+        assert rows[0] == "lambda,ell,sup_low,tail_max,far_field"
+        vals = rows[1].split(",")
+        assert float(vals[0]) == 64.0 and int(vals[1]) == 2
+        assert float(vals[2]) == rep.sup_low
+
+    def test_sweep_maximal_files_are_pinned(self, tmp_path, capsys):
+        # every file of a small sweep, the SVG plot included, byte for byte
+        assert run(["sweep-maximal", "--ell", "3", "--lambdas", "16..64", "--emit-plots",
+                    "--out", str(tmp_path)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == {
+            "sweep.csv": "ae455788b6a914a0b4160c12caf80372e980dff95ec21bbdf910a0fb86c7c371",
+            "summary.json": "10aa7724eeef06feaed07adfc7ae231e493b1a336ed06dcc7bdd71895b5575d0",
+            "plot-sweep-maximal.svg":
+                "be3612f05c326a64f7587c5da3e96270d7e8cec9f97d1f856b95b810bad6c3ae",
+        }
+
+
+def test_only_cli_writes_results_files():
+    # cli.py writes every results file; numerics.py reads and writes the
+    # weight CSVs. No other module imports csv or json.
+    found = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("csv", "json"):
+                    found.setdefault(path.name, set()).add(name.split(".")[0])
+    assert found == {"cli.py": {"csv", "json"}, "numerics.py": {"csv"}}
 
 
 class TestChecks:

@@ -256,22 +256,6 @@ class TestDecay:
         assert all(t <= 1.25 * tails[0] for t in tails)
         assert all(np.isfinite(f) for f in fars)
 
-    def test_report_csv_columns(self, tmp_path):
-        from oscillab.kernels import decay_reports_csv
-
-        ph = Phase.monomial(2)
-        spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
-        lam = 64.0
-        grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
-        rep = check_decay(build_kernel(ph, spec, lam, grid))
-        path = str(tmp_path / "decay.csv")
-        decay_reports_csv([rep], path)
-        rows = open(path).read().strip().splitlines()
-        assert rows[0] == "lambda,ell,sup_low,tail_max,far_field"
-        vals = rows[1].split(",")
-        assert float(vals[0]) == lam and int(vals[1]) == 2
-        assert float(vals[2]) == rep.sup_low
-
     def test_far_field_order_must_not_overflow(self):
         ph = Phase.monomial(2)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)

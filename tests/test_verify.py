@@ -12,6 +12,7 @@ from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
 from oscillab.kernels import admissible_step, apply_T, build_kernel, normalized_kernel
 from oscillab.lpaley import DyadicFamily
+from oscillab.maximal import ApproachRegionParams, approach_maximal
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
 from oscillab.verify import (Provenance, RatioSample, _sweep_report,
@@ -285,11 +286,18 @@ class TestEnvelope:
 
 class TestSweeps:
     def test_constant_corpus_closed_form(self):
-        lambdas = [16.0, 64.0, 256.0]
-        rep = maximal_norm_sweep(3, lambdas, corpus="const")
-        for lam, v in rep.points:
+        # the constant weight on the sweep's grid, at q = (ell/2)' = 3:
+        # ||M_approach 1||_q / ||1||_q = 2*lam^(-2/ell) up to window quantization
+        points = []
+        for lam in (16.0, 64.0, 256.0):
+            grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
+            w = Weight(grid, np.ones(grid.n))
+            m = approach_maximal(w, ApproachRegionParams(3, lam))
+            points.append((lam, lp_norm(m, 3.0) / lp_norm(w, 3.0)))
+        for lam, v in points:
             assert abs(v / (2.0 * lam ** (-2.0 / 3.0)) - 1) <= 0.03
-        assert abs(rep.slope + 2.0 / 3.0) <= 0.02
+        slope, _, _ = fit_power_law(points)
+        assert abs(slope + 2.0 / 3.0) <= 0.02
 
     def test_single_lambda_flagged(self):
         rep = maximal_norm_sweep(3, [64.0])
