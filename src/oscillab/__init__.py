@@ -11,11 +11,11 @@ from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
 from .phases import (ComparabilityReport, FiniteTypeSpec, Phase, TypeReport,
                      comparability_check, ensure_finite_type, finite_type_spec,
                      normalize_phase, validate_finite_type)
-from .kernels import (Cutoff, DecayReport, Kernel, apply_T, build_kernel,
-                      check_decay, kernel_spectrum, normalized_kernel)
-from .maximal import (ApproachRegionParams, BumpProfile, approach_maximal,
-                      fractional_maximal, global_maximal, hardy_littlewood,
-                      operator_by_name, regular_maximal)
+from .kernels import (DecayReport, Kernel, apply_T, build_kernel, check_decay,
+                      kernel_spectrum, normalized_kernel)
+from .maximal import (ApproachRegionParams, approach_maximal, fractional_maximal,
+                      global_maximal, hardy_littlewood, operator_by_name,
+                      regular_maximal)
 from .lpaley import (AnnuliIndex, DominatedChain, DyadicFamily, SpacedFamily,
                      annuli_project, dominating_weights, dyadic_pieces,
                      spaced_energy, spaced_pieces, square_function)

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import standard_bump
 from .errors import GridMismatch, UnderResolved
-from .numerics import Grid, SampledFunction, SpectralFunction, convolve, forward_transform
+from .numerics import (Grid, SampledFunction, SpectralFunction, convolve, forward_transform,
+                       on_bump)
 from .phases import FiniteTypeSpec, Phase, ensure_finite_type, normalize_phase
 
 __all__ = [
-    "Cutoff",
     "Kernel",
     "DecayReport",
     "build_kernel",
@@ -34,25 +33,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Cutoff:
-    """Smooth bump exp(-1/(1-t^2)) rescaled to [center-u, center+u]."""
-
-    center: float
-    halfwidth: float
-
-    def __call__(self, x) -> np.ndarray:
-        return standard_bump((np.asarray(x, dtype=float) - self.center) / self.halfwidth)
-
-    def samples(self, grid: Grid) -> np.ndarray:
-        return self(grid.xs)
-
-
-@dataclass(frozen=True)
 class Kernel:
     phase: Phase
     spec: FiniteTypeSpec
     lam: float
-    cutoff: Cutoff
     samples: SampledFunction
 
     @property
@@ -68,7 +52,8 @@ def admissible_step(spec: FiniteTypeSpec, lam: float) -> float:
 
 
 def build_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float, grid: Grid) -> Kernel:
-    """Sample exp(i*lam*phi) * psi on the grid.
+    """Sample exp(i*lam*phi) * psi on the grid, psi the standard bump rescaled
+    to the spec's support [x0 - u, x0 + u].
 
     The finite-type hypothesis is re-validated (degenerate phases are
     rejected here rather than producing a non-oscillatory kernel), and
@@ -81,13 +66,9 @@ def build_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float, grid: Grid) -> 
     max_step = admissible_step(spec, lam)
     if grid.h > max_step:
         raise UnderResolved(f"step {grid.h:.3e} cannot resolve lam={lam}", max_step)
-    cutoff = Cutoff(spec.x0, spec.support_halfwidth)
-    psi = cutoff.samples(grid)
-    vals = np.zeros(grid.n, dtype=np.complex128)
-    inside = psi > 0.0
-    xs = grid.xs[inside]
-    vals[inside] = np.exp(1j * lam * np.asarray(phase.eval(0, xs))) * psi[inside]
-    return Kernel(phase, spec, float(lam), cutoff, SampledFunction(grid, vals))
+    samples = on_bump(grid, spec.x0, spec.support_halfwidth,
+                      lambda xs: np.exp(1j * lam * np.asarray(phase.eval(0, xs))))
+    return Kernel(phase, spec, float(lam), samples)
 
 
 def normalized_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float,

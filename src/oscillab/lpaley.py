@@ -314,24 +314,22 @@ class DominatedChain:
                                <= self.constant * self.w3.values[inner] * (1 + rel_tol)))
 
 
-def dominating_weights(w: Weight, p: int, lam: float, ell: int, A1: float) -> DominatedChain:
-    """Build the dominating chain for band p at oscillation lam.
+def dominating_weights(w: Weight, p: int, lam: float, ell: int) -> DominatedChain:
+    """Build the dominating chain for band p at oscillation lam, for a phase
+    normalized to A1 = 1.
 
-    Requires 1 <= 2^p < 4*A1*lam^((ell-1)/ell); the spacing is
-    L = 2^(-p/(ell-1)) * lam^(1/ell). ``A1`` is clamped below at 1/4 so
-    the local-supremum window stays inside the positivity radius of
-    Theta.
+    Requires 1 <= 2^p < 4*lam^((ell-1)/ell); the spacing is
+    L = 2^(-p/(ell-1)) * lam^(1/ell).
     """
-    if p < 0 or 2.0**p >= 4.0 * max(A1, 0.25) * lam ** ((ell - 1.0) / ell):
-        raise BadBand(f"band p={p} outside [0, log2(4*A1*lam^((ell-1)/ell)))")
-    a1 = max(A1, 0.25)
+    if p < 0 or 2.0**p >= 4.0 * lam ** ((ell - 1.0) / ell):
+        raise BadBand(f"band p={p} outside [0, log2(4*lam^((ell-1)/ell)))")
     L = 2.0 ** (-p / (ell - 1.0)) * lam ** (1.0 / ell)
     scale = 2.0**p * lam ** (1.0 / ell)
     h = w.grid.h
 
     w1 = mollifier_weight(w, scale)
 
-    rho = (4.0 * a1) ** (-1.0 / (ell - 1.0)) / L
+    rho = 4.0 ** (-1.0 / (ell - 1.0)) / L
     s2 = cells(rho, h)
     w2 = Weight(w.grid, sliding_max(w1.values, s2))
 

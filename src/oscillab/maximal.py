@@ -42,7 +42,6 @@ from .numerics import Grid, SampledFunction, Weight, convolve
 
 __all__ = [
     "ApproachRegionParams",
-    "BumpProfile",
     "hardy_littlewood",
     "hardy_littlewood_brute",
     "fractional_maximal",
@@ -53,7 +52,7 @@ __all__ = [
     "global_maximal_brute",
     "regular_maximal",
     "regular_maximal_brute",
-    "default_bump",
+    "bump_samples",
     "approach_radii",
     "regular_radii",
     "global_radii",
@@ -318,49 +317,22 @@ def global_maximal_brute(w: Weight, ell: int) -> Weight:
 # regularized family
 
 
-class BumpProfile:
-    """Fixed smooth bump on [-2, 2], positive on [-1, 1].
-
-    ``c_p`` records min over [-1, 1] (attained at the endpoints since the
-    profile decreases away from zero); ``mass`` is the continuum integral,
-    evaluated once by fine trapezoidal quadrature.
-    """
-
-    def __init__(self):
-        ts = np.linspace(-2.0, 2.0, 1 << 14)
-        vals = self(ts)
-        self.c_p = float(self(np.asarray([1.0]))[0])
-        self.mass = float(np.trapezoid(vals, ts))
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return standard_bump(np.asarray(t, dtype=float) / 2.0)
-
-    def scaled_samples(self, h: float, r: float) -> np.ndarray:
-        """Samples of P_r(x) = (1/r) P(x/r) at grid offsets, support |x| <= 2r."""
-        k = cells(2.0 * r, h)
-        offs = np.arange(-k, k + 1) * h
-        return self(offs / r) / r
-
-
-_DEFAULT_BUMP: BumpProfile | None = None
-
-
-def default_bump() -> BumpProfile:
-    global _DEFAULT_BUMP
-    if _DEFAULT_BUMP is None:
-        _DEFAULT_BUMP = BumpProfile()
-    return _DEFAULT_BUMP
+def bump_samples(h: float, r: float) -> np.ndarray:
+    """Samples of P_r(x) = (1/r) P(x/r) at the grid offsets |x| <= 2r, where
+    P(t) = standard_bump(t/2) is the fixed bump, positive on (-2, 2)."""
+    k = cells(2.0 * r, h)
+    offs = np.arange(-k, k + 1) * h
+    return standard_bump(offs / r / 2.0) / r
 
 
 def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], fft: bool):
-    """|P_r * f| per rung for the default bump: by the padded FFT path when
+    """|P_r * f| per rung: by the padded FFT path when
     ``fft`` is set and the bump fits inside the grid window, else by
     np.convolve."""
     h = grid.h
-    bump = default_bump()
     out = []
     for r in radii:
-        pr = bump.scaled_samples(h, r)
+        pr = bump_samples(h, r)
         k = len(pr) // 2
         mid = grid.n // 2
         if fft and k < mid:

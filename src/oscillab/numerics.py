@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._util import standard_bump
 from .errors import GridMismatch
 
 __all__ = [
@@ -27,13 +28,13 @@ __all__ = [
     "SampledFunction",
     "Weight",
     "SpectralFunction",
+    "on_bump",
     "forward_transform",
     "inverse_transform",
     "restrict",
     "convolve",
     "lp_norm",
     "weighted_l2",
-    "save_weight_csv",
     "load_weight_csv",
 ]
 
@@ -121,6 +122,23 @@ class SampledFunction:
     @classmethod
     def from_vectorized(cls, grid: Grid, fn) -> "SampledFunction":
         return cls(grid, np.asarray(fn(grid.xs), dtype=np.complex128))
+
+
+def on_bump(grid: Grid, center: float, halfwidth: float, wave) -> SampledFunction:
+    """wave(x) * standard_bump((x - center) / halfwidth) on the grid.
+
+    ``wave`` is called once, on a copy of the positions of the bump's nonzero
+    run, also when that run is empty; every other sample is 0.
+    """
+    xs = grid.xs
+    env = standard_bump((xs - center) / halfwidth)
+    inside = np.flatnonzero(env > 0.0)
+    run = slice(inside[0], inside[-1] + 1) if len(inside) else slice(0, 0)
+    xs = xs[run].copy()  # a view would keep every position alive
+    on_run = wave(xs) * env[run]  # before the output: one grid array fewer at the peak
+    vals = np.zeros(grid.n, dtype=np.complex128)
+    vals[run] = on_run
+    return SampledFunction(grid, vals)
 
 
 @dataclass(frozen=True)
@@ -280,14 +298,6 @@ def weighted_l2(f: SampledFunction, w: Weight) -> float:
     """The weighted energy h * sum |f|^2 w (an integral, not a norm)."""
     _require_same_grid(f, w)
     return float(f.grid.h * np.sum(np.abs(f.values) ** 2 * w.values))
-
-
-def save_weight_csv(w: Weight, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "w"])
-        for x, v in zip(w.grid.xs, w.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
 
 
 def load_weight_csv(path: str) -> Weight:

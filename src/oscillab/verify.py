@@ -26,7 +26,7 @@ from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights, dyadic_piec
 from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
-                       lp_norm, restrict, weighted_l2)
+                       lp_norm, on_bump, restrict, weighted_l2)
 from .phases import FiniteTypeSpec, Phase, finite_type_spec, normalize_phase
 
 __all__ = [
@@ -160,11 +160,11 @@ def _sweep_report(points) -> SweepReport:
 # corpora
 
 
-def random_weight(grid: Grid, rng: np.random.Generator, quantize: bool = True) -> Weight:
+def random_weight(grid: Grid, rng: np.random.Generator) -> Weight:
     """Sum of randomly placed smooth bumps, spikes and indicator blocks.
 
-    ``quantize`` rounds values to multiples of 2^-12 so window sums are
-    exact in floating point regardless of summation order (the oracle
+    The values are rounded to multiples of 2^-12 so window sums are exact
+    in floating point regardless of summation order (the oracle
     comparisons rely on this).
     """
     xs = grid.xs
@@ -183,9 +183,7 @@ def random_weight(grid: Grid, rng: np.random.Generator, quantize: bool = True) -
         vals += rng.uniform(0.1, 1.0) * ((xs >= a) & (xs <= b))
     if rng.random() < 0.3:
         vals += rng.uniform(0.01, 0.2)
-    if quantize:
-        vals = np.round(vals * 4096.0) / 4096.0
-    return Weight(grid, vals)
+    return Weight(grid, np.round(vals * 4096.0) / 4096.0)
 
 
 def weight_corpus(grid: Grid, rng: np.random.Generator) -> Iterator[Weight]:
@@ -220,37 +218,30 @@ def random_test_function(grid: Grid, rng: np.random.Generator, max_freq: float,
     """Smooth random 6-term trigonometric polynomial under a compact envelope.
 
     The polynomial is evaluated only on the envelope's support; the samples
-    outside it are 0.
+    outside it are 0. The 6 terms are drawn also when that support is empty.
     """
-    xs = grid.xs
-    env = standard_bump(xs / support_halfwidth)
-    inside = np.flatnonzero(env)
-    support = slice(inside[0], inside[-1] + 1) if len(inside) else slice(0, 0)
-    xs = xs[support].copy()  # a view would keep every position alive
-    acc = np.zeros(len(xs), dtype=np.complex128)
     # bit for bit the dense acc += amp * np.exp(...) over the whole grid: from
     # 16384 complex samples (256 KiB) numpy reuses that temporary and computes
     # exp * amp, and a complex product rounds differently with its operands swapped
     elided = grid.n >= 16384
-    for _ in range(6):
-        freq = rng.uniform(-max_freq, max_freq)
-        amp = rng.normal() + 1j * rng.normal()
-        wave = np.exp(1j * freq * xs)
-        acc += np.multiply(wave, amp) if elided else np.multiply(amp, wave)
-    vals = np.zeros(grid.n, dtype=np.complex128)
-    vals[support] = acc * env[support]
-    return SampledFunction(grid, vals)
+
+    def polynomial(xs):
+        acc = np.zeros(len(xs), dtype=np.complex128)
+        for _ in range(6):
+            freq = rng.uniform(-max_freq, max_freq)
+            amp = rng.normal() + 1j * rng.normal()
+            wave = np.exp(1j * freq * xs)
+            acc += np.multiply(wave, amp) if elided else np.multiply(amp, wave)
+        return acc
+
+    return on_bump(grid, 0.0, support_halfwidth, polynomial)
 
 
 def focusing_input(kernel: Kernel) -> SampledFunction:
     """Phase-conjugated bump on the kernel's support: maximizes |T f(0)|
     and realizes the norm lower bound at the known exponent."""
-    grid = kernel.grid
-    u = kernel.spec.support_halfwidth
-    xs = grid.xs
-    phase_vals = np.asarray(kernel.phase.eval(0, -xs))
-    return SampledFunction(
-        grid, np.exp(-1j * kernel.lam * phase_vals) * standard_bump(xs / u))
+    return on_bump(kernel.grid, 0.0, kernel.spec.support_halfwidth,
+                   lambda xs: np.exp(-1j * kernel.lam * np.asarray(kernel.phase.eval(0, -xs))))
 
 
 def h1_atom(grid: Grid, width: float) -> SampledFunction:
@@ -302,23 +293,24 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
     turn, stopping at the first sample with rhs = 0 < lhs.
 
     One kernel per lam, built in the phase's normalized frame at
-    lam * epsilon on a grid that resolves both the kernel and the approach
-    region on [-4, 4]. f is a random trigonometric polynomial with
-    frequencies up to 2*lam^(1/ell) under a bump of half-width 1.5, w a
-    random weight; f, w and |T f|^2 all live in that frame, so w weighs
-    the kernel's output where it is computed. Each lam draws from a fresh
-    RNG seeded with ``seed``.
+    lam_eff = lam * epsilon on a grid of [-4, 4] that resolves both the
+    kernel and the approach region at lam_eff. f is a random trigonometric
+    polynomial with frequencies up to 2*lam_eff^(1/ell) under a bump of
+    half-width 1.5, w a random weight; f, w and |T f|^2 all live in that
+    frame, so w weighs the kernel's output where it is computed. Each lam
+    draws from a fresh RNG seeded with ``seed``.
     """
     norm = normalize_phase(phase, spec)
     samples, maxima = [], []
     for lam in lambdas:
         rng = np.random.default_rng(seed)
-        step = min(1.0 / (4.0 * lam), admissible_step(spec, lam))
+        lam_eff = lam * norm.lambda_scale
+        step = min(1.0 / (4.0 * lam_eff), admissible_step(norm.spec, lam_eff))
         grid = Grid.from_step(0.0, 4.0, step)
-        kernel = build_kernel(norm.phase, norm.spec, lam * norm.lambda_scale, grid)
+        kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
         best = 0.0
         for i in range(pairs):
-            f = random_test_function(grid, rng, max_freq=2.0 * lam ** (1.0 / spec.ell),
+            f = random_test_function(grid, rng, max_freq=2.0 * lam_eff ** (1.0 / spec.ell),
                                      support_halfwidth=1.5)
             w = random_weight(grid, rng)
             rs = two_weight_ratio(kernel, f, w,
@@ -475,32 +467,34 @@ def maximal_norm_sweep(ell: int, lambdas, seed: int = 0) -> SweepReport:
     return _sweep_report([one(float(lam)) for lam in lambdas])
 
 
-def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, seed: int = 0,
-                        n_random: int = 8) -> SweepReport:
+def _operator_corpus(kernel: Kernel, rng: np.random.Generator) -> Iterator[SampledFunction]:
+    """The focusing input, 3 modulated bumps of half-width 2 at frequencies
+    0, 0.35 and 0.7 times lam^(1/ell), then 8 random test functions with
+    frequencies up to 2 lam^(1/ell) under a bump of half-width 2."""
+    grid = kernel.grid
+    yield focusing_input(kernel)
+    base = kernel.lam ** (1.0 / kernel.spec.ell)
+    for frac in (0.0, 0.35, 0.7):
+        yield on_bump(grid, 0.0, 2.0, lambda xs: np.exp(1j * frac * base * xs))
+    for _ in range(8):
+        yield random_test_function(grid, rng, max_freq=2.0 * base, support_halfwidth=2.0)
+
+
+def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas,
+                        seed: int = 0) -> SweepReport:
     """Per lambda, the largest ||T f||_ell / ||f||_ell over the corpus, on
     [-4, 4] at the kernel's admissible step.
 
     The corpus holds the focusing input, modulated wide bumps at
-    frequencies spread through the low band, and seeded random
+    frequencies spread through the low band, and 8 seeded random
     band-limited functions, streamed in that order; the measured value is
     a certified lower bound on the discretized operator norm.
     """
-    ell = spec.ell
-
-    def corpus(kernel: Kernel, rng: np.random.Generator):
-        grid = kernel.grid
-        yield focusing_input(kernel)
-        base = kernel.lam ** (1.0 / ell)
-        for frac in (0.0, 0.35, 0.7):
-            yield SampledFunction(grid, np.multiply(np.exp(1j * frac * base * grid.xs),
-                                                    standard_bump(grid.xs / 2.0)))
-        for _ in range(n_random):
-            yield random_test_function(grid, rng, max_freq=2.0 * base, support_halfwidth=2.0)
-
     def one(lam: float) -> tuple[float, float]:
         kernel = normalized_kernel(phase, spec, lam, 4.0)
-        return float(lam), _largest_norm_ratio(lambda f: apply_T(kernel, f),
-                                               corpus(kernel, np.random.default_rng(seed)), ell)
+        return float(lam), _largest_norm_ratio(
+            lambda f: apply_T(kernel, f), _operator_corpus(kernel, np.random.default_rng(seed)),
+            spec.ell)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])
 
@@ -517,7 +511,7 @@ def weight_chain_holds(p: int, lam: float, ell: int, draws: int,
     """Whether the chain of band p at lam (A1 = 1) dominates to ``rel_tol`` for each of
     ``draws`` random weights on [-4, 4] at step 1/(8 lam); all are drawn whatever the outcome."""
     grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * lam))
-    return all([dominating_weights(random_weight(grid, rng), p, lam, ell, A1=1.0)
+    return all([dominating_weights(random_weight(grid, rng), p, lam, ell)
                 .dominates(rel_tol) for _ in range(draws)])
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import hypothesis
 import numpy as np
 import pytest
@@ -18,4 +20,13 @@ def quantized_weight(grid, seed):
     exact in floating point, so fast-vs-brute comparisons can be bitwise."""
     from oscillab.verify import random_weight
 
-    return random_weight(grid, np.random.default_rng(seed), quantize=True)
+    return random_weight(grid, np.random.default_rng(seed))
+
+
+def save_weight_csv(w, path):
+    """Write a weight in the format ``numerics.load_weight_csv`` reads."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "w"])
+        for x, v in zip(w.grid.xs, w.values):
+            writer.writerow([repr(float(x)), repr(float(v))])

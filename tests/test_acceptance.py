@@ -76,7 +76,7 @@ class TestCriterion2:
         mismatches = []
         iterate_worst = 0.0
         for seed in range(50):
-            w = random_weight(grid, np.random.default_rng(seed), quantize=True)
+            w = random_weight(grid, np.random.default_rng(seed))
             # one application leaves the dyadic lattice (odd window counts),
             # so the iterate is checked stage-wise on a re-quantized
             # intermediate, plus a 1e-13 relative bound on the composition
@@ -263,7 +263,7 @@ class TestCriterion9:
         # dilation identity for the regularized family, 2%
         ell, lam = 3, 256.0
         g1 = Grid.from_step(0.0, 1.0, 1.0 / (4.0 * lam))
-        w = random_weight(g1, np.random.default_rng(SEED), quantize=True)
+        w = random_weight(g1, np.random.default_rng(SEED))
         scale = lam ** (1.0 / ell)
         radii = regular_radii(ell, lam, g1.h)
         m_lam = regular_maximal(w, ell, lam=lam, radii=radii).values
@@ -278,7 +278,7 @@ class TestCriterion9:
         c_eps = {}
         for eps in (2.0, 4.0):
             grid = Grid.from_step(0.0, 3.0, 1.0 / (16.0 * eps * 64.0))
-            we = random_weight(grid, np.random.default_rng(SEED + 1), quantize=True)
+            we = random_weight(grid, np.random.default_rng(SEED + 1))
             lhs = approach_maximal(we, ApproachRegionParams(3, eps * 64.0)).values
             rhs_e = approach_maximal(we, ApproachRegionParams(3, 64.0)).values
             ok &= bool(np.all(lhs[rhs_e == 0] <= 1e-10))
@@ -290,7 +290,7 @@ class TestCriterion9:
         mono = True
         for lam_m in (16.0, 64.0):
             grid = Grid.from_step(0.0, 2.0, 1.0 / (8.0 * lam_m))
-            wm = random_weight(grid, np.random.default_rng(SEED + 2), quantize=True)
+            wm = random_weight(grid, np.random.default_rng(SEED + 2))
             prev = None
             for ell_m in (2, 3, 4, 5):
                 cur = approach_maximal(wm, ApproachRegionParams(ell_m, lam_m)).values

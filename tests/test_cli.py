@@ -16,9 +16,11 @@ import pytest
 
 from oscillab import maximal, verify
 from oscillab.cli import _atomic_write, run
-from oscillab.numerics import Grid, Weight, save_weight_csv
+from oscillab.numerics import Grid, Weight
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import RatioSample
+
+from conftest import save_weight_csv
 
 
 class TestExitCodes:
@@ -534,12 +536,26 @@ class TestResultsFiles:
         }
 
 
+def _opens_for_writing(node) -> bool:
+    """Whether an AST node is a call of some ``open`` with a write mode."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+        return False
+    modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+               for m in modes)
+
+
 def test_only_cli_writes_results_files():
-    # cli.py writes every results file; numerics.py reads and writes the
-    # weight CSVs. No other module imports csv or json.
-    found = {}
+    # cli.py writes every results file; numerics.py reads the weight CSVs.
+    # No other module imports csv or json, or opens a file for writing.
+    found, writers = {}, set()
     for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if _opens_for_writing(node):
+                writers.add(path.name)
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -550,6 +566,7 @@ def test_only_cli_writes_results_files():
                 if name.split(".")[0] in ("csv", "json"):
                     found.setdefault(path.name, set()).add(name.split(".")[0])
     assert found == {"cli.py": {"csv", "json"}, "numerics.py": {"csv"}}
+    assert writers == {"cli.py"}
 
 
 class TestChecks:
@@ -574,6 +591,15 @@ class TestChecks:
             lhs, rhs, ratio = float(parts[5]), float(parts[6]), float(parts[7])
             if rhs > 0:
                 assert abs(ratio * rhs - lhs) <= 1e-12 * max(lhs, 1.0)
+
+    def test_check_main_sizes_from_the_scaled_lambda(self, tmp_path, capsys):
+        # the kernel and the approach region run at lambda * epsilon; the grid
+        # step and f's band were taken from lambda, so epsilon = 2 exited 2
+        # with "grid too coarse for the smallest radius"
+        assert run(["check-main", "--kind", "monomial", "--ell", "2", "--epsilon", "2",
+                    "--lambdas", "64..256", "--pairs", "1", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "results.csv").read_text().strip().splitlines()[1:]
+        assert [float(r.split(",")[2]) for r in rows] == [64.0, 128.0, 256.0]
 
     def test_check_main_violation_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
         real = verify.two_weight_ratio

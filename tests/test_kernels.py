@@ -10,12 +10,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import fresnel
 
+from oscillab._util import standard_bump
 from oscillab.errors import GridMismatch, UnderResolved, ValidationFailed
-from oscillab.kernels import (Cutoff, Kernel, admissible_step, apply_T,
-                              build_kernel, check_decay, kernel_spectrum)
+from oscillab.kernels import (Kernel, admissible_step, apply_T, build_kernel,
+                              check_decay, kernel_spectrum)
 from oscillab.numerics import (Grid, SampledFunction, convolve_direct,
                                forward_transform, inverse_transform, lp_norm)
 from oscillab.phases import Phase, finite_type_spec
+
+
+def cutoff(kernel: Kernel, x) -> np.ndarray:
+    """The kernel's cutoff psi: the standard bump rescaled to [x0 - u, x0 + u]."""
+    spec = kernel.spec
+    return standard_bump((np.asarray(x, dtype=float) - spec.x0) / spec.support_halfwidth)
 
 
 def kernel_spectrum_quadrature(kernel: Kernel, xis) -> np.ndarray:
@@ -30,7 +37,7 @@ def kernel_spectrum_quadrature(kernel: Kernel, xis) -> np.ndarray:
     out = []
     for xi in np.atleast_1d(xis):
         def integrand(x, part, xi=xi):
-            val = np.exp(1j * (kernel.lam * phase0(x) - xi * x)) * kernel.cutoff(x)
+            val = np.exp(1j * (kernel.lam * phase0(x) - xi * x)) * cutoff(kernel, x)
             return val.real if part == 0 else val.imag
 
         re, _ = quad(integrand, lo, hi, args=(0,), epsabs=1e-10, epsrel=1e-10, limit=4000)
@@ -61,18 +68,18 @@ class TestBuildKernel:
     def test_value_at_origin_is_cutoff(self):
         _, _, K = cubic_setup()
         mid = K.grid.n // 2
-        assert K.samples.values[mid] == pytest.approx(K.cutoff(0.0))
+        assert K.samples.values[mid] == pytest.approx(cutoff(K, 0.0))
 
     def test_unimodularity(self):
         _, _, K = cubic_setup()
-        psi = K.cutoff.samples(K.grid)
+        psi = cutoff(K, K.grid.xs)
         assert np.max(np.abs(np.abs(K.samples.values) - psi)) <= 1e-12
 
     def test_mass_of_modulus_equals_cutoff_mass(self):
         _, _, K = cubic_setup(lam=256.0)
         g = K.grid
         assert abs(g.h * np.sum(np.abs(K.samples.values))
-                   - g.h * np.sum(K.cutoff.samples(g))) <= 1e-12
+                   - g.h * np.sum(cutoff(K, g.xs))) <= 1e-12
 
     def test_under_resolved(self):
         ph = Phase.monomial(3)
@@ -95,12 +102,13 @@ class TestBuildKernel:
             build_kernel(ph, spec, 0.5, Grid(0.0, 2.0, 4096))
 
     def test_cutoff_even_and_compact(self):
-        c = Cutoff(0.0, 0.5)
-        xs = np.linspace(-1, 1, 401)
-        vals = c(xs)
-        np.testing.assert_allclose(vals, vals[::-1], atol=0)
-        assert np.all(vals[np.abs(xs) >= 0.5] == 0.0)
-        assert np.all(vals >= 0.0)
+        # |K| is the cutoff: even about x0 = 0 (sample n/2) and 0 off |x| < u
+        _, spec, K = cubic_setup()
+        xs = K.grid.xs
+        psi = np.abs(K.samples.values)
+        np.testing.assert_allclose(psi[1:], psi[1:][::-1], atol=0)
+        assert np.all(psi[np.abs(xs) >= spec.support_halfwidth] == 0.0)
+        assert np.all(psi[np.abs(xs) < 0.9 * spec.support_halfwidth] > 0.0)
 
 
 class TestApplyT:
@@ -192,8 +200,7 @@ class TestSpectrum:
 
     def test_without_oscillation_spectrum_is_cutoff_transform(self):
         ph, spec, K = cubic_setup(lam=64.0)
-        flat = Kernel(ph, spec, K.lam, K.cutoff,
-                      SampledFunction(K.grid, K.cutoff.samples(K.grid)))
+        flat = Kernel(ph, spec, K.lam, SampledFunction(K.grid, cutoff(K, K.grid.xs)))
         sf = kernel_spectrum(flat)
         direct = forward_transform(flat.samples)
         assert np.max(np.abs(sf.values - direct.values)) == 0.0
@@ -274,6 +281,6 @@ class TestDecay:
         lam = 64.0
         grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
         K = build_kernel(ph, spec, lam, grid)
-        coarse = Kernel(K.phase, K.spec, 4 * lam, K.cutoff, K.samples)
+        coarse = Kernel(K.phase, K.spec, 4 * lam, K.samples)
         with pytest.raises(UnderResolved):
             check_decay(coarse)

@@ -270,7 +270,7 @@ class TestDominatingWeights:
 
     def chain(self, seed, p=3, lam=256.0, ell=3):
         w = random_weight(self.GRID4, np.random.default_rng(seed))
-        return dominating_weights(w, p, lam, ell, A1=1.0), w
+        return dominating_weights(w, p, lam, ell), w
 
     def test_spacing_choice(self):
         ch, _ = self.chain(0)
@@ -295,7 +295,7 @@ class TestDominatingWeights:
         from oscillab.lpaley import band_limited_mollifier
 
         w = Weight(self.GRID4, np.full(self.GRID4.n, 2.0))
-        ch = dominating_weights(w, 3, 256.0, 3, A1=1.0)
+        ch = dominating_weights(w, 3, 256.0, 3)
         mid = self.GRID4.n // 2
         # constants are fixed points up to the mollifier and Theta masses
         assert ch.w1.values[mid] == pytest.approx(ch.w2.values[mid])
@@ -311,9 +311,9 @@ class TestDominatingWeights:
     def test_band_gate(self):
         w = Weight(self.GRID4, np.ones(self.GRID4.n))
         with pytest.raises(BadBand):
-            dominating_weights(w, -1, 256.0, 3, A1=1.0)
+            dominating_weights(w, -1, 256.0, 3)
         with pytest.raises(BadBand):
-            dominating_weights(w, 30, 256.0, 3, A1=1.0)
+            dominating_weights(w, 30, 256.0, 3)
 
     def test_theta_both_signs(self):
         theta = _theta_samples(self.GRID4, 2.0)

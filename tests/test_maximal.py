@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import maximal
-from oscillab._util import cells, sliding_max_naive, window_sums_naive
+from oscillab._util import cells, sliding_max_naive, standard_bump, window_sums_naive
 from oscillab.errors import UnderResolved
-from oscillab.maximal import (ApproachRegionParams, BumpProfile,
-                              _eighth_octave_cells, approach_maximal,
-                              approach_maximal_brute, approach_radii, default_bump,
+from oscillab.maximal import (ApproachRegionParams, _eighth_octave_cells,
+                              approach_maximal, approach_maximal_brute,
+                              approach_radii, bump_samples,
                               fractional_maximal, fractional_maximal_brute,
                               global_maximal, global_maximal_brute, global_radii,
                               hardy_littlewood, hardy_littlewood_brute,
@@ -28,7 +28,7 @@ from test_util import reference_window_sums
 
 
 def qweight(grid, seed):
-    return random_weight(grid, np.random.default_rng(seed), quantize=True)
+    return random_weight(grid, np.random.default_rng(seed))
 
 
 class TestHardyLittlewood:
@@ -86,9 +86,10 @@ class TestHardyLittlewood:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_rung_loop_off_lattice(self, k, seed):
         # frozen copy of the loop that rebuilt the prefix sum on every rung;
-        # unquantized weights make the comparison sensitive to summation order
+        # weights off the 2^-12 lattice make the comparison sensitive to
+        # summation order
         g = Grid(0.0, 2.0, 1024)
-        w = random_weight(g, np.random.default_rng(seed), quantize=False)
+        w = Weight(g, np.random.default_rng(seed).uniform(0.0, 2.0, g.n))
         vals = w.values
         ladder = _eighth_octave_cells(g.n)
         for _ in range(k):
@@ -267,21 +268,21 @@ class TestRegular:
     def test_beta_zero_sup_bound(self):
         g = Grid(0.0, 2.0, 1024)
         w = qweight(g, 13)
-        bump = default_bump()
         m = regular_maximal(w, 3, beta=0.0)
-        bound = max(g.h * np.sum(bump.scaled_samples(g.h, r))
-                    for r in regular_radii(3, 1.0, g.h))
+        bound = max(g.h * np.sum(bump_samples(g.h, r)) for r in regular_radii(3, 1.0, g.h))
         assert np.max(m.values) <= bound * np.max(w.values) * (1 + 1e-12)
-        assert bound <= 1.05 * bump.mass
+        ts = np.linspace(-2.0, 2.0, 1 << 14)
+        mass = np.trapezoid(standard_bump(ts / 2.0), ts)  # of P(t) = standard_bump(t/2)
+        assert bound <= 1.05 * mass
 
     def test_dominates_approach_operator(self):
         lam, ell = 64.0, 3
         g = Grid.from_step(0.0, 2.0, 1.0 / (16 * lam))
         w = qweight(g, 17)
-        bump = default_bump()
+        c_p = np.exp(-4.0 / 3.0)  # min of P(t) = standard_bump(t/2) over [-1, 1]
         ma = approach_maximal(w, ApproachRegionParams(ell, lam)).values
         mr = regular_maximal(w, ell, lam=lam).values
-        assert np.all(ma <= (2.0 / bump.c_p) * mr)
+        assert np.all(ma <= (2.0 / c_p) * mr)
 
     def test_dilation_identity(self):
         ell, lam = 3, 256.0
@@ -340,11 +341,18 @@ class TestRegular:
             regular_maximal(w, 3, lam=4.0, beta=0.5)
 
     def test_bump_profile_constants(self):
-        bump = BumpProfile()
-        ts = np.linspace(-1, 1, 1001)
-        assert np.all(bump(ts) >= bump.c_p)
-        assert bump.c_p == pytest.approx(np.exp(-4.0 / 3.0))
-        assert np.all(bump(np.linspace(-3, 3, 301)) >= 0.0)
+        # P_r = (1/r) P(x/r) with P(t) = standard_bump(t/2): positive on
+        # (-2r, 2r), at least c_p / r on [-r, r], where c_p = P(1) = exp(-4/3)
+        c_p = np.exp(-4.0 / 3.0)
+        h = 2.0 ** -9
+        for r in (1.0, 0.5):
+            offs = np.arange(-cells(2.0 * r, h), cells(2.0 * r, h) + 1) * h
+            pr = bump_samples(h, r)
+            assert pr.shape == offs.shape and np.all(pr >= 0.0)
+            assert np.all(pr[np.abs(offs) <= r] >= c_p / r)
+            assert pr[np.abs(offs) == r] == pytest.approx(c_p / r)
+            assert np.all(pr[(np.abs(offs) < 2.0 * r)] > 0.0)
+            assert pr[0] == pr[-1] == 0.0
 
 
 class TestOracleIndependence:

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oscillab._util import standard_bump
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                                _linear_convolution, _padded_fft_convolve,
                                _support_rows, convolve,
                                convolve_direct, forward_transform,
                                inverse_transform, load_weight_csv,
-                               lp_norm, save_weight_csv, weighted_l2)
+                               lp_norm, on_bump, weighted_l2)
+
+from conftest import save_weight_csv
 
 
 def gaussian(grid):
@@ -342,6 +345,34 @@ class TestNorms:
         two_f = SampledFunction(g, 2.0 * f.values)
         for p in (1, 2, 3, np.inf):
             assert np.isclose(lp_norm(two_f, p), 2.0 * lp_norm(f, p), rtol=1e-12)
+
+
+class TestOnBump:
+    @pytest.mark.parametrize("center, halfwidth", [(0.0, 1.5), (0.3, 0.7), (-3.9, 0.5)])
+    def test_wave_times_bump_on_its_run(self, center, halfwidth):
+        g = Grid(0.0, 4.0, 512)
+        calls = []
+
+        def wave(xs):
+            calls.append(xs)
+            return np.exp(3j * xs)
+
+        f = on_bump(g, center, halfwidth, wave)
+        env = standard_bump((g.xs - center) / halfwidth)
+        inside = env > 0.0
+        [xs] = calls
+        assert xs.flags.owndata and xs.tobytes() == g.xs[inside].tobytes()
+        assert f.values[inside].tobytes() == (np.exp(3j * xs) * env[inside]).tobytes()
+        assert not np.any(f.values[~inside])
+
+    def test_empty_run_still_calls_the_wave(self):
+        # 0.3 h lies 0.3 cells from the sample at 0: no sample is within h/4 of it
+        g = Grid(0.0, 4.0, 512)
+        calls = []
+        f = on_bump(g, 0.3 * g.h, g.h / 4.0, lambda xs: calls.append(xs) or np.ones(len(xs)))
+        [xs] = calls
+        assert xs.shape == (0,)
+        assert not np.any(f.values)
 
 
 class TestWeight:

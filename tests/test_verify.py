@@ -15,7 +15,7 @@ from oscillab.lpaley import DyadicFamily
 from oscillab.maximal import ApproachRegionParams, approach_maximal
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
-from oscillab.verify import (Provenance, RatioSample, _sweep_report,
+from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_report,
                              envelope_check, envelope_constants, fit_power_law,
                              focusing_input, frequency_restricted_ratio, h1_atom,
                              two_weight_ratio, maximal_norm_sweep,
@@ -306,7 +306,7 @@ class TestSweeps:
     def test_operator_sweep_small(self):
         ph = Phase.monomial(2)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=1.0, support_halfwidth=0.5)
-        rep = operator_norm_sweep(ph, spec, [64.0, 128.0, 256.0, 512.0], n_random=2)
+        rep = operator_norm_sweep(ph, spec, [64.0, 128.0, 256.0, 512.0])
         assert abs(rep.slope + 0.5) <= 0.15
 
     def test_focusing_input_realizes_lower_bound(self):
@@ -350,7 +350,7 @@ class TestSweepMemory:
 class TestCorpora:
     def test_quantized_weights_on_lattice(self):
         g = Grid(0.0, 2.0, 512)
-        w = random_weight(g, np.random.default_rng(3), quantize=True)
+        w = random_weight(g, np.random.default_rng(3))
         assert np.all(w.values * 4096 == np.round(w.values * 4096))
 
     def test_atom_mean_zero_and_bounded(self):
@@ -441,3 +441,69 @@ class TestSupportOnlyTestFunction:
         for p in (1, 2, 3, np.inf):
             assert lp_norm(got, p) == lp_norm(want, p)
         assert weighted_l2(got, w) == weighted_l2(want, w)
+
+    @pytest.mark.parametrize("center", [0.0, 0.3])
+    def test_draws_on_a_support_narrower_than_one_cell(self, center):
+        # x = 0 is a sample of Grid(0, 4, 1024) and 0.3 / h is not an integer,
+        # so the support is one sample, then none
+        g = Grid(center, 4.0, 1024)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        f = random_test_function(g, rng, 40.0, g.h / 4.0)
+        assert np.count_nonzero(f.values) == (1 if center == 0.0 else 0)
+        for _ in range(6):
+            ref.uniform(-40.0, 40.0)
+            ref.normal()
+            ref.normal()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def frozen_focusing_input(kernel):
+    """The focusing input evaluated on the whole grid, as it was first written."""
+    xs = kernel.grid.xs
+    phase_vals = np.asarray(kernel.phase.eval(0, -xs))
+    return SampledFunction(kernel.grid, np.exp(-1j * kernel.lam * phase_vals)
+                           * standard_bump(xs / kernel.spec.support_halfwidth))
+
+
+def frozen_modulated_bumps(kernel):
+    """The operator sweep's modulated bumps on the whole grid, as first written."""
+    grid = kernel.grid
+    base = kernel.lam ** (1.0 / kernel.spec.ell)
+    return [SampledFunction(grid, np.multiply(np.exp(1j * frac * base * grid.xs),
+                                              standard_bump(grid.xs / 2.0)))
+            for frac in (0.0, 0.35, 0.7)]
+
+
+class TestSupportOnlyBumpInputs:
+    """focusing_input and the operator sweep's modulated bumps evaluate their
+    waves on the bump's support only, through numerics.on_bump. On the
+    support their bits are the dense inputs', off it they are 0 where the
+    dense ones held signed zeros; T f and every norm agree bitwise."""
+
+    @staticmethod
+    def pairs(n):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        K = build_kernel(ph, spec, 256.0, Grid(0.0, 4.0, n))
+        corpus = _operator_corpus(K, np.random.default_rng(0))
+        got = [next(corpus) for _ in range(4)]
+        assert got[0].values.tobytes() == focusing_input(K).values.tobytes()
+        want = [frozen_focusing_input(K)] + frozen_modulated_bumps(K)
+        halfwidths = [spec.support_halfwidth] + [2.0] * 3
+        return K, list(zip(got, want, halfwidths))
+
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    def test_bits_on_the_support(self, n):
+        K, pairs = self.pairs(n)
+        for got, want, u in pairs:
+            inside = standard_bump(K.grid.xs / u) > 0.0
+            assert got.values[inside].tobytes() == want.values[inside].tobytes()
+            assert not np.any(got.values[~inside]) and not np.any(want.values[~inside])
+
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    def test_zero_signs_reach_no_output(self, n):
+        K, pairs = self.pairs(n)
+        for got, want, _ in pairs:
+            assert apply_T(K, got).values.tobytes() == apply_T(K, want).values.tobytes()
+            for p in (1, 2, 3, np.inf):
+                assert lp_norm(got, p) == lp_norm(want, p)
