@@ -319,8 +319,7 @@ def _cmd_check_main(args, cfg) -> int:
     _write_ratios(args.out, rows)
     if sweep.violation is not None:
         return _fail_ratio("two-weight inequality (rhs = 0, lhs > 0)", sweep.violation)
-    vals = [v for _, v in sweep.maxima]
-    factor = max(vals) / min(vals) if min(vals) > 0 else math.inf
+    factor = verify.stability_factor([v for _, v in sweep.maxima])
     passed = factor < 2.0
     _write_summary(args.out, {
         "experiment": "check-main", "ell": args.ell,
@@ -360,9 +359,8 @@ def _cmd_check_lemmas(args, cfg) -> int:
     rows += [(f"envelope-lam={lam}", rs) for lam, rs in zip(args.lambdas, envelope)]
     _write_ratios(args.out, rows)
     consts = [rs.ratio for rs in envelope]
-    ok = chain_holds and all(rs.ratio <= 1 + 1e-6 for pair in mols for rs in pair)
-    if len(consts) > 1 and min(consts) > 0:
-        ok &= max(consts) / min(consts) < 4.0
+    ok = (chain_holds and all(rs.ratio <= 1 + 1e-6 for pair in mols for rs in pair)
+          and verify.stability_factor(consts) < 4.0)
     _write_summary(args.out, {
         "experiment": "check-lemmas", "ell": args.ell,
         "envelope_constants": consts, "pass": bool(ok)})

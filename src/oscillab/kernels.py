@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, UnderResolved
+from .lpaley import AnnuliIndex
 from .numerics import (Grid, SampledFunction, SpectralFunction, convolve, forward_transform,
                        on_bump)
 from .phases import FiniteTypeSpec, Phase, ensure_finite_type, normalize_phase
@@ -128,27 +129,24 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
         raise UnderResolved("dual grid does not reach 4*A1*lam",
                             np.pi / (4.0 * a1 * lam))
     spec_fn = kernel_spectrum(kernel)
-    xs = spec_fn.freq_grid.xs
+    a = np.abs(spec_fn.freq_grid.xs)
     mags = np.abs(spec_fn.values)
-    base = lam ** (1.0 / ell)
+    annuli = AnnuliIndex(ell, lam)
 
-    low = np.abs(xs) <= base
+    low = annuli.membership(0, a)
     sup_low = float(np.max(mags[low])) if np.any(low) else 0.0
 
+    # the tail annuli A_p, p >= 1, cut to lam^(1/ell) < |xi| <= lam
+    tail = (a > annuli.base) & (a <= lam)
     tail_exp = (ell - 2.0) / (2.0 * (ell - 1.0))
     tail_pref = lam ** (1.0 / (2.0 * (ell - 1.0)))
     consts = []
-    p = 1
-    while 2.0 ** (p - 3) * base < lam:
-        band = (np.abs(xs) > max(2.0 ** (p - 3) * base, base)) \
-            & (np.abs(xs) <= min(2.0 ** (p + 1) * base, lam))
+    for p in range(1, annuli.p_max(lam)):
+        band = annuli.membership(p, a) & tail
         if np.any(band):
-            consts.append(float(np.max(
-                mags[band] * tail_pref * np.abs(xs[band]) ** tail_exp)))
-        p += 1
+            consts.append(float(np.max(mags[band] * tail_pref * a[band] ** tail_exp)))
     tail_max = max(consts) if consts else 0.0
 
-    far = np.abs(xs) >= 2.0 * a1 * lam
-    far_field = float(np.max(mags[far] * np.abs(xs[far]) ** N)) if np.any(far) else 0.0
+    far = a >= 2.0 * a1 * lam
+    far_field = float(np.max(mags[far] * a[far] ** N)) if np.any(far) else 0.0
     return DecayReport(lam, ell, sup_low, tuple(consts), tail_max, far_field, N)
-

@@ -141,9 +141,6 @@ class SpacedFamily:
             den += standard_bump((t - (base + d)) / 2.0)
         return num / den
 
-    def translate_hat(self, k: int, xi: np.ndarray) -> np.ndarray:
-        return self.window_hat(np.asarray(xi, dtype=float) - k * self.L)
-
     def k_range(self, freq_grid: Grid) -> range:
         reach = (freq_grid.half_width + 2 * self.L) / self.L
         if reach > MAX_PIECES // 2 - 1:  # 2*ceil(reach) + 1 > MAX_PIECES, or reach = inf
@@ -214,7 +211,8 @@ def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
 @dataclass(frozen=True)
 class AnnuliIndex:
     """The covering annuli: A_0 = {|xi| <= lam^(1/ell)} and, for p >= 1,
-    A_p = {2^(p-3) lam^(1/ell) < |xi| <= 2^(p+1) lam^(1/ell)}."""
+    A_p = {2^(p-3) lam^(1/ell) < |xi| <= 2^(p+1) lam^(1/ell)}; and the spaced
+    band of each admissible p (see :meth:`band`)."""
 
     ell: int
     lam: float
@@ -231,12 +229,22 @@ class AnnuliIndex:
             return a <= self.base
         return (a > 2.0 ** (p - 3) * self.base) & (a <= 2.0 ** (p + 1) * self.base)
 
-    def p_max(self, freq_grid: Grid) -> int:
-        xi_max = freq_grid.half_width
+    def p_max(self, reach: float) -> int:
+        """The first p >= 1 whose annulus lies wholly beyond |xi| = reach."""
         p = 1
-        while 2.0 ** (p - 3) * self.base < xi_max:
+        while 2.0 ** (p - 3) * self.base < reach:
             p += 1
         return p
+
+    def band(self, p: int, a1: float) -> tuple[float, float]:
+        """(L_p, 2^p lam^(1/ell)): the spacing 2^(-p/(ell-1)) lam^(1/ell) and the
+        scale of band p for a phase with sup |phi'| = a1. Raises :class:`BadBand`
+        unless 1 <= 2^p < 4 a1 lam^((ell-1)/ell)."""
+        ell = self.ell
+        if p < 0 or 2.0**p >= 4.0 * a1 * self.lam ** ((ell - 1.0) / ell):
+            raise BadBand(f"band p={p} outside [0, log2(4*A1*lam^((ell-1)/ell))) "
+                          f"at A1 = {a1!r}")
+        return 2.0 ** (-p / (ell - 1.0)) * self.base, 2.0**p * self.base
 
     def multiplicity(self, xi: np.ndarray, p_max: int) -> np.ndarray:
         counts = np.zeros(len(np.atleast_1d(xi)), dtype=int)
@@ -316,15 +324,9 @@ class DominatedChain:
 
 def dominating_weights(w: Weight, p: int, lam: float, ell: int) -> DominatedChain:
     """Build the dominating chain for band p at oscillation lam, for a phase
-    normalized to A1 = 1.
-
-    Requires 1 <= 2^p < 4*lam^((ell-1)/ell); the spacing is
-    L = 2^(-p/(ell-1)) * lam^(1/ell).
+    normalized to A1 = 1, at the spacing L and scale of :meth:`AnnuliIndex.band`.
     """
-    if p < 0 or 2.0**p >= 4.0 * lam ** ((ell - 1.0) / ell):
-        raise BadBand(f"band p={p} outside [0, log2(4*lam^((ell-1)/ell)))")
-    L = 2.0 ** (-p / (ell - 1.0)) * lam ** (1.0 / ell)
-    scale = 2.0**p * lam ** (1.0 / ell)
+    L, scale = AnnuliIndex(ell, lam).band(p, 1.0)
     h = w.grid.h
 
     w1 = mollifier_weight(w, scale)

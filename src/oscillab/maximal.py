@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +78,18 @@ def _eighth_octave_cells(n: int) -> list[int]:
     return out
 
 
+def _half_octaves(lam: float, j: int, step: int, more) -> Iterator[float]:
+    """The rungs 2^(j/2) / lam for j = j, j + step, j + 2*step, ... while more(rung)."""
+    while more(r := (2.0 ** (j / 2.0)) / lam):
+        yield r
+        j += step
+
+
+def _snapped(rungs: Iterable[float], h: float) -> set[float]:
+    """The distinct window radii of the rungs (see :func:`oscillab._util.snap_radius`)."""
+    return {snap_radius(r, h) for r in rungs}
+
+
 def approach_radii(ell: int, lam: float, h: float) -> list[float]:
     """Half-octave rungs lam^-1 * 2^(j/2) above the open bottom, plus the top.
 
@@ -87,47 +99,22 @@ def approach_radii(ell: int, lam: float, h: float) -> list[float]:
     degenerate range (lam = 1) collapses to the single top radius.
     """
     top = lam ** (-1.0 / ell)
-    raw = [top]
-    j = 1
-    while True:
-        r = (2.0 ** (j / 2.0)) / lam
-        if r >= top * (1.0 - 1e-12):
-            break
-        raw.append(r)
-        j += 1
-    snapped = {snap_radius(r, h) for r in raw}
-    return sorted(r for r in snapped if r > 1.0 / lam)
+    rungs = _half_octaves(lam, 1, 1, lambda r: r < top * (1.0 - 1e-12))
+    return sorted(r for r in _snapped([top, *rungs], h) if r > 1.0 / lam)
 
 
 def regular_radii(ell: int, lam: float, h: float) -> list[float]:
     """The approach ladder extended below 1/lam down to the single cell."""
     top = lam ** (-1.0 / ell)
-    raw = []
-    j = 0
-    while True:
-        r = (2.0 ** (-j / 2.0)) / lam
-        if r < h / 2.0:
-            break
-        if r < top * (1.0 - 1e-12):
-            raw.append(r)
-        j += 1
-    snapped = {snap_radius(r, h) for r in raw}
-    return sorted(snapped | set(approach_radii(ell, lam, h)))
+    below = _half_octaves(lam, 0, -1, lambda r: r >= h / 2.0)
+    return sorted(_snapped((r for r in below if r < top * (1.0 - 1e-12)), h)
+                  .union(approach_radii(ell, lam, h)))
 
 
 def global_radii(h: float) -> list[float]:
     """Top-anchored half-octave rungs 2^(-j/2) covering (0, 1], snapped,
     down to the single-cell window."""
-    raw = []
-    j = 0
-    while True:
-        r = 2.0 ** (-j / 2.0)
-        if r < h / 2.0:
-            break
-        raw.append(r)
-        j += 1
-    raw.append(h / 2.0)
-    return sorted({snap_radius(r, h) for r in raw})
+    return sorted(_snapped([*_half_octaves(1.0, 0, -1, lambda r: r >= h / 2.0), h / 2.0], h))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +209,6 @@ class ApproachRegionParams:
     @property
     def aperture_exponent(self) -> float:
         return 1.0 / (self.ell - 1)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lam <= 1.0
 
 
 def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn,

@@ -91,10 +91,6 @@ class Grid:
             n *= 2
         return cls(center, half_width, n)
 
-    def index_of(self, x: float) -> int:
-        """Nearest sample index of position ``x``."""
-        return int(round((x - self.center + self.half_width) / self.h))
-
     def freq_grid(self) -> "Grid":
         """Dual grid: step 2*pi/(n*h), centered at zero, same sample count."""
         dxi = 2.0 * np.pi / (self.n * self.h)
@@ -118,10 +114,6 @@ class SampledFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_complex(self.values, self.grid.n))
-
-    @classmethod
-    def from_vectorized(cls, grid: Grid, fn) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(grid.xs), dtype=np.complex128))
 
 
 def on_bump(grid: Grid, center: float, halfwidth: float, wave) -> SampledFunction:
@@ -237,26 +229,6 @@ def _require_same_grid(a, b):
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
 
 
-def _linear_convolution(f: SampledFunction, g: SampledFunction, full_of) -> SampledFunction:
-    """h-weighted linear convolution on the shared grid; ``full_of`` returns
-    the full linear convolution of the two sample arrays."""
-    _require_same_grid(f, g)
-    grid = f.grid
-    n = grid.n
-    c_cells = grid.center / grid.h
-    if abs(c_cells - round(c_cells)) > 1e-9:
-        raise GridMismatch("grid center must be an integer multiple of the step")
-    full = full_of(f.values, g.values)
-    # linear conv index k sits at position 2*(center-half_width) + k*h; output
-    # sample j is full[j + shift], 0 where that index falls outside full
-    shift = n // 2 - int(round(c_cells))
-    lo, hi = max(shift, 0), min(shift + n, len(full))
-    out = np.zeros(n, dtype=np.complex128)
-    if lo < hi:
-        out[lo - shift: hi - shift] = full[lo:hi]
-    return SampledFunction(grid, np.multiply(grid.h, out, out=out))
-
-
 def _padded_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution by FFT, both inputs zero-padded to twice their length.
 
@@ -276,12 +248,21 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     grid center must be an integer multiple of the step for the result
     samples to land on grid points.
     """
-    return _linear_convolution(f, g, _padded_fft_convolve)
-
-
-def convolve_direct(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Direct O(n^2) counterpart of :func:`convolve` (quadrature oracle path)."""
-    return _linear_convolution(f, g, np.convolve)
+    _require_same_grid(f, g)
+    grid = f.grid
+    n = grid.n
+    c_cells = grid.center / grid.h
+    if abs(c_cells - round(c_cells)) > 1e-9:
+        raise GridMismatch("grid center must be an integer multiple of the step")
+    full = _padded_fft_convolve(f.values, g.values)
+    # linear conv index k sits at position 2*(center-half_width) + k*h; output
+    # sample j is full[j + shift], 0 where that index falls outside full
+    shift = n // 2 - int(round(c_cells))
+    lo, hi = max(shift, 0), min(shift + n, len(full))
+    out = np.zeros(n, dtype=np.complex128)
+    if lo < hi:
+        out[lo - shift: hi - shift] = full[lo:hi]
+    return SampledFunction(grid, np.multiply(grid.h, out, out=out))
 
 
 def lp_norm(f: SampledFunction | Weight, p: float) -> float:

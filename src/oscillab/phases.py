@@ -74,6 +74,9 @@ class Phase:
         """phi(x) = x**ell; eval(k, x) = ell!/(ell-k)! * x**(ell-k)."""
         if ell < 1:
             raise ValueError("ell must be >= 1")
+        if ell > 170:  # 171! overflows a float
+            raise ValueError(f"ell = {ell} is too large for the monomial phase: "
+                             f"ell! overflows a float above ell = 170")
 
         def ev(k, x):
             if k > ell:
@@ -96,13 +99,6 @@ class Phase:
             return np.asarray(table[k](x), dtype=float)
 
         return Phase("user", ev, max_analytic_order=len(table) - 1)
-
-    def translated(self, a: float) -> "Phase":
-        """The phase x -> phi(x - a), derivatives shifted exactly."""
-        parent = self
-        return Phase(parent.kind,
-                     lambda k, x: np.asarray(parent._eval_analytic(k, x - a)),
-                     parent.max_analytic_order)
 
 
 @dataclass(frozen=True)
@@ -168,8 +164,13 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
             raise ValidationFailed("no support halfwidth with |phi^(ell)| >= epsilon/2 found")
         support_halfwidth = u
     xs = x0 + np.linspace(-support_halfwidth, support_halfwidth, 1024)
-    bounds = tuple(
-        float(np.max(np.abs(np.asarray(phase.eval(j, xs))))) for j in range(ell + 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = tuple(
+            float(np.max(np.abs(np.asarray(phase.eval(j, xs))))) for j in range(ell + 3))
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"the derivatives of order <= ell + 2 = {ell + 2} of the phase are "
+                         f"not finite on [x0 - u, x0 + u] at x0 = {x0!r}, u = "
+                         f"{support_halfwidth!r}")
     return FiniteTypeSpec(x0, ell, float(epsilon), bounds, float(support_halfwidth))
 
 

@@ -21,8 +21,8 @@ from ._util import smooth_plateau, standard_bump
 from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
 from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
                       kernel_spectrum, normalized_kernel)
-from .lpaley import (DyadicFamily, SpacedFamily, dominating_weights, dyadic_pieces,
-                     spaced_energy, square_function)
+from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, dominating_weights,
+                     dyadic_pieces, spaced_energy, square_function)
 from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
@@ -35,6 +35,7 @@ __all__ = [
     "SquareFunctionSample",
     "SweepReport",
     "TwoWeightSweep",
+    "stability_factor",
     "fit_power_law",
     "two_weight_ratio",
     "frequency_restricted_ratio",
@@ -128,6 +129,12 @@ class SweepReport:
     intercept: float
     max_residual: float
     insufficient: bool = False
+
+
+def stability_factor(values) -> float:
+    """max/min of a quantity measured across lambda; inf when the smallest is <= 0."""
+    lo = min(values)
+    return max(values) / lo if lo > 0 else math.inf
 
 
 def fit_power_law(points) -> tuple[float, float, float]:
@@ -402,8 +409,8 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
                    N: int, provenance: Provenance = Provenance()) -> RatioSample:
     """Envelope constant for one spaced-band piece pushed through T.
 
-    With L = 2^(-p/(ell-1)) lam^(1/ell) and |k| comparable to
-    2^p lam^(1/ell) / L, measures
+    With L and 2^p lam^(1/ell) from :meth:`AnnuliIndex.band` (A1 at least 1/4)
+    and |k| comparable to 2^p lam^(1/ell) / L, measures
 
         sup_x |T Psi_{L,k}(x)| (1 + L|x|)^N
         -----------------------------------------------
@@ -414,11 +421,8 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
     """
     kernel = normalized_kernel(phase, spec, lam, 8.0)
     lam_eff, ell = kernel.lam, spec.ell
-    a1 = max(kernel.spec.derivative_bound(1), 0.25)
-    if p < 0 or 2.0**p >= 4.0 * a1 * lam_eff ** ((ell - 1.0) / ell):
-        raise BadBand(f"band p={p} outside range")
-    L = 2.0 ** (-p / (ell - 1.0)) * lam_eff ** (1.0 / ell)
-    k0 = 2.0**p * lam_eff ** (1.0 / ell) / L
+    L, scale = AnnuliIndex(ell, lam_eff).band(p, max(kernel.spec.derivative_bound(1), 0.25))
+    k0 = scale / L
     if not (0.5 * k0 <= abs(k) <= 2.0 * k0):
         raise BadBand(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
     grid = kernel.grid
@@ -540,8 +544,7 @@ def kernel_decay_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, N: int,
     u = spec.support_halfwidth
     reports = [replace(check_decay(normalized_kernel(phase, spec, lam, 2.0 * u), N=N),
                        lam=float(lam)) for lam in lambdas]
-    sups = [r.sup_low * r.lam ** (1.0 / spec.ell) for r in reports]
-    factor = max(sups) / min(sups) if min(sups) > 0 else math.inf
+    factor = stability_factor([r.sup_low * r.lam ** (1.0 / spec.ell) for r in reports])
     return reports, factor, all(r.tail_max <= tail_slack * reports[0].tail_max
                                 for r in reports)
 

@@ -30,3 +30,41 @@ def save_weight_csv(w, path):
         writer.writerow(["x", "w"])
         for x, v in zip(w.grid.xs, w.values):
             writer.writerow([repr(float(x)), repr(float(v))])
+
+
+def sampled(grid, fn):
+    """The function fn sampled at the grid's positions."""
+    from oscillab.numerics import SampledFunction
+
+    return SampledFunction(grid, np.asarray(fn(grid.xs), dtype=np.complex128))
+
+
+def index_of(grid, x):
+    """Nearest sample index of position ``x`` on the grid."""
+    return int(round((x - grid.center + grid.half_width) / grid.h))
+
+
+def convolve_direct(f, g):
+    """Direct O(n^2) counterpart of ``numerics.convolve``: np.convolve of the
+    samples, placed on the shared grid as ``convolve`` places its padded FFT
+    product (the quadrature oracle path)."""
+    from oscillab.numerics import SampledFunction
+
+    grid = f.grid
+    assert g.grid == grid
+    n = grid.n
+    full = np.convolve(f.values, g.values)
+    shift = n // 2 - int(round(grid.center / grid.h))
+    lo, hi = max(shift, 0), min(shift + n, len(full))
+    out = np.zeros(n, dtype=np.complex128)
+    if lo < hi:
+        out[lo - shift: hi - shift] = full[lo:hi]
+    return SampledFunction(grid, np.multiply(grid.h, out, out=out))
+
+
+def translated(phase, a):
+    """The phase x -> phi(x - a), derivatives shifted exactly."""
+    from oscillab.phases import Phase
+
+    return Phase(phase.kind, lambda k, x: np.asarray(phase._eval_analytic(k, x - a)),
+                 phase.max_analytic_order)

@@ -22,13 +22,15 @@ from oscillab.maximal import (ApproachRegionParams, approach_maximal,
                               global_maximal_brute, hardy_littlewood,
                               hardy_littlewood_brute, regular_maximal,
                               regular_maximal_brute, regular_radii)
-from oscillab.numerics import Grid, Weight, convolve, convolve_direct, forward_transform
+from oscillab.numerics import Grid, Weight, convolve, forward_transform
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import (baseline_spaced_constants, baseline_square_samples,
                              baseline_two_weight, envelope_constants, fit_power_law,
                              h1_atom, kernel_decay_sweep, maximal_norm_sweep,
                              operator_norm_sweep, random_band_function, random_weight,
                              uncertainty_samples, weight_chain_holds)
+
+from conftest import convolve_direct
 
 with open(os.path.join(os.path.dirname(__file__), "baselines.json")) as _fh:
     BASELINES = json.load(_fh)

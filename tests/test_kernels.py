@@ -14,9 +14,11 @@ from oscillab._util import standard_bump
 from oscillab.errors import GridMismatch, UnderResolved, ValidationFailed
 from oscillab.kernels import (Kernel, admissible_step, apply_T, build_kernel,
                               check_decay, kernel_spectrum)
-from oscillab.numerics import (Grid, SampledFunction, convolve_direct,
-                               forward_transform, inverse_transform, lp_norm)
+from oscillab.numerics import (Grid, SampledFunction, forward_transform, inverse_transform,
+                               lp_norm)
 from oscillab.phases import Phase, finite_type_spec
+
+from conftest import convolve_direct, index_of, translated
 
 
 def cutoff(kernel: Kernel, x) -> np.ndarray:
@@ -120,7 +122,7 @@ class TestApplyT:
     def test_impulse_gives_translated_kernel(self):
         _, _, K = cubic_setup()
         g = K.grid
-        j = g.index_of(0.75)
+        j = index_of(g, 0.75)
         imp = np.zeros(g.n, dtype=complex)
         imp[j] = 1.0 / g.h
         out = apply_T(K, SampledFunction(g, imp))
@@ -223,7 +225,7 @@ class TestSpectrum:
         grid = Grid.from_step(0.0, 2.0, admissible_step(spec, lam) * 0.999)
         a = grid.h * round(a / grid.h)  # keep the shift on the grid
         K = build_kernel(ph, spec, lam, grid)
-        shifted_phase = ph.translated(a)
+        shifted_phase = translated(ph, a)
         shifted_spec = finite_type_spec(shifted_phase, a, 3, epsilon=1.0,
                                         support_halfwidth=0.5)
         Ka = build_kernel(shifted_phase, shifted_spec, lam, grid)
@@ -262,6 +264,33 @@ class TestDecay:
         assert max(sups) / min(sups) < 3.0
         assert all(t <= 1.25 * tails[0] for t in tails)
         assert all(np.isfinite(f) for f in fars)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_tail_bands_equal_the_inline_annuli(self, ell):
+        # the tail annuli A_p, p >= 1, cut to lam^(1/ell) < |xi| <= lam, as
+        # check_decay wrote them out before it read them from AnnuliIndex
+        ph = Phase.monomial(ell)
+        spec = finite_type_spec(ph, 0.0, ell, epsilon=1.0, support_halfwidth=0.5)
+        for lam in (64.0, 300.0, 1024.0):
+            grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
+            K = build_kernel(ph, spec, lam, grid)
+            spectrum = kernel_spectrum(K)
+            xs, mags = spectrum.freq_grid.xs, np.abs(spectrum.values)
+            base = lam ** (1.0 / ell)
+            tail_exp = (ell - 2.0) / (2.0 * (ell - 1.0))
+            tail_pref = lam ** (1.0 / (2.0 * (ell - 1.0)))
+            consts = []
+            p = 1
+            while 2.0 ** (p - 3) * base < lam:
+                band = (np.abs(xs) > max(2.0 ** (p - 3) * base, base)) \
+                    & (np.abs(xs) <= min(2.0 ** (p + 1) * base, lam))
+                if np.any(band):
+                    consts.append(float(np.max(
+                        mags[band] * tail_pref * np.abs(xs[band]) ** tail_exp)))
+                p += 1
+            rep = check_decay(K, N=4)
+            assert rep.tail_constants == tuple(consts)
+            assert rep.sup_low == float(np.max(mags[np.abs(xs) <= base]))
 
     def test_far_field_order_must_not_overflow(self):
         ph = Phase.monomial(2)

@@ -1,6 +1,8 @@
 """Frequency decompositions: telescoping, partitions of unity, annuli
 coverage, and the dominating weight chain."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,11 @@ from oscillab.verify import random_band_function, random_weight
 
 GRID = Grid(0.0, 16.0, 4096)
 FAM = DyadicFamily(-2, 8)
+
+
+def translate_hat(fam, k, xi):
+    """The k-th translate W^_L(xi - kL) of the family's window."""
+    return fam.window_hat(np.asarray(xi, dtype=float) - k * fam.L)
 
 
 def band_limited(seed, lo=0.5, hi=128.0, grid=GRID):
@@ -103,7 +110,7 @@ class TestSpacedFamily:
     def test_partition_of_unity(self, L):
         fam = SpacedFamily(L)
         xs = GRID.freq_grid().xs
-        total = sum(fam.translate_hat(k, xs) for k in fam.k_range(GRID.freq_grid()))
+        total = sum(translate_hat(fam, k, xs) for k in fam.k_range(GRID.freq_grid()))
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_window_support(self):
@@ -190,7 +197,7 @@ class TestSpacedFamily:
         full = np.zeros((len(ks), fg.n))
         np.put_along_axis(full, idx, mult, axis=-1)
         for k, row in zip(ks, full):
-            assert row.tobytes() == fam.translate_hat(int(k), fg.xs).tobytes()
+            assert row.tobytes() == translate_hat(fam, int(k), fg.xs).tobytes()
 
     @pytest.mark.parametrize("L", [0.5, 8.0])
     def test_pieces_are_the_restrictions_bitwise(self, L):
@@ -201,7 +208,7 @@ class TestSpacedFamily:
         pieces = spaced_pieces(f, fam)
         assert len(pieces) == len(fam.k_range(fhat.freq_grid))
         for k, piece in zip(fam.k_range(fhat.freq_grid), pieces):
-            expected = restrict(fhat, fam.translate_hat(k, xs))
+            expected = restrict(fhat, translate_hat(fam, k, xs))
             assert piece.values.tobytes() == expected.values.tobytes()
 
     # Every piece against the dense transform of its full spectrum, off centre,
@@ -222,7 +229,7 @@ class TestSpacedFamily:
         ks = fam.k_range(fhat.freq_grid)
         assert len(rows) == len(ks)
         for k, row in zip(ks, rows):
-            dense = inverse_transform(SpectralFunction(g, fhat.values * fam.translate_hat(k, xs)))
+            dense = inverse_transform(SpectralFunction(g, fhat.values * translate_hat(fam, k, xs)))
             assert row.tobytes() == dense.values.tobytes()
 
     def test_piece_budget(self):
@@ -239,7 +246,7 @@ class TestAnnuli:
 
     def test_multiplicity_between_one_and_four(self):
         fg = GRID.freq_grid()
-        pm = self.IDX.p_max(fg)
+        pm = self.IDX.p_max(fg.half_width)
         mult = self.IDX.multiplicity(fg.xs, pm)
         assert mult.min() >= 1 and mult.max() <= 4
 
@@ -251,7 +258,7 @@ class TestAnnuli:
     def test_multiplicity_weighted_reconstruction(self):
         f = band_limited(4, lo=0.0, hi=100.0)
         fg = GRID.freq_grid()
-        pm = self.IDX.p_max(fg)
+        pm = self.IDX.p_max(fg.half_width)
         mult = self.IDX.multiplicity(fg.xs, pm).astype(float)
         acc = np.zeros(GRID.n, dtype=np.complex128)
         fhat = forward_transform(f)
@@ -263,6 +270,34 @@ class TestAnnuli:
     def test_negative_band_rejected(self):
         with pytest.raises(BadBand):
             annuli_project(band_limited(1), self.IDX, -1)
+
+    # the gates and formulas that dominating_weights (A1 = 1) and envelope_check
+    # (its spec's A1, floored at 1/4) each kept before AnnuliIndex.band held them
+    @pytest.mark.parametrize("ell", [2, 3, 4, 7])
+    def test_band_gate_and_spacing_match_the_old_gates(self, ell):
+        for lam, a1, p in itertools.product([1.0, 64.0, 256.0, 1000.0, 4096.0, 2.0**20],
+                                            [1.0, 0.25, 0.7, 3.0], range(-2, 48)):
+            idx = AnnuliIndex(ell, lam)
+            if a1 == 1.0:  # dominating_weights
+                old_gate = p < 0 or 2.0**p >= 4.0 * lam ** ((ell - 1.0) / ell)
+            else:  # envelope_check
+                old_gate = p < 0 or 2.0**p >= 4.0 * a1 * lam ** ((ell - 1.0) / ell)
+            if old_gate:
+                with pytest.raises(BadBand):
+                    idx.band(p, a1)
+                continue
+            L, scale = idx.band(p, a1)
+            old_L = 2.0 ** (-p / (ell - 1.0)) * lam ** (1.0 / ell)
+            assert L.hex() == old_L.hex()
+            assert scale.hex() == (2.0**p * lam ** (1.0 / ell)).hex()
+            assert (scale / L).hex() == (2.0**p * lam ** (1.0 / ell) / old_L).hex()
+
+    def test_p_max_takes_the_reach(self):
+        # the first p >= 1 whose annulus starts at or beyond the reach
+        for reach in (0.1, 1.0, self.IDX.base, 64.0, 1e6):
+            pm = self.IDX.p_max(reach)
+            assert pm >= 1 and 2.0 ** (pm - 3) * self.IDX.base >= reach
+            assert pm == 1 or 2.0 ** (pm - 4) * self.IDX.base < reach
 
 
 class TestDominatingWeights:

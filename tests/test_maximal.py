@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab import maximal
-from oscillab._util import cells, sliding_max_naive, standard_bump, window_sums_naive
+from oscillab._util import (cells, sliding_max_naive, snap_radius, standard_bump,
+                            window_sums_naive)
 from oscillab.errors import UnderResolved
 from oscillab.maximal import (ApproachRegionParams, _eighth_octave_cells,
                               approach_maximal, approach_maximal_brute,
@@ -24,6 +25,7 @@ from oscillab.maximal import (ApproachRegionParams, _eighth_octave_cells,
 from oscillab.numerics import Grid, Weight
 from oscillab.verify import random_weight
 
+from conftest import index_of
 from test_util import reference_window_sums
 
 
@@ -37,7 +39,7 @@ class TestHardyLittlewood:
         g = Grid(0.0, 8.0, 2048)
         w = Weight(g, ((g.xs >= 0) & (g.xs <= 1)).astype(float))
         mw = hardy_littlewood(w)
-        assert abs(mw.values[g.index_of(2.0)] - 0.25) <= 2 * g.h
+        assert abs(mw.values[index_of(g, 2.0)] - 0.25) <= 2 * g.h
 
     def test_constant_fixed_point(self):
         g = Grid(0.0, 4.0, 512)
@@ -169,7 +171,7 @@ class TestApproach:
         lam = 32.0
         g = Grid.from_step(0.0, 8.0, 1.0 / (8 * lam))
         vals = np.zeros(g.n)
-        vals[g.index_of(6.0)] = 100.0  # beyond aperture + radius from the center
+        vals[index_of(g, 6.0)] = 100.0  # beyond aperture + radius from the center
         m = approach_maximal(Weight(g, vals), ApproachRegionParams(3, lam))
         assert m.values[g.n // 2] == 0.0
 
@@ -209,7 +211,7 @@ class TestApproach:
 
     def test_degenerate_lambda_single_radius(self):
         params = ApproachRegionParams(3, 1.0)
-        assert params.degenerate
+        assert params.lam <= 1.0  # the degenerate range (1/lam, lam^(-1/ell)]
         radii = approach_radii(3, 1.0, 1.0 / 256)
         assert len(radii) == 1
         g = Grid(0.0, 2.0, 1024)
@@ -408,6 +410,68 @@ class TestOracleIndependence:
         with pytest.raises(ValueError, match="must not grow"):
             maximal._region_sup(g, [0.1, 0.2], iter(rows), lambda r: 1.0, lambda r: r,
                                 naive=False)
+
+
+def reference_approach_radii(ell, lam, h):
+    """The approach ladder as its own half-octave loop, before the one ladder."""
+    top = lam ** (-1.0 / ell)
+    raw = [top]
+    j = 1
+    while True:
+        r = (2.0 ** (j / 2.0)) / lam
+        if r >= top * (1.0 - 1e-12):
+            break
+        raw.append(r)
+        j += 1
+    snapped = {snap_radius(r, h) for r in raw}
+    return sorted(r for r in snapped if r > 1.0 / lam)
+
+
+def reference_regular_radii(ell, lam, h):
+    top = lam ** (-1.0 / ell)
+    raw = []
+    j = 0
+    while True:
+        r = (2.0 ** (-j / 2.0)) / lam
+        if r < h / 2.0:
+            break
+        if r < top * (1.0 - 1e-12):
+            raw.append(r)
+        j += 1
+    snapped = {snap_radius(r, h) for r in raw}
+    return sorted(snapped | set(reference_approach_radii(ell, lam, h)))
+
+
+def reference_global_radii(h):
+    raw = []
+    j = 0
+    while True:
+        r = 2.0 ** (-j / 2.0)
+        if r < h / 2.0:
+            break
+        raw.append(r)
+        j += 1
+    raw.append(h / 2.0)
+    return sorted({snap_radius(r, h) for r in raw})
+
+
+class TestRadiusLadders:
+    """The three radius sets come from one half-octave ladder, and equal the
+    three loops they replace, list for list."""
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 6])
+    def test_approach_and_regular_equal_the_reference_loops(self, ell):
+        for lam in (1.0, 1.5, 2.0, 3.0, 16.0, 100.0, 1024.0, 12345.0):
+            # steps at the approach operator's limit 1/(4 lam), finer, and coarse
+            # ones that are not powers of two (at lam = 1 they all exceed 1/lam)
+            for h in (1.0 / (4.0 * lam), 1.0 / (16.0 * lam), 0.7 / lam, 2.0**-12, 1e-3, 0.01,
+                      1.0 / 3.0, 0.3):
+                assert approach_radii(ell, lam, h) == reference_approach_radii(ell, lam, h)
+                assert regular_radii(ell, lam, h) == reference_regular_radii(ell, lam, h)
+
+    def test_global_equals_the_reference_loop(self):
+        for h in [2.0**-k for k in range(16)] + [1e-3, 0.07, 0.3, 1.0 / 3.0, 1.7, 5.0]:
+            assert global_radii(h) == reference_global_radii(h)
 
 
 class TestOperatorByName:

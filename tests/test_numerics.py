@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from oscillab._util import standard_bump
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
-                               _linear_convolution, _padded_fft_convolve,
-                               _support_rows, convolve,
-                               convolve_direct, forward_transform,
-                               inverse_transform, load_weight_csv,
+                               _padded_fft_convolve, _support_rows, convolve,
+                               forward_transform, inverse_transform, load_weight_csv,
                                lp_norm, on_bump, weighted_l2)
 
-from conftest import save_weight_csv
+from conftest import convolve_direct, index_of, sampled, save_weight_csv
 
 
 def gaussian(grid):
-    return SampledFunction.from_vectorized(grid, lambda x: np.exp(-x**2 / 2))
+    return sampled(grid, lambda x: np.exp(-x**2 / 2))
 
 
 def random_band(grid, seed, lo=0.0, hi=20.0):
@@ -193,17 +191,16 @@ def test_transforms_match_frozen_convention_bitwise(case):
 class TestConvolve:
     def test_box_box_triangle(self):
         g = Grid(0.0, 8.0, 2048)
-        box = SampledFunction.from_vectorized(
-            g, lambda x: ((x >= 0) & (x <= 1)).astype(float))
+        box = sampled(g, lambda x: ((x >= 0) & (x <= 1)).astype(float))
         tri = convolve(box, box)
         expected = np.maximum(0.0, 1.0 - np.abs(g.xs - 1.0))
         assert np.max(np.abs(tri.values.real - expected)) <= g.h * (1 + 1e-9)
-        assert abs(tri.values[g.index_of(1.0)].real - 1.0) <= g.h * (1 + 1e-9)
+        assert abs(tri.values[index_of(g, 1.0)].real - 1.0) <= g.h * (1 + 1e-9)
 
     def test_impulse_sifting(self):
         g = Grid(0.0, 8.0, 512)
         f = gaussian(g)
-        j = g.index_of(1.5)
+        j = index_of(g, 1.5)
         shift = j - g.n // 2
         imp = np.zeros(g.n, dtype=complex)
         imp[j] = 1.0 / g.h
@@ -237,8 +234,8 @@ class TestConvolve:
 
     def test_convolution_theorem(self):
         g = Grid(0.0, 32.0, 1024)
-        f = SampledFunction.from_vectorized(g, lambda x: np.exp(-(x**2)))
-        h = SampledFunction.from_vectorized(g, lambda x: np.exp(-((x - 1) ** 2)))
+        f = sampled(g, lambda x: np.exp(-(x**2)))
+        h = sampled(g, lambda x: np.exp(-((x - 1) ** 2)))
         lhs = forward_transform(convolve(f, h))
         rhs = forward_transform(f).values * forward_transform(h).values
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-9 * np.max(np.abs(rhs))
@@ -297,27 +294,28 @@ class TestInPlaceConvolution:
         assert grid.h == h
         f, g = (SampledFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
                 for _ in range(2))
-        paths = [_padded_fft_convolve] + ([np.convolve] if n <= 256 else [])
-        for full_of in paths:
-            got = _linear_convolution(f, g, full_of).values
+        paths = [(convolve, _padded_fft_convolve)]
+        if n <= 256:
+            paths.append((convolve_direct, np.convolve))
+        for conv, full_of in paths:
+            got = conv(f, g).values
             assert got.tobytes() == frozen_linear_convolution(f, g, full_of).tobytes()
 
 
 class TestNorms:
     def test_indicator_l3(self):
         g = Grid(0.0, 8.0, 2048)
-        f = SampledFunction.from_vectorized(
-            g, lambda x: ((x >= 0) & (x <= 1)).astype(float))
+        f = sampled(g, lambda x: ((x >= 0) & (x <= 1)).astype(float))
         assert abs(lp_norm(f, 3) - 1.0) <= g.h
 
     def test_exponential_l2(self):
         g = Grid(0.0, 32.768, 65536)  # h = 1e-3, covers [-20, 20] and beyond
-        f = SampledFunction.from_vectorized(g, lambda x: np.exp(-np.abs(x)))
+        f = sampled(g, lambda x: np.exp(-np.abs(x)))
         assert abs(lp_norm(f, 2) - 1.0) <= 1e-4
 
     def test_sup_norm(self):
         g = Grid(0.0, 4.0, 64)
-        f = SampledFunction.from_vectorized(g, lambda x: np.sin(x))
+        f = sampled(g, lambda x: np.sin(x))
         assert lp_norm(f, np.inf) == np.max(np.abs(f.values))
 
     def test_weighted_l2_zero_weight(self):

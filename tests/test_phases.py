@@ -11,6 +11,8 @@ from oscillab.phases import (Phase, comparability_check, ensure_finite_type,
                              finite_type_spec, normalize_phase,
                              validate_finite_type)
 
+from conftest import translated
+
 
 class TestPhaseEvaluation:
     @given(st.integers(2, 6), st.integers(0, 4),
@@ -98,9 +100,9 @@ class TestValidateFiniteType:
         spec = finite_type_spec(ph, np.pi / 2, 3, epsilon=1.0, support_halfwidth=0.4)
         base = validate_finite_type(ph, spec)
         a = 0.7
-        shifted_spec = finite_type_spec(ph.translated(a), np.pi / 2 + a, 3,
+        shifted_spec = finite_type_spec(translated(ph, a), np.pi / 2 + a, 3,
                                         epsilon=1.0, support_halfwidth=0.4)
-        shifted = validate_finite_type(ph.translated(a), shifted_spec)
+        shifted = validate_finite_type(translated(ph, a), shifted_spec)
         assert shifted.passed == base.passed
         assert shifted.ell_value == base.ell_value
         assert shifted.lower_orders == base.lower_orders

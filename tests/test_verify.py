@@ -69,6 +69,35 @@ class TestFitPowerLaw:
         assert rep2.insufficient
 
 
+class TestStabilityFactor:
+    def test_single_value(self):
+        assert verify.stability_factor([0.37]) == 1.0
+
+    def test_zero_or_negative_minimum_is_infinite(self):
+        assert verify.stability_factor([2.0, 0.0, 1.0]) == np.inf
+        assert verify.stability_factor([0.0]) == np.inf
+        assert verify.stability_factor([1.0, -0.5]) == np.inf
+
+    def test_max_over_min(self):
+        assert verify.stability_factor([3.0, 1.5, 6.0, 2.0]) == 4.0
+        assert verify.stability_factor((0.1, 0.3)) == 0.3 / 0.1
+
+    # check-lemmas skipped its envelope check when a constant was 0 (a
+    # vacuous sample reads ratio 0), and so passed; it now fails
+    @pytest.mark.parametrize("lhs, rhs", [(0.0, 1.0), (1.0, 0.0)], ids=["lhs-0", "rhs-0"])
+    def test_check_lemmas_fails_on_a_zero_envelope_constant(self, lhs, rhs, tmp_path,
+                                                            capsys, monkeypatch):
+        from oscillab.cli import run
+
+        def envelope(phase, spec, lam, p, k, N):
+            return RatioSample.of(lhs, rhs) if lam == 256.0 else RatioSample.of(1.0, 1.0)
+
+        monkeypatch.setattr(verify, "envelope_check", envelope)
+        assert run(["check-lemmas", "--ell", "3", "--lambdas", "256,1024", "--pairs", "4",
+                    "--out", str(tmp_path)]) == 1
+        assert "lemma checks FAIL; envelope constants [0.0, 1.0]" in capsys.readouterr().out
+
+
 class TestRatioSample:
     def test_product_identity(self):
         rs = RatioSample.of(3.7, 1.3)
