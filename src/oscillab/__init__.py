@@ -13,9 +13,8 @@ from .phases import (ComparabilityReport, FiniteTypeSpec, Phase, TypeReport,
                      normalize_phase, validate_finite_type)
 from .kernels import (DecayReport, Kernel, apply_T, build_kernel, check_decay,
                       kernel_spectrum, normalized_kernel)
-from .maximal import (ApproachRegionParams, approach_maximal, fractional_maximal,
-                      global_maximal, hardy_littlewood, operator_by_name,
-                      regular_maximal)
+from .maximal import (approach_maximal, fractional_maximal, global_maximal,
+                      hardy_littlewood, operator_by_name, regular_maximal)
 from .lpaley import (AnnuliIndex, DominatedChain, DyadicFamily, SpacedFamily,
                      annuli_project, dominating_weights, dyadic_pieces,
                      spaced_energy, spaced_pieces, square_function)

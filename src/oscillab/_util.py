@@ -1,13 +1,14 @@
 """Small shared helpers: sliding-window maxima, window arithmetic, bumps.
 
-Window sums come as a ladder: one prefix sum per call, one O(n) slice
+Window sums come as a ladder: one prefix sum per call, padded once so that
+windows clamp at the grid edge without branches, and one O(n) slice
 difference per rung (:func:`window_sum_ladder`). Sliding maxima double
 their span with one shifted ``np.maximum`` per pass (:func:`sliding_max`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,36 +82,31 @@ def sliding_max_naive(values: np.ndarray, halfwidth: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, 2 * halfwidth + 1).max(axis=1)
 
 
-def window_sum_ladder(values: np.ndarray, halfwidths: Iterable[int]) -> Iterator[np.ndarray]:
+def window_sum_ladder(values: np.ndarray, halfwidths: Sequence[int]) -> Iterator[np.ndarray]:
     """Clamped sums over centered windows of 2*s+1 cells, for each s in turn.
 
-    The prefix sum is taken once; each rung is then one O(n) slice
-    difference ``prefix[hi+1] - prefix[lo]`` split into the cells whose
-    window is clamped on the left, on neither side and on the right (when
-    2s+1 > n the middle region is clamped on both sides instead). The
-    left-clamped term ``- prefix[0]`` is ``- 0.0`` and is dropped, which
-    leaves every bit unchanged.
+    The prefix sum is taken once, padded with ``min(max(halfwidths), n)``
+    zeros on the left and as many copies of the total on the right. A
+    window then clamps by reading the padding, and each rung is one O(n)
+    slice difference ``prefix[hi+1] - prefix[lo]``. A clamped end reads
+    ``x - 0.0`` or ``total - 0.0``, both exact, so the bits are those of
+    the clamped difference. A negative half-width raises before the first
+    rung.
 
     Every rung is written into one reused buffer: a yielded array is
     valid only until the generator is advanced, so copy it to keep it.
     """
+    if min(halfwidths, default=0) < 0:
+        raise ValueError("window half-width must be >= 0")
     n = len(values)
-    prefix = np.empty(n + 1)
-    prefix[0] = 0.0
-    np.cumsum(values, out=prefix[1:])
+    pad = min(max(halfwidths, default=0), n)
+    prefix = np.zeros(n + 1 + 2 * pad)
+    np.cumsum(values, out=prefix[pad + 1:pad + 1 + n])
+    prefix[pad + 1 + n:] = prefix[pad + n]
     out = np.empty(n)
     for s in halfwidths:
-        if s < 0:
-            raise ValueError("window half-width must be >= 0")
-        lo_end = min(s, n)        # cells [0, lo_end) have lo clamped to 0
-        hi_start = max(n - s, 0)  # cells [hi_start, n) have hi clamped to n-1
-        a, b = min(lo_end, hi_start), max(lo_end, hi_start)
-        out[:a] = prefix[s + 1:s + 1 + a]
-        if lo_end <= hi_start:
-            np.subtract(prefix[a + s + 1:b + s + 1], prefix[a - s:b - s], out=out[a:b])
-        else:
-            out[a:b] = prefix[n]
-        np.subtract(prefix[n], prefix[b - s:n - s], out=out[b:])
+        t = min(s, n)
+        np.subtract(prefix[pad + t + 1:pad + t + 1 + n], prefix[pad - t:pad - t + n], out=out)
         yield out
 
 

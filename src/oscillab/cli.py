@@ -21,7 +21,7 @@ import numpy as np
 from . import verify
 from .errors import OscillabError
 from .lpaley import DyadicFamily, SpacedFamily
-from .maximal import ApproachRegionParams, approach_maximal, operator_by_name
+from .maximal import approach_maximal, operator_by_name
 from .numerics import Grid, Weight, load_weight_csv
 from .phases import Phase, finite_type_spec, validate_finite_type
 from .verify import (RatioSample, maximal_norm_sweep, operator_norm_sweep,
@@ -266,7 +266,7 @@ def _cmd_maximal(args, cfg) -> int:
     if args.op is not None:
         out = operator_by_name(args.op)(w)
     else:
-        out = approach_maximal(w, ApproachRegionParams(args.ell, lam))
+        out = approach_maximal(w, args.ell, lam)
     value = float(out.values[out.grid.n // 2])
     print(f"value at center: {value!r}")
     # the closed form is the approach operator's; a named operator is only reported

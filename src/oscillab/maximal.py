@@ -22,15 +22,16 @@ sliding maxima). The fast window sums take one prefix sum per call, one
 O(n) slice difference per rung (:func:`oscillab._util.window_sum_ladder`).
 Windows are whole-cell: a radius r covers cells within ``cells(r, h)`` of
 the center (strictly inside r for the fractional operator, matching its
-single-cell smallest window). Windows clamp at the grid edge; results
-carry a ``boundary`` mask marking cells any clamped window could have
-reached.
+single-cell smallest window). Windows clamp at the grid edge, by padding
+the prefix sum once per call; results carry a ``boundary`` mask marking
+cells any clamped window could have reached. The approach, global and
+regular operators accept the same (ell, lam): ell >= 2 and lam finite
+and >= 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ from .errors import UnderResolved
 from .numerics import Grid, SampledFunction, Weight, convolve
 
 __all__ = [
-    "ApproachRegionParams",
     "hardy_littlewood",
     "hardy_littlewood_brute",
     "fractional_maximal",
@@ -189,26 +189,13 @@ def fractional_maximal_brute(w: Weight, alpha: float) -> Weight:
 # approach-region and global operators
 
 
-@dataclass(frozen=True)
-class ApproachRegionParams:
-    """Region parameters: radii in (1/lam, lam^(-1/ell)], aperture (lam*r)^(-1/(ell-1))."""
-
-    ell: int
-    lam: float
-
-    def __post_init__(self):
-        if self.ell < 2:
-            raise ValueError("ell must be >= 2")
-        if not 1 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and >= 1")
-
-    @property
-    def r_min(self) -> float:
-        return 1.0 / self.lam
-
-    @property
-    def aperture_exponent(self) -> float:
-        return 1.0 / (self.ell - 1)
+def _check_region(ell: int, lam: float | None = None) -> None:
+    """The (ell, lam) of every region operator: ell >= 2 and, when given,
+    lam finite and >= 1."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    if lam is not None and not 1 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 1")
 
 
 def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn,
@@ -255,34 +242,34 @@ def _window_sup(w: Weight, radii: Sequence[float], scale, naive: bool) -> Weight
                        naive)
 
 
-def _approach(w: Weight, params: ApproachRegionParams, naive: bool) -> Weight:
+def _approach(w: Weight, ell: int, lam: float, naive: bool) -> Weight:
+    _check_region(ell, lam)
     h = w.grid.h
-    max_h = params.r_min / 4.0
+    max_h = (1.0 / lam) / 4.0
     if h > max_h:
         raise UnderResolved("grid too coarse for the smallest radius", max_h)
-    radii = approach_radii(params.ell, params.lam, h)
-    e = params.aperture_exponent
-    return _window_sup(w, radii, lambda r: (params.lam * r) ** (-e), naive)
+    e = 1.0 / (ell - 1)
+    return _window_sup(w, approach_radii(ell, lam, h), lambda r: (lam * r) ** (-e), naive)
 
 
-def approach_maximal(w: Weight, params: ApproachRegionParams) -> Weight:
-    """The approach-region maximal function on the grid.
+def approach_maximal(w: Weight, ell: int, lam: float) -> Weight:
+    """The approach-region maximal function on the grid: radii in
+    (1/lam, lam^(-1/ell)], aperture and normalization (lam*r)^(-1/(ell-1)).
 
     Fast path: one prefix sum per call, one O(n) slice difference per
     rung for the clamped window sums, and the aperture supremum by
     sliding-window maxima of log2(2d+1) doubling passes each, where d is
     the cells the aperture shrinks by at that rung (see ``_region_sup``).
     """
-    return _approach(w, params, naive=False)
+    return _approach(w, ell, lam, naive=False)
 
 
-def approach_maximal_brute(w: Weight, params: ApproachRegionParams) -> Weight:
-    return _approach(w, params, naive=True)
+def approach_maximal_brute(w: Weight, ell: int, lam: float) -> Weight:
+    return _approach(w, ell, lam, naive=True)
 
 
 def _global(w: Weight, ell: int, naive: bool) -> Weight:
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_region(ell)
     e = 1.0 / (ell - 1)
     return _window_sup(w, global_radii(w.grid.h), lambda r: r ** (-e), naive)
 
@@ -336,10 +323,7 @@ def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: flo
         raise ValueError("exactly one of lam and beta must be given")
     if beta is not None and not (0.0 <= beta <= 1.0):
         raise ValueError("beta must lie in [0, 1]")
-    if lam is not None and not 1 <= lam < math.inf:
-        raise ValueError("lam must be finite and >= 1")
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_region(ell, lam)
     grid = w.grid
     h = grid.h
     if radii is None:
@@ -376,8 +360,10 @@ def regular_maximal(w: Weight | SampledFunction, ell: int, *, lam: float | None 
 
 def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float | None = None,
                           beta: float | None = None) -> Weight:
-    """Oracle: shares the per-rung convolution primitive (validated separately
-    against direct quadrature) but evaluates region suprema naively."""
+    """Oracle: evaluates the region suprema naively, and convolves every rung
+    directly. Up to n = 4096 samples the fast form convolves directly too, so
+    the two share the per-rung convolution; above it the fast form convolves
+    by padded FFT (validated separately against direct quadrature)."""
     return _regular(w, ell, lam, beta, None, naive=True)
 
 
@@ -389,9 +375,31 @@ def regular_maximal_brute(w: Weight | SampledFunction, ell: int, *, lam: float |
 # refused before the first pass.
 MAX_ITERATED_CELLS = 2**22
 
-# the config-string format of each operator, by head
-_OPERATOR_FORMATS = {"M": "M", "Mk": "Mk:K", "Malpha": "Malpha:ALPHA", "Mll": "Mll:ELL:LAM",
-                     "Mtilde": "Mtilde:ELL", "Mreg": "Mreg:ELL:LAM", "Mbeta": "Mbeta:ELL:BETA"}
+
+def _iterated(name: str, w: Weight, k: int) -> Weight:
+    if k * w.grid.n > MAX_ITERATED_CELLS:
+        raise ValueError(f"maximal operator {name!r} makes {k} passes over "
+                         f"{w.grid.n} cells, more than the budget "
+                         f"MAX_ITERATED_CELLS = 2^22 cells")
+    return hardy_littlewood(w, k)
+
+
+# Per head: the config-string format, the type of each field, and the
+# operator of (name, w, *fields). The operators name hardy_littlewood and
+# approach_maximal, never hold them, so they call whatever this module binds
+# to those names when they are applied.
+_OPERATORS = {
+    "M": ("M", (), lambda name, w: hardy_littlewood(w, 1)),
+    "Mk": ("Mk:K", (int,), _iterated),
+    "Malpha": ("Malpha:ALPHA", (float,), lambda name, w, alpha: fractional_maximal(w, alpha)),
+    "Mll": ("Mll:ELL:LAM", (int, float),
+            lambda name, w, ell, lam: approach_maximal(w, ell, lam)),
+    "Mtilde": ("Mtilde:ELL", (int,), lambda name, w, ell: global_maximal(w, ell)),
+    "Mreg": ("Mreg:ELL:LAM", (int, float),
+             lambda name, w, ell, lam: regular_maximal(w, ell, lam=lam)),
+    "Mbeta": ("Mbeta:ELL:BETA", (int, float),
+              lambda name, w, ell, beta: regular_maximal(w, ell, beta=beta)),
+}
 
 
 def operator_by_name(name: str):
@@ -403,34 +411,10 @@ def operator_by_name(name: str):
     samples when K * n exceeds ``MAX_ITERATED_CELLS``.
     """
     head, *fields = name.split(":")
-    form = _OPERATOR_FORMATS.get(head)
-    if form is None:
+    if head not in _OPERATORS:
         raise ValueError(f"unknown maximal operator name: {name!r}")
-    if len(fields) != form.count(":"):
+    form, kinds, operator = _OPERATORS[head]
+    if len(fields) != len(kinds):
         raise ValueError(f"maximal operator {name!r} must have the format {form!r}")
-    if head == "M":
-        return lambda w: hardy_littlewood(w, 1)
-    if head == "Mk":
-        k = int(fields[0])
-
-        def iterated(w: Weight) -> Weight:
-            if k * w.grid.n > MAX_ITERATED_CELLS:
-                raise ValueError(f"maximal operator {name!r} makes {k} passes over "
-                                 f"{w.grid.n} cells, more than the budget "
-                                 f"MAX_ITERATED_CELLS = 2^22 cells")
-            return hardy_littlewood(w, k)
-        return iterated
-    if head == "Malpha":
-        alpha = float(fields[0])
-        return lambda w: fractional_maximal(w, alpha)
-    if head == "Mll":
-        ell, lam = int(fields[0]), float(fields[1])
-        return lambda w: approach_maximal(w, ApproachRegionParams(ell, lam))
-    if head == "Mtilde":
-        ell = int(fields[0])
-        return lambda w: global_maximal(w, ell)
-    if head == "Mreg":
-        ell, lam = int(fields[0]), float(fields[1])
-        return lambda w: regular_maximal(w, ell, lam=lam)
-    ell, beta = int(fields[0]), float(fields[1])  # Mbeta
-    return lambda w: regular_maximal(w, ell, beta=beta)
+    values = [kind(field) for kind, field in zip(kinds, fields)]
+    return lambda w: operator(name, w, *values)

@@ -37,6 +37,9 @@ __all__ = [
 _FD_STEP = 1e-4
 _FD_DEPTH = 2  # finite-difference orders allowed beyond the analytic ones
 _ALL_ORDERS = 10**9
+# The largest order a hypothesis is checked at: 171! overflows a float, so
+# the monomial's derivatives end here, and every check does O(ell) work.
+MAX_ELL = 170
 
 
 class Phase:
@@ -74,9 +77,9 @@ class Phase:
         """phi(x) = x**ell; eval(k, x) = ell!/(ell-k)! * x**(ell-k)."""
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        if ell > 170:  # 171! overflows a float
+        if ell > MAX_ELL:
             raise ValueError(f"ell = {ell} is too large for the monomial phase: "
-                             f"ell! overflows a float above ell = 170")
+                             f"ell! overflows a float above ell = {MAX_ELL}")
 
         def ev(k, x):
             if k > ell:
@@ -127,9 +130,12 @@ class FiniteTypeSpec:
 
 
 def _check_hypothesis(x0: float, ell: int, epsilon: float | None, u: float | None) -> None:
-    """Reject ell < 2 and a non-finite x0, epsilon or u; None is not yet derived."""
+    """Reject ell outside [2, MAX_ELL] and a non-finite x0, epsilon or u; None
+    is not yet derived."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    if ell > MAX_ELL:
+        raise ValueError(f"ell = {ell} is above the budget MAX_ELL = {MAX_ELL}")
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     if epsilon is not None and not 0 < epsilon < math.inf:
@@ -282,7 +288,9 @@ class NormalizedPhase:
 
 def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
     """Translate to x0 = 0, remove the affine part, rescale by epsilon. The
-    normalized spec bounds the normalized phase on the same support half-width."""
+    normalized spec bounds the normalized phase on the same support half-width.
+    As phi(0) = phi'(0) = 0, bounds that break A0 <= A1*u or A1 <= A2*u mean
+    the affine part cancelled phi(x0 + x) in floating point: ValueError."""
     x0, eps = spec.x0, spec.epsilon
     a = float(np.asarray(phase.eval(0, x0)))
     b = float(np.asarray(phase.eval(1, x0)))
@@ -297,7 +305,12 @@ def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
         return sign * np.asarray(phase.eval(k, x + x0)) / eps
 
     out = Phase(f"{phase.kind}-normalized", ev, phase.max_analytic_order)
-    nspec = finite_type_spec(out, 0.0, spec.ell, epsilon=1.0,
-                             support_halfwidth=spec.support_halfwidth)
+    u = spec.support_halfwidth
+    nspec = finite_type_spec(out, 0.0, spec.ell, epsilon=1.0, support_halfwidth=u)
+    a0, a1, a2 = nspec.bounds[:3]
+    if a0 > a1 * u * (1 + 1e-9) or a1 > a2 * u * (1 + 1e-9):
+        raise ValueError(f"the affine part of the phase cancels in floating point at "
+                         f"x0 = {x0!r}: the normalized bounds A0 = {a0:.3g}, A1 = {a1:.3g}, "
+                         f"A2 = {a2:.3g} break A0 <= A1*u and A1 <= A2*u at u = {u!r}")
     return NormalizedPhase(out, nspec, lambda_scale=eps, linear_coeff=b, offset=a,
                            conjugate=(sign < 0))

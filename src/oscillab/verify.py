@@ -23,7 +23,7 @@ from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_deca
                       kernel_spectrum, normalized_kernel)
 from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, dominating_weights,
                      dyadic_pieces, spaced_energy, square_function)
-from .maximal import ApproachRegionParams, approach_maximal, hardy_littlewood
+from .maximal import _check_region, approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
                        lp_norm, on_bump, restrict, weighted_l2)
@@ -276,7 +276,7 @@ def _two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight, provenance:
     with the approach region at the kernel's lam."""
     lhs = weighted_l2(apply_T(kernel, f), w)
     inner = hardy_littlewood(w, k_inner)
-    mid = approach_maximal(inner, ApproachRegionParams(kernel.spec.ell, kernel.lam))
+    mid = approach_maximal(inner, kernel.spec.ell, kernel.lam)
     outer = hardy_littlewood(mid, k_outer)
     return RatioSample.of(lhs, weighted_l2(f, outer), provenance)
 
@@ -464,8 +464,8 @@ def maximal_norm_sweep(ell: int, lambdas, seed: int = 0) -> SweepReport:
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
         grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
-        params = ApproachRegionParams(ell, lam)
-        return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, params),
+        _check_region(ell, lam)  # up front: at ell < 2, q < 1 and lp_norm would object first
+        return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, ell, lam),
                                                weight_corpus(grid, rng), q)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -78,17 +79,25 @@ class TestExitCodes:
             assert run(["validate-phase", "--ell", "3", "--out", str(tmp_path)] + argv) == 2
         assert message in capsys.readouterr().err
 
-    # three escapes from the exit contract: ell! overflowed a float in the
+    # five escapes from the exit contract: ell! overflowed a float in the
     # monomial's eval (an OverflowError traceback, exit 1); the derivative
     # bounds at x0 = 1e308 overflowed with RuntimeWarnings, after which
-    # validate-phase printed PASS and check-main reported "stability factor inf"
+    # validate-phase printed PASS and check-main reported "stability factor
+    # inf"; the affine part of x^2 cancelled in floats far from 0, so at
+    # x0 = 1e150 check-main measured a kernel of noise and exited 0
+    # ("stability factor 1.000"), and at x0 = 1e8 it exited 1 (14.182)
     @pytest.mark.parametrize("argv, message", [
         (["validate-phase", "--ell", "100000"], "ell = 100000"),
         (["validate-phase", "--ell", "2", "--x0", "1e308"], "x0 = 1e+308"),
         (["check-main", "--ell", "2", "--lambdas", "64", "--pairs", "1", "--x0", "1e308"],
-         "x0 = 1e+308")],
+         "x0 = 1e+308"),
+        (["check-main", "--ell", "2", "--lambdas", "64", "--pairs", "1", "--x0", "1e150"],
+         "cancels in floating point at x0 = 1e+150"),
+        (["check-main", "--ell", "2", "--lambdas", "64..256", "--pairs", "1", "--x0", "1e8"],
+         "cancels in floating point at x0 = 100000000.0")],
         ids=["validate-phase-ell-factorial", "validate-phase-x0-overflow",
-             "check-main-x0-overflow"])
+             "check-main-x0-overflow", "check-main-x0-affine-cancels-1e150",
+             "check-main-x0-affine-cancels-1e8"])
     def test_overflowing_phase_is_usage_error(self, argv, message, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -96,6 +105,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "summary.json").exists()
+
+    # only the monomial was capped: the cosine did O(ell) work and printed one
+    # line per order (200,000 lines in 8.3 s at --ell 200000)
+    @pytest.mark.parametrize("ell", ["171", "1000000000"])
+    def test_ell_over_budget_is_usage_error(self, ell, tmp_path, capsys):
+        assert run(["validate-phase", "--kind", "cosine", "--ell", ell,
+                    "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ell = {ell} is above the budget MAX_ELL = 170\n"
 
     def test_negative_decay_order_is_usage_error(self, tmp_path, capsys):
         assert run(["kernel-decay", "--ell", "2", "--lambdas", "64", "--N", "-3",
@@ -734,6 +752,45 @@ class TestChecks:
                     "--pairs", "2"]) == 0
         payload = json.loads((out / "summary.json").read_text())
         assert list(payload["spaced_constants"]) == ["1.0"]
+
+
+def _traced_names():
+    """perfbench's TRACED (span, module, attribute) triples, read from its
+    source without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_perfbench_traced_names_resolve():
+    # a rename used to show only when a --trace 1 run raised in install()
+    missing = []
+    for _, module, attr in _traced_names():
+        owner = importlib.import_module(f"oscillab.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_named_operators_call_the_module_bindings(monkeypatch):
+    # perfbench's tracer rebinds maximal.hardy_littlewood and
+    # maximal.approach_maximal; an operator holding the original function
+    # would drop its calls from the trace
+    calls = []
+    monkeypatch.setattr(maximal, "hardy_littlewood",
+                        lambda w, k: calls.append(("hardy_littlewood", k)) or w)
+    monkeypatch.setattr(maximal, "approach_maximal",
+                        lambda w, ell, lam: calls.append(("approach_maximal", ell, lam)) or w)
+    w = Weight(Grid(0.0, 2.0, 64), np.ones(64))
+    for name in ("M", "Mk:2", "Mll:3:64"):
+        maximal.operator_by_name(name)(w)
+    assert calls == [("hardy_littlewood", 1), ("hardy_littlewood", 2),
+                     ("approach_maximal", 3, 64.0)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,9 +14,8 @@ from oscillab import maximal
 from oscillab._util import (cells, sliding_max_naive, snap_radius, standard_bump,
                             window_sums_naive)
 from oscillab.errors import UnderResolved
-from oscillab.maximal import (ApproachRegionParams, _eighth_octave_cells,
-                              approach_maximal, approach_maximal_brute,
-                              approach_radii, bump_samples,
+from oscillab.maximal import (_eighth_octave_cells, approach_maximal,
+                              approach_maximal_brute, approach_radii, bump_samples,
                               fractional_maximal, fractional_maximal_brute,
                               global_maximal, global_maximal_brute, global_radii,
                               hardy_littlewood, hardy_littlewood_brute,
@@ -157,7 +156,7 @@ class TestApproach:
     @pytest.mark.parametrize("ell,lam", [(3, 64.0), (2, 100.0)])
     def test_constant_weight_closed_form(self, ell, lam):
         g = Grid.from_step(0.0, 2.0, 1.0 / (16 * lam))
-        m = approach_maximal(Weight(g, np.ones(g.n)), ApproachRegionParams(ell, lam))
+        m = approach_maximal(Weight(g, np.ones(g.n)), ell, lam)
         mid = g.n // 2
         assert not m.boundary[mid]
         assert abs(m.values[mid] / (2 * lam ** (-2.0 / ell)) - 1) <= 0.03
@@ -165,14 +164,14 @@ class TestApproach:
     def test_under_resolved(self):
         g = Grid(0.0, 2.0, 256)
         with pytest.raises(UnderResolved):
-            approach_maximal(Weight(g, np.ones(g.n)), ApproachRegionParams(3, 512.0))
+            approach_maximal(Weight(g, np.ones(g.n)), 3, 512.0)
 
     def test_spike_outside_reach_sees_nothing(self):
         lam = 32.0
         g = Grid.from_step(0.0, 8.0, 1.0 / (8 * lam))
         vals = np.zeros(g.n)
         vals[index_of(g, 6.0)] = 100.0  # beyond aperture + radius from the center
-        m = approach_maximal(Weight(g, vals), ApproachRegionParams(3, lam))
+        m = approach_maximal(Weight(g, vals), 3, lam)
         assert m.values[g.n // 2] == 0.0
 
     @given(st.integers(0, 10**6))
@@ -180,9 +179,8 @@ class TestApproach:
     def test_brute_force_bitexact(self, seed):
         g = Grid(0.0, 2.0, 1024)
         w = qweight(g, seed)
-        params = ApproachRegionParams(3, 32.0)
-        assert np.array_equal(approach_maximal(w, params).values,
-                              approach_maximal_brute(w, params).values)
+        assert np.array_equal(approach_maximal(w, 3, 32.0).values,
+                              approach_maximal_brute(w, 3, 32.0).values)
 
     def test_monotone_in_ell_exact(self):
         for lam in (16.0, 64.0):
@@ -190,7 +188,7 @@ class TestApproach:
             w = qweight(g, 3)
             prev = None
             for ell in (2, 3, 4, 5):
-                cur = approach_maximal(w, ApproachRegionParams(ell, lam)).values
+                cur = approach_maximal(w, ell, lam).values
                 if prev is not None:
                     assert np.all(prev <= cur)
                 prev = cur
@@ -200,8 +198,8 @@ class TestApproach:
         for eps in (2.0, 4.0):
             g = Grid.from_step(0.0, 3.0, 1.0 / (16 * eps * lam))
             w = qweight(g, 7)
-            lhs = approach_maximal(w, ApproachRegionParams(3, eps * lam)).values
-            rhs = approach_maximal(w, ApproachRegionParams(3, lam)).values
+            lhs = approach_maximal(w, 3, eps * lam).values
+            rhs = approach_maximal(w, 3, lam).values
             assert np.all(lhs[rhs == 0] <= 1e-10)
             sel = rhs > 0
             c_eps = float(np.max(lhs[sel] / rhs[sel]))
@@ -210,23 +208,23 @@ class TestApproach:
             assert c_eps <= 2.0
 
     def test_degenerate_lambda_single_radius(self):
-        params = ApproachRegionParams(3, 1.0)
-        assert params.lam <= 1.0  # the degenerate range (1/lam, lam^(-1/ell)]
+        lam = 1.0
+        assert 1.0 / lam == lam ** (-1.0 / 3)  # the range (1/lam, lam^(-1/ell)] is empty
         radii = approach_radii(3, 1.0, 1.0 / 256)
         assert len(radii) == 1
         g = Grid(0.0, 2.0, 1024)
-        m = approach_maximal(Weight(g, np.ones(g.n)), params)
+        m = approach_maximal(Weight(g, np.ones(g.n)), 3, lam)
         assert np.isfinite(m.values).all()
 
     def test_lambda_below_one_rejected(self):
         with pytest.raises(ValueError):
-            ApproachRegionParams(3, 0.5)
+            approach_maximal(Weight(Grid(0.0, 2.0, 256), np.ones(256)), 3, 0.5)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_lambda_not_finite_rejected(self, lam):
         w = Weight(Grid(0.0, 2.0, 256), np.ones(256))
         with pytest.raises(ValueError):
-            ApproachRegionParams(3, lam)
+            approach_maximal(w, 3, lam)
         with pytest.raises(ValueError):
             regular_maximal(w, 3, lam=lam)
 
@@ -239,9 +237,8 @@ class TestApproach:
         start = g.n // 2 - len(core) // 2
         vals[start:start + len(core)] = core
         shift = g.n // 16
-        params = ApproachRegionParams(3, lam)
-        a = approach_maximal(Weight(g, vals), params).values
-        b = approach_maximal(Weight(g, np.roll(vals, shift)), params).values
+        a = approach_maximal(Weight(g, vals), 3, lam).values
+        b = approach_maximal(Weight(g, np.roll(vals, shift)), 3, lam).values
         inner = slice(g.n // 4, 3 * g.n // 4)
         assert np.array_equal(np.roll(a, shift)[inner], b[inner])
 
@@ -282,7 +279,7 @@ class TestRegular:
         g = Grid.from_step(0.0, 2.0, 1.0 / (16 * lam))
         w = qweight(g, 17)
         c_p = np.exp(-4.0 / 3.0)  # min of P(t) = standard_bump(t/2) over [-1, 1]
-        ma = approach_maximal(w, ApproachRegionParams(ell, lam)).values
+        ma = approach_maximal(w, ell, lam).values
         mr = regular_maximal(w, ell, lam=lam).values
         assert np.all(ma <= (2.0 / c_p) * mr)
 
@@ -361,12 +358,11 @@ class TestOracleIndependence:
     """The oracles share their operator's body; the naive switch must route
     them through the naive primitives only, and the fast forms never."""
 
-    PARAMS = ApproachRegionParams(3, 32.0)
-    BRUTE = [lambda w: approach_maximal_brute(w, TestOracleIndependence.PARAMS),
+    BRUTE = [lambda w: approach_maximal_brute(w, 3, 32.0),
              lambda w: global_maximal_brute(w, 3),
              lambda w: regular_maximal_brute(w, 3, lam=32.0),
              lambda w: regular_maximal_brute(w, 3, beta=0.5)]
-    FAST = [lambda w: approach_maximal(w, TestOracleIndependence.PARAMS),
+    FAST = [lambda w: approach_maximal(w, 3, 32.0),
             lambda w: global_maximal(w, 3),
             lambda w: regular_maximal(w, 3, lam=32.0),
             lambda w: regular_maximal(w, 3, beta=0.5)]
@@ -392,9 +388,8 @@ class TestOracleIndependence:
         # so it is checked here against the supremum taken rung by rung
         g = Grid(0.0, 2.0, 1024)
         w = qweight(g, 37)
-        params = ApproachRegionParams(ell, 32.0)
         e = 1.0 / (ell - 1)
-        cases = [(approach_maximal(w, params), approach_radii(ell, 32.0, g.h),
+        cases = [(approach_maximal(w, ell, 32.0), approach_radii(ell, 32.0, g.h),
                   lambda r: (32.0 * r) ** (-e)),
                  (global_maximal(w, ell), global_radii(g.h), lambda r: r ** (-e))]
         for out, radii, scale in cases:
@@ -410,6 +405,33 @@ class TestOracleIndependence:
         with pytest.raises(ValueError, match="must not grow"):
             maximal._region_sup(g, [0.1, 0.2], iter(rows), lambda r: 1.0, lambda r: r,
                                 naive=False)
+
+
+# One (ell, lam) contract for the region operators, fast and brute alike;
+# the global operators take no lam, so only ell can be wrong there.
+REGION_OPERATORS = {
+    "approach": approach_maximal,
+    "approach-brute": approach_maximal_brute,
+    "global": lambda w, ell, lam: global_maximal(w, ell),
+    "global-brute": lambda w, ell, lam: global_maximal_brute(w, ell),
+    "regular": lambda w, ell, lam: regular_maximal(w, ell, lam=lam),
+    "regular-brute": lambda w, ell, lam: regular_maximal_brute(w, ell, lam=lam),
+}
+BAD_REGIONS = {"ell=1": (1, 64.0, "ell must be >= 2"),
+               "lam=0.5": (3, 0.5, "lam must be finite and >= 1"),
+               "lam=nan": (3, float("nan"), "lam must be finite and >= 1"),
+               "lam=inf": (3, float("inf"), "lam must be finite and >= 1")}
+
+
+@pytest.mark.parametrize("op, bad", [
+    pytest.param(op, bad, id=f"{op}-{bad}") for op in REGION_OPERATORS for bad in BAD_REGIONS
+    if bad == "ell=1" or not op.startswith("global")])
+def test_region_operators_share_one_contract(op, bad):
+    ell, lam, message = BAD_REGIONS[bad]
+    w = Weight(Grid(0.0, 2.0, 1024), np.ones(1024))
+    with pytest.raises(ValueError) as info:
+        REGION_OPERATORS[op](w, ell, lam)
+    assert str(info.value) == message
 
 
 def reference_approach_radii(ell, lam, h):

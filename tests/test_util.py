@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d
 
 from oscillab._util import sliding_max, sliding_max_naive, window_sum_ladder, window_sums
+from oscillab.maximal import _eighth_octave_cells
 
 
 def reference_window_sums(values, halfwidth):
@@ -90,6 +91,21 @@ def test_sliding_max_in_blocks_matches_reference_bitwise(n):
     values = np.random.default_rng(n).integers(-4096, 4096, n) / 4096.0
     for s in [1, 7, 1000, 2**14, 2**15 - 1, n // 2, n - 1]:
         assert sliding_max(values, s).tobytes() == reference_sliding_max(values, s).tobytes(), s
+
+
+@pytest.mark.parametrize("n", [2**12 + 1, 2**15, 2**16])
+def test_long_ladder_matches_reference_bitwise(n):
+    # the Hardy-Littlewood ladder reaches s = n, so the padding is widest here
+    values = np.random.default_rng(n).integers(-4096, 4096, n) / 4096.0
+    halfwidths = _eighth_octave_cells(n) + [0, n - 1, n, 2 * n + 3]
+    for s, got in zip(halfwidths, window_sum_ladder(values, halfwidths)):
+        assert got.tobytes() == reference_window_sums(values, s).tobytes(), s
+
+
+def test_negative_halfwidth_in_the_ladder_raises_before_any_rung():
+    rungs = window_sum_ladder(np.ones(8), [1, 2, -1, 3])
+    with pytest.raises(ValueError, match="half-width must be >= 0"):
+        next(rungs)
 
 
 def test_ladder_reuses_one_buffer():

@@ -12,7 +12,7 @@ from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
 from oscillab.kernels import admissible_step, apply_T, build_kernel, normalized_kernel
 from oscillab.lpaley import DyadicFamily
-from oscillab.maximal import ApproachRegionParams, approach_maximal
+from oscillab.maximal import approach_maximal
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
 from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_report,
@@ -321,7 +321,7 @@ class TestSweeps:
         for lam in (16.0, 64.0, 256.0):
             grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
             w = Weight(grid, np.ones(grid.n))
-            m = approach_maximal(w, ApproachRegionParams(3, lam))
+            m = approach_maximal(w, 3, lam)
             points.append((lam, lp_norm(m, 3.0) / lp_norm(w, 3.0)))
         for lam, v in points:
             assert abs(v / (2.0 * lam ** (-2.0 / 3.0)) - 1) <= 0.03
