@@ -135,18 +135,24 @@ def _parse_lambdas(value) -> list[float]:
         lams = [float(v) for v in value]
     elif not isinstance(value, str):
         raise ValueError(f"lambdas must be a string or a list of numbers, not {value!r}")
-    elif ".." in value:
-        a, b = value.split("..")
-        lo, hi = float(a), float(b)
-        if not (0.0 < lo <= hi < math.inf):
-            raise ValueError(f"lambda range {value!r} needs finite bounds 0 < lo <= hi")
-        lams = []
-        lam = lo
-        while lam <= hi * (1 + 1e-9):
-            lams.append(lam)
-            lam *= 2.0
     else:
-        lams = [float(t) for t in value.split(",")]
+        parts = value.split("..") if ".." in value else value.split(",")
+        try:
+            lams = [float(t) for t in parts]
+        except ValueError:
+            raise ValueError(f"lambdas {value!r} is not a number, a list a,b,c "
+                             f"or a range lo..hi") from None
+        if ".." in value:
+            if len(lams) != 2:
+                raise ValueError(f"lambdas {value!r} is not a range lo..hi")
+            lo, hi = lams
+            if not (0.0 < lo <= hi < math.inf):
+                raise ValueError(f"lambda range {value!r} needs finite bounds 0 < lo <= hi")
+            lams = []
+            lam = lo
+            while lam <= hi * (1 + 1e-9):
+                lams.append(lam)
+                lam *= 2.0
     if not lams or not all(0.0 < lam < math.inf for lam in lams):
         raise ValueError(f"lambdas must be finite and positive, got {value!r}")
     return lams
@@ -186,6 +192,9 @@ def _load_config(path: str | None) -> dict:
         obj = cfg[name]
         if not isinstance(obj, dict):
             raise ValueError(f"config {name} must be an object, not {obj!r}")
+        if unlisted := [key for key in obj if key not in fields]:
+            raise ValueError(f"config {name}.{unlisted[0]} is not one of "
+                             f"{', '.join(fields)}")
         for key, (kind, required) in fields.items():
             if key not in obj:
                 if required:
@@ -212,21 +221,29 @@ def _weight_from_arg(arg: str, grid: Grid) -> Weight:
 # subcommands
 
 
-def _phase_spec(args, cfg, default_u=None):
+# The phase kinds, in --kind's order: per kind, the keys of the config's phase
+# object it reads besides kind and x0, and its phase built from that object
+# and --ell.
+_PHASE_KINDS = {
+    "monomial": (("ell",), lambda pcfg, ell: Phase.monomial(pcfg.get("ell", ell))),
+    "cosine": ((), lambda pcfg, ell: Phase.cosine()),
+}
+
+
+def _phase_spec(args, cfg):
     """Phase plus its hypothesis record. --kind and --x0 win over the config's
-    phase object, whose ell defaults to --ell; epsilon defaults to 1."""
+    phase object, whose ell defaults to --ell."""
     pcfg = cfg.get("phase", {})
     kind = args.kind or pcfg.get("kind", "monomial")
-    if kind == "monomial":
-        phase = Phase.monomial(int(pcfg.get("ell", args.ell)))
-    elif kind == "cosine":
-        phase = Phase.cosine()
-    else:
+    if kind not in _PHASE_KINDS:
         raise ValueError(f"unknown phase kind {kind!r}")
+    keys, build = _PHASE_KINDS[kind]
+    if unread := sorted(pcfg.keys() - {"kind", "x0", *keys}):
+        raise ValueError(f"config phase.{unread[0]} does not apply to the {kind} phase")
+    phase = build(pcfg, args.ell)
     x0 = float(args.x0 if args.x0 is not None else pcfg.get("x0", 0.0))
-    eps = args.epsilon if args.epsilon is not None else 1.0
-    u = args.u if args.u is not None else default_u
-    return phase, finite_type_spec(phase, x0, args.ell, epsilon=eps, support_halfwidth=u)
+    return phase, finite_type_spec(phase, x0, args.ell, epsilon=args.epsilon,
+                                   support_halfwidth=args.u)
 
 
 def _cmd_validate_phase(args, cfg) -> int:
@@ -240,7 +257,7 @@ def _cmd_validate_phase(args, cfg) -> int:
 
 
 def _cmd_kernel_decay(args, cfg) -> int:
-    phase, spec = _phase_spec(args, cfg, default_u=0.5)
+    phase, spec = _phase_spec(args, cfg)
     reports, factor, tail_ok = verify.kernel_decay_sweep(phase, spec, args.lambdas, args.N,
                                                          tail_slack=1.25)
     _write_csv(args.out, "results.csv", ["lambda", "ell", "sup_low", "tail_max", "far_field"],
@@ -313,7 +330,7 @@ def _fail_ratio(name: str, rs: RatioSample) -> int:
 
 
 def _cmd_check_main(args, cfg) -> int:
-    phase, spec = _phase_spec(args, cfg, default_u=0.5)
+    phase, spec = _phase_spec(args, cfg)
     sweep = two_weight_sweep(phase, spec, args.lambdas, args.pairs, args.seed)
     rows = [("check-main", rs) for rs in sweep.samples]
     _write_ratios(args.out, rows)
@@ -352,7 +369,7 @@ def _cmd_check_lp(args, cfg) -> int:
 
 
 def _cmd_check_lemmas(args, cfg) -> int:
-    phase, spec = _phase_spec(args, cfg, default_u=0.5)
+    phase, spec = _phase_spec(args, cfg)
     chain_holds, mols, envelope = verify.lemma_checks(
         phase, spec, args.lambdas, args.p, args.pairs, args.seed, chain_tol=1e-9)
     rows = [row for mol, mol2 in mols for row in (("mol", mol), ("mol2", mol2))]
@@ -372,10 +389,17 @@ def _cmd_check_lemmas(args, cfg) -> int:
 # argument wiring
 
 
+# The --pairs budget, checked before any work: about 20 times the largest
+# count in use, the baseline freezer's 200.
+MAX_PAIRS = 4096
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > MAX_PAIRS:
+        raise argparse.ArgumentTypeError(f"must be <= MAX_PAIRS = {MAX_PAIRS}, got {value}")
     return value
 
 
@@ -384,19 +408,24 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="oscillatory-integral numerical laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, lambdas_default=None, phase=False, ell=False, plots=False):
-        # a subcommand registers only the flags its handler reads, apart from
-        # --config, --out and --seed, which every subcommand takes. --out,
+    def command(name, handler, lambdas_default=None, writes=True, phase=False, u=None,
+                ell=False, plots=False):
+        # one entry per subcommand: its handler, whether it writes files (one
+        # that does not makes no output directory) and the flags it reads.
+        # --config, --out and --seed are taken by every subcommand. --out,
         # --seed, --lambdas, --ell and --emit-plots default to None so that
-        # _resolve can tell an explicit flag from a config value
+        # _resolve can tell an explicit flag from a config value; a --u of
+        # None asks finite_type_spec for its halving search
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler, writes=writes)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         if phase:  # read by _phase_spec
-            p.add_argument("--kind", default=None, choices=["monomial", "cosine"])
+            p.add_argument("--kind", default=None, choices=list(_PHASE_KINDS))
             p.add_argument("--x0", type=float, default=None)
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--u", type=float, default=None)
+            p.add_argument("--epsilon", type=float, default=1.0)
+            p.add_argument("--u", type=float, default=u)
         if phase or ell:
             p.add_argument("--ell", type=int, default=None)
         if plots:
@@ -404,56 +433,26 @@ def _build_parser() -> argparse.ArgumentParser:
         if lambdas_default is not None:
             p.add_argument("--lambdas", type=str, default=None)
             p.set_defaults(lambdas_default=lambdas_default)
+        return p
 
-    p = sub.add_parser("validate-phase")
-    common(p, phase=True)
+    p = command("validate-phase", _cmd_validate_phase, writes=False, phase=True)
     p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("kernel-decay")
-    common(p, "64..16384", phase=True, plots=True)
+    p = command("kernel-decay", _cmd_kernel_decay, "64..16384", phase=True, u=0.5, plots=True)
     p.add_argument("--N", type=int, default=4)
-
-    p = sub.add_parser("maximal")
-    common(p, ell=True)
+    p = command("maximal", _cmd_maximal, writes=False, ell=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--weight", default="const")
     p.add_argument("--op", default=None)
-
-    p = sub.add_parser("sweep-maximal")
-    common(p, "16..4096", ell=True, plots=True)
-
-    p = sub.add_parser("sweep-operator")
-    common(p, "64..4096", phase=True, plots=True)
-
-    p = sub.add_parser("check-main")
-    common(p, "64..1024", phase=True)
+    command("sweep-maximal", _cmd_sweep_maximal, "16..4096", ell=True, plots=True)
+    command("sweep-operator", _cmd_sweep_operator, "64..4096", phase=True, plots=True)
+    p = command("check-main", _cmd_check_main, "64..1024", phase=True, u=0.5)
     p.add_argument("--pairs", type=_positive_int, default=50)
-
-    p = sub.add_parser("check-lp")
-    common(p)
+    p = command("check-lp", _cmd_check_lp)
     p.add_argument("--pairs", type=_positive_int, default=8)
-
-    p = sub.add_parser("check-lemmas")
-    common(p, "256..4096", phase=True)
+    p = command("check-lemmas", _cmd_check_lemmas, "256..4096", phase=True, u=0.5)
     p.add_argument("--pairs", type=_positive_int, default=20)
     p.add_argument("--p", type=int, default=3)
-
     return ap
-
-
-_HANDLERS = {
-    "validate-phase": _cmd_validate_phase,
-    "kernel-decay": _cmd_kernel_decay,
-    "maximal": _cmd_maximal,
-    "sweep-maximal": _cmd_sweep_maximal,
-    "sweep-operator": _cmd_sweep_operator,
-    "check-main": _cmd_check_main,
-    "check-lp": _cmd_check_lp,
-    "check-lemmas": _cmd_check_lemmas,
-}
-
-# Subcommands that only print: they leave no output directory behind.
-_PRINT_ONLY = ("validate-phase", "maximal")
 
 
 def _resolve(args, cfg: dict) -> None:
@@ -466,6 +465,8 @@ def _resolve(args, cfg: dict) -> None:
             if type(value) is not kind:
                 raise ValueError(f"config {key} must be {kind.__name__}, not {value!r}")
             setattr(args, flag, value)
+    if args.seed < 0:  # every subcommand takes --seed
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     if hasattr(args, "lambdas"):
         args.lambdas = _parse_lambdas(cfg.get("lambdas", args.lambdas_default)
                                       if args.lambdas is None else args.lambdas)
@@ -480,9 +481,9 @@ def run(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _resolve(args, cfg)
-        if args.command not in _PRINT_ONLY:
+        if args.writes:
             os.makedirs(args.out, exist_ok=True)
-        return _HANDLERS[args.command](args, cfg)
+        return args.handler(args, cfg)
     except (OscillabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,9 @@ class DyadicFamily:
 
     def multiplier(self, k: int, xi: np.ndarray) -> np.ndarray:
         a = np.abs(np.asarray(xi, dtype=float))
-        return smooth_plateau(a / 2.0**k, 1.0, 2.0) - smooth_plateau(a / 2.0 ** (k - 1), 1.0, 2.0)
+        with np.errstate(over="ignore"):  # a quotient of inf lies where the plateau is 0
+            return (smooth_plateau(a / 2.0**k, 1.0, 2.0)
+                    - smooth_plateau(a / 2.0 ** (k - 1), 1.0, 2.0))
 
     @property
     def bands(self) -> range:
@@ -76,8 +78,12 @@ class DyadicFamily:
 
     def telescoping_deviation(self, grid: Grid) -> float:
         """max |band sum - 1| over the covered frequencies of the grid's dual."""
-        xs = grid.freq_grid().xs
-        return float(np.max(np.abs(self.band_sum(xs[self.covered(xs)]) - 1.0)))
+        fg = grid.freq_grid()
+        covered = fg.xs[self.covered(fg.xs)]
+        if not covered.size:
+            raise ValueError(f"dyadic family {self.kmin}..{self.kmax} covers no frequency of "
+                             f"the grid's dual (step {fg.h:.4g}, |xi| <= {fg.half_width:.4g})")
+        return float(np.max(np.abs(self.band_sum(covered) - 1.0)))
 
 
 def dyadic_pieces(f: SampledFunction, fam: DyadicFamily) -> list[SampledFunction]:
@@ -241,7 +247,8 @@ class AnnuliIndex:
         scale of band p for a phase with sup |phi'| = a1. Raises :class:`BadBand`
         unless 1 <= 2^p < 4 a1 lam^((ell-1)/ell)."""
         ell = self.ell
-        if p < 0 or 2.0**p >= 4.0 * a1 * self.lam ** ((ell - 1.0) / ell):
+        # from p = 1024 on, 2^p is above every float bound and 2.0**p would raise
+        if not 0 <= p < 1024 or 2.0**p >= 4.0 * a1 * self.lam ** ((ell - 1.0) / ell):
             raise BadBand(f"band p={p} outside [0, log2(4*A1*lam^((ell-1)/ell))) "
                           f"at A1 = {a1!r}")
         return 2.0 ** (-p / (ell - 1.0)) * self.base, 2.0**p * self.base

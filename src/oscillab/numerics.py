@@ -80,9 +80,11 @@ class Grid:
     @classmethod
     def from_step(cls, center: float, half_width: float, max_step: float) -> "Grid":
         """Grid with the requested extent whose step does not exceed ``max_step``."""
-        if not max_step > 0:
+        if not max_step >= 0:
             raise ValueError(f"max_step must be positive, got {max_step}")
-        m = 2.0 * half_width / max_step
+        # a step that underflowed to 0, as 1/(4 lam) does once 4 lam overflows,
+        # asks for infinitely many samples
+        m = 2.0 * half_width / max_step if max_step > 0 else math.inf
         if m > MAX_GRID_POINTS:  # checked first: the doubling never ends on m = inf
             raise ValueError(f"step {max_step:.3e} over half-width {half_width} needs more "
                              f"than the grid budget MAX_GRID_POINTS = 2^22 samples")
@@ -285,10 +287,15 @@ def load_weight_csv(path: str) -> Weight:
     xs, vals = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise ValueError(f"weight {path} is empty: it needs a header line x,w and samples")
         for row in reader:
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
+            try:
+                xs.append(float(row[0]))
+                vals.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise ValueError(f"weight {path}, line {reader.line_num}: {row!r} "
+                                 f"is not two numbers x,w") from None
     w = Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
     with np.errstate(over="ignore"):
         total = np.cumsum(w.values)[-1]  # the prefix sum every window sum is taken from

@@ -563,16 +563,18 @@ def lp_checks(fam: DyadicFamily, spaced, pairs: int, seed: int) -> tuple[float, 
     """The check-lp corpus on Grid(0, 16, 4096): fam's telescoping deviation,
     then from one RNG ``pairs`` square samples with 2^kmin * 1.01 <= |xi| <=
     min(2^kmax, 0.9 xi_max) and {L: [one sample with |xi| <= 128]}. Every
-    spacing's piece budget is checked before the first draw."""
+    spacing's piece budget, and that fam covers a frequency, are checked
+    before the first draw."""
     grid = Grid(0.0, 16.0, 4096)
     for sf in spaced:
         sf.k_range(grid.freq_grid())
+    deviation = fam.telescoping_deviation(grid)
     rng = np.random.default_rng(seed)
     label = Provenance(seed=seed)
     band = (2.0**fam.kmin * 1.01, min(2.0**fam.kmax, 0.9 * grid.freq_grid().half_width))
     square = _band_samples(grid, band, pairs, rng,
                            lambda f, w, pv: square_function_ratios(f, w, fam, pv), label)
-    return fam.telescoping_deviation(grid), square, {
+    return deviation, square, {
         sf.L: _band_samples(grid, (0.0, 2.0**7), 1, rng,
                             lambda f, w, pv: spaced_ratio(f, w, sf, pv), label)
         for sf in spaced}

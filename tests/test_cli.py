@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oscillab import maximal, verify
-from oscillab.cli import _atomic_write, run
+from oscillab.cli import MAX_PAIRS, _atomic_write, _build_parser, run
 from oscillab.numerics import Grid, Weight
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import RatioSample
@@ -199,6 +199,100 @@ class TestExitCodes:
     def test_bad_weight_source(self, tmp_path):
         assert run(["maximal", "--ell", "3", "--lambda", "64",
                     "--weight", "nonsense", "--out", str(tmp_path)]) == 2
+
+    # each used to end in a traceback (--p 1024: an OverflowError from 2.0**p),
+    # a run that did not end (--pairs), a config key ignored without a word
+    # (PASS for x^3 at 0, exit 0 for check-lp), or an exit-2 message naming
+    # no input ("could not convert string to float: ''", numpy's "expected
+    # non-negative integer" or nothing at all for a negative seed, "max_step
+    # must be positive, got 0.0", "zero-size array to reduction operation")
+    @pytest.mark.parametrize("argv, config, message", [
+        (["check-lemmas", "--ell", "3", "--lambdas", "256", "--pairs", "1", "--p", "1024"],
+         None, "band p=1024 outside"),
+        (["check-lemmas", "--ell", "3", "--lambdas", "256", "--pairs", "1", "--p", "100000"],
+         None, "band p=100000 outside"),
+        (["validate-phase", "--ell", "3"], {"phase": {"knd": "cosine", "x_0": 3}},
+         "config phase.knd is not one of kind, ell, x0"),
+        (["check-lp", "--pairs", "1"], {"dyadic": {"kmin": -2, "kmax": 8, "kmxa": 3}},
+         "config dyadic.kmxa is not one of kmin, kmax"),
+        (["validate-phase", "--ell", "2"], {"phase": {"kind": "cosine", "ell": 7}},
+         "config phase.ell does not apply to the cosine phase"),
+        (["validate-phase", "--kind", "cosine", "--ell", "2"], {"phase": {"ell": 7}},
+         "config phase.ell does not apply to the cosine phase"),
+        (["sweep-maximal", "--lambdas", "64,"], None, "lambdas '64,' is not a number"),
+        (["sweep-maximal", "--lambdas", "a"], None, "lambdas 'a' is not a number"),
+        (["sweep-maximal", "--lambdas", "16..32..64"], None,
+         "lambdas '16..32..64' is not a range"),
+        (["check-main", "--ell", "2", "--pairs", "1"], {"lambdas": "16..a"},
+         "lambdas '16..a' is not a number"),
+        (["validate-phase", "--ell", "3", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["kernel-decay", "--ell", "2", "--lambdas", "64", "--seed", "-1"], None,
+         "seed must be >= 0, got -1"),
+        (["maximal", "--lambda", "16", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["sweep-maximal", "--lambdas", "16", "--seed", "-1"], None,
+         "seed must be >= 0, got -1"),
+        (["maximal", "--lambda", "16"], {"seed": -2}, "seed must be >= 0, got -2"),
+        (["check-main", "--ell", "2", "--pairs", "1"], {"lambdas": [1e308]},
+         "grid budget MAX_GRID_POINTS"),
+        (["check-main", "--ell", "2", "--pairs", "1", "--lambdas", "1e308", "--epsilon", "4"],
+         None, "grid budget MAX_GRID_POINTS"),
+        (["maximal", "--lambda", "1e308"], None, "grid budget MAX_GRID_POINTS"),
+        (["check-lp", "--pairs", "1"], {"dyadic": {"kmin": 5, "kmax": 5}},
+         "dyadic family 5..5 covers no frequency"),
+        (["check-lp", "--pairs", "1"], {"dyadic": {"kmin": 20, "kmax": 30}},
+         "dyadic family 20..30 covers no frequency"),
+        (["check-lp", "--pairs", "1"], {"dyadic": {"kmin": -20, "kmax": -10}},
+         "dyadic family -20..-10 covers no frequency"),
+        (["check-main", "--ell", "3", "--lambdas", "64", "--pairs", "100000000000000000000"],
+         None, "--pairs: must be <= MAX_PAIRS = 4096"),
+        (["check-lemmas", "--ell", "3", "--lambdas", "256", "--pairs", "100000000"], None,
+         "--pairs: must be <= MAX_PAIRS = 4096"),
+        (["check-lp", "--pairs", "4097"], None, "--pairs: must be <= MAX_PAIRS = 4096")],
+        ids=["p-1024", "p-100000", "phase-unlisted-key", "dyadic-unlisted-key",
+             "cosine-config-ell", "cosine-flag-config-ell", "lambdas-trailing-comma",
+             "lambdas-word", "lambdas-three-bounds", "config-lambdas-word",
+             "seed-validate-phase", "seed-kernel-decay", "seed-maximal", "seed-sweep-maximal",
+             "config-seed-maximal", "config-lambda-1e308", "lambda-1e308-epsilon",
+             "maximal-lambda-1e308", "dyadic-5-5", "dyadic-20-30", "dyadic-minus-20-minus-10", "check-main-pairs-1e20", "check-lemmas-pairs-1e8",
+             "check-lp-pairs-4097"])
+    def test_input_is_refused_by_name(self, argv, config, message, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_largest_pair_count_is_accepted(self):
+        args = _build_parser().parse_args(["check-lp", "--pairs", str(MAX_PAIRS)])
+        assert args.pairs == MAX_PAIRS == 4096
+
+    # a short row ended in an IndexError traceback, an empty file in StopIteration
+    @pytest.mark.parametrize("text", ["x,w\n0.0\n1.0,1.0\n", "", "x,w\n0,1\n\n1,1\n"],
+                             ids=["one-field", "empty", "blank-line"])
+    def test_csv_weight_that_is_not_two_numbers_a_row_is_usage_error(self, text, tmp_path,
+                                                                     capsys):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        assert run(["maximal", "--lambda", "64", "--weight", f"csv:{path}",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"weight {path}" in err and "Traceback" not in err
+
+    # 2^-kmin * |xi| overflowed with a RuntimeWarning where the plateau is 0 anyway
+    def test_dyadic_family_at_the_float_range_gives_its_verdict_without_warning(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dyadic": {"kmin": -1021, "kmax": 1023}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check-lp", "--pairs", "1", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["pass"] is True
 
 
 class TestMaximalCommand:
@@ -400,12 +494,13 @@ class TestConfig:
         assert run(["sweep-operator", "--config", str(cfg)]) == 2
 
     # a JSON true is a Python bool, and so an int: {"seed": true} ran as seed 1,
-    # [true, 2] as lambda 1 and 2, and "no" turned plots on
+    # [true, 2] as lambda 1 and 2, and "no" turned plots on; a seed of -1
+    # failed in numpy with "expected non-negative integer"
     @pytest.mark.parametrize("key, value", [("seed", "x"), ("ell", "3"), ("out_dir", 5),
                                             ("lambdas", 64), ("lambdas", [64, None]),
                                             ("lambdas", []), ("seed", True), ("ell", True),
                                             ("lambdas", [True, 2]), ("emit_plots", "no"),
-                                            ("emit_plots", 1)])
+                                            ("emit_plots", 1), ("seed", -1)])
     def test_config_value_of_wrong_type_is_usage_error(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))

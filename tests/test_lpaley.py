@@ -292,6 +292,25 @@ class TestAnnuli:
             assert scale.hex() == (2.0**p * lam ** (1.0 / ell)).hex()
             assert (scale / L).hex() == (2.0**p * lam ** (1.0 / ell) / old_L).hex()
 
+    # 2.0**p raised OverflowError from p = 1024 (an exit-1 traceback in
+    # check-lemmas); below it the gate keeps its bits, also where the bound is inf
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_band_gate_keeps_its_bits_up_to_p_1023(self, ell):
+        for lam, a1 in itertools.product([256.0, 2.0**20, 1e300], [1.0, 1e300]):
+            idx = AnnuliIndex(ell, lam)
+            bound = 4.0 * a1 * lam ** ((ell - 1.0) / ell)
+            for p in range(1024):
+                if 2.0**p >= bound:
+                    with pytest.raises(BadBand):
+                        idx.band(p, a1)
+                else:
+                    L, scale = idx.band(p, a1)
+                    assert L.hex() == (2.0 ** (-p / (ell - 1.0)) * lam ** (1.0 / ell)).hex()
+                    assert scale.hex() == (2.0**p * lam ** (1.0 / ell)).hex()
+            for p in (1024, 1025, 10**6):
+                with pytest.raises(BadBand):
+                    idx.band(p, a1)
+
     def test_p_max_takes_the_reach(self):
         # the first p >= 1 whose annulus starts at or beyond the reach
         for reach in (0.1, 1.0, self.IDX.base, 64.0, 1e6):

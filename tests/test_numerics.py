@@ -63,6 +63,14 @@ class TestGrid:
             with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
                 Grid.from_step(0.0, 1.0, step)
 
+    # 1/(4 lam) is 0 once 4 lam overflows; that step used to be blamed as
+    # "max_step must be positive, got 0.0"
+    def test_step_that_underflowed_to_zero_is_over_the_grid_budget(self):
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            Grid.from_step(0.0, 4.0, 1.0 / (4.0 * 1e308))
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            Grid.from_step(0.0, 1.0, -0.5)
+
     # every comparison with NaN is false, so `half_width <= 0` let a NaN grid through
     @pytest.mark.parametrize("center, half_width", [
         (float("nan"), 1.0), (float("inf"), 1.0), (0.0, float("nan")), (0.0, float("inf")),
