@@ -12,7 +12,7 @@ from .phases import (ComparabilityReport, FiniteTypeSpec, Phase, TypeReport,
                      comparability_check, ensure_finite_type, finite_type_spec,
                      normalize_phase, validate_finite_type)
 from .kernels import (DecayReport, Kernel, apply_T, build_kernel, check_decay,
-                      kernel_spectrum, normalized_kernel)
+                      normalized_kernel)
 from .maximal import (approach_maximal, fractional_maximal, global_maximal,
                       hardy_littlewood, operator_by_name, regular_maximal)
 from .lpaley import (AnnuliIndex, DominatedChain, DyadicFamily, SpacedFamily,

@@ -278,8 +278,9 @@ def _cmd_kernel_decay(args, cfg) -> int:
 
 def _cmd_maximal(args, cfg) -> int:
     lam = args.lam
-    grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
-    w = _weight_from_arg(args.weight, grid)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"--lambda must be finite and positive, got {lam!r}")
+    w = _weight_from_arg(args.weight, verify.approach_grid(lam))
     if args.op is not None:
         out = operator_by_name(args.op)(w)
     else:

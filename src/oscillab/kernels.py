@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, UnderResolved
+from .errors import UnderResolved
 from .lpaley import AnnuliIndex
-from .numerics import (Grid, SampledFunction, SpectralFunction, convolve, forward_transform,
-                       on_bump)
+from .numerics import Grid, SampledFunction, convolve, forward_transform, on_bump
 from .phases import FiniteTypeSpec, Phase, ensure_finite_type, normalize_phase
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "build_kernel",
     "normalized_kernel",
     "apply_T",
-    "kernel_spectrum",
     "check_decay",
 ]
 
@@ -84,15 +82,8 @@ def normalized_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float,
 
 
 def apply_T(kernel: Kernel, f: SampledFunction) -> SampledFunction:
-    """T f = K * f, by padded FFT."""
-    if f.grid != kernel.grid:
-        raise GridMismatch("input must share the kernel grid")
+    """T f = K * f, by padded FFT; f must share the kernel's grid."""
     return convolve(kernel.samples, f)
-
-
-def kernel_spectrum(kernel: Kernel) -> SpectralFunction:
-    """K^ on the dual grid."""
-    return forward_transform(kernel.samples)
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
     if xi_max < 4.0 * a1 * lam * (1.0 - 1e-9):
         raise UnderResolved("dual grid does not reach 4*A1*lam",
                             np.pi / (4.0 * a1 * lam))
-    spec_fn = kernel_spectrum(kernel)
+    spec_fn = forward_transform(kernel.samples)
     a = np.abs(spec_fn.freq_grid.xs)
     mags = np.abs(spec_fn.values)
     annuli = AnnuliIndex(ell, lam)

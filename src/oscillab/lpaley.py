@@ -20,9 +20,9 @@ import numpy as np
 
 from ._util import cells, sliding_max, smooth_plateau, standard_bump
 from .errors import BadBand, CoverageGap
-from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, _require_same_grid,
-                       _support_rows, convolve, forward_transform, inverse_transform,
-                       lp_norm, restrict)
+from .numerics import (Grid, SampledFunction, Weight, _require_same_grid, _support_rows,
+                       forward_transform, lp_norm, multiplier_kernel, restrict,
+                       smoothing_majorant, spectral_leak)
 
 __all__ = [
     "DyadicFamily",
@@ -94,13 +94,8 @@ def dyadic_pieces(f: SampledFunction, fam: DyadicFamily) -> list[SampledFunction
     """
     fhat = forward_transform(f)
     xs = fhat.freq_grid.xs
-    energy = np.abs(fhat.values) ** 2
-    total = float(np.sum(energy))
-    if total > 0.0:
-        outside = float(np.sum(energy[~fam.covered(xs)]))
-        if outside > 1e-8 * total:
-            raise CoverageGap(
-                f"{outside / total:.2e} of the energy lies outside the covered bands")
+    if (leak := spectral_leak(fhat, fam.covered(xs))) > 1e-8:
+        raise CoverageGap(f"{leak:.2e} of the energy lies outside the covered bands")
     return [restrict(fhat, fam.multiplier(k, xs)) for k in fam.bands]
 
 
@@ -156,15 +151,13 @@ class SpacedFamily:
         return range(-kmax, kmax + 1)
 
     def spatial_window(self, grid: Grid) -> SampledFunction:
-        """W_L sampled on the grid (inverse transform of W^_L)."""
-        hat = self.window_hat(grid.freq_grid().xs)
-        return inverse_transform(SpectralFunction(grid, hat))
+        """W_L, the inverse transform of W^_L, on the grid's kernel frame."""
+        return multiplier_kernel(grid, self.window_hat)
 
     def decay_constant(self, grid: Grid, N: int) -> float:
         """Measured C_N in |W_L(x)| <= C_N * L / (1 + L|x|)^N."""
         w = self.spatial_window(grid)
-        xs = grid.xs
-        return float(np.max(np.abs(w.values) * (1.0 + self.L * np.abs(xs)) ** N / self.L))
+        return float(np.max(np.abs(w.values) * (1.0 + self.L * np.abs(w.grid.xs)) ** N / self.L))
 
 
 def _translate_support(fam: SpacedFamily, freq_grid: Grid,
@@ -271,37 +264,31 @@ def annuli_project(f: SampledFunction, idx: AnnuliIndex, p: int) -> SampledFunct
 
 
 def band_limited_mollifier(grid: Grid, scale: float) -> SampledFunction:
-    """Real even mollifier whose transform is 1 on [-4*scale, 4*scale] and
-    supported in [-8*scale, 8*scale].
+    """Real even mollifier on the grid's kernel frame whose transform is 1 on
+    [-4*scale, 4*scale] and supported in [-8*scale, 8*scale].
 
     No nonnegative function can have a flat transform, so the smoothing
     step below uses |Phi| together with its mass, which is the exact
     majorant the uncertainty-principle inequality provides.
     """
-    hat = smooth_plateau(grid.freq_grid().xs / scale, 4.0, 8.0)
-    phi = inverse_transform(SpectralFunction(grid, hat))
-    return SampledFunction(grid, phi.values.real)
+    phi = multiplier_kernel(grid, lambda xi: smooth_plateau(xi / scale, 4.0, 8.0))
+    return SampledFunction(phi.grid, phi.values.real)
 
 
 def mollifier_weight(w: Weight, scale: float) -> Weight:
     """w1 = ||Phi_s||_1 * (|Phi_s| * w): the smoothing majorant at the given scale."""
-    grid0 = Grid(0.0, w.grid.half_width, w.grid.n)
-    phi = band_limited_mollifier(grid0, scale)
-    mass = lp_norm(phi, 1)
-    absphi = SampledFunction(grid0, np.abs(phi.values))
-    conv = convolve(absphi, SampledFunction(grid0, w.values))
-    return Weight(w.grid, mass * np.maximum(conv.values.real, 0.0))
+    phi = band_limited_mollifier(w.grid, scale)
+    return Weight(w.grid, lp_norm(phi, 1) * smoothing_majorant(phi, w).values)
 
 
-def _theta_samples(grid: Grid, L: float) -> np.ndarray:
-    """Samples of Theta_L: nonnegative, with nonnegative transform supported
-    in [-L, L]. Built as 2*pi*|F^-1[b_L]|^2 with b_L a nonnegative even
-    bump supported in [-L/2, L/2], so both sign conditions hold exactly
-    (the spatial values are squared magnitudes; the transform is the
-    autocorrelation of b_L)."""
-    b = standard_bump(2.0 * grid.freq_grid().xs / L)
-    g = inverse_transform(SpectralFunction(grid, b))
-    return 2.0 * np.pi * np.abs(g.values) ** 2
+def _theta_samples(grid: Grid, L: float) -> SampledFunction:
+    """Theta_L on the grid's kernel frame: nonnegative, with nonnegative
+    transform supported in [-L, L]. Built as 2*pi*|F^-1[b_L]|^2 with b_L a
+    nonnegative even bump supported in [-L/2, L/2], so both sign conditions
+    hold exactly (the spatial values are squared magnitudes; the transform
+    is the autocorrelation of b_L)."""
+    g = multiplier_kernel(grid, lambda xi: standard_bump(2.0 * xi / L))
+    return SampledFunction(g.grid, 2.0 * np.pi * np.abs(g.values) ** 2)
 
 
 @dataclass(frozen=True)
@@ -342,12 +329,10 @@ def dominating_weights(w: Weight, p: int, lam: float, ell: int) -> DominatedChai
     s2 = cells(rho, h)
     w2 = Weight(w.grid, sliding_max(w1.values, s2))
 
-    grid0 = Grid(0.0, w.grid.half_width, w.grid.n)
-    theta = _theta_samples(grid0, L)
-    conv = convolve(SampledFunction(grid0, theta), SampledFunction(grid0, w2.values))
-    w3 = Weight(w.grid, np.maximum(conv.values.real, 0.0))
+    theta = _theta_samples(w.grid, L)
+    w3 = smoothing_majorant(theta, w2)
 
-    mid = grid0.n // 2  # x = 0 sits at this index of the zero-centered grid
-    one_sided = h * float(np.sum(theta[mid: mid + s2 + 1]))
+    mid = w.grid.n // 2  # x = 0 sits at this index of the kernel frame
+    one_sided = h * float(np.sum(theta.values.real[mid: mid + s2 + 1]))
     constant = float("inf") if one_sided == 0.0 else 1.0 / one_sided
     return DominatedChain(w1, w2, w3, L, scale, constant, s2)

@@ -39,7 +39,7 @@ import numpy as np
 from ._util import (boundary_mask, cells, sliding_max, sliding_max_naive,
                     snap_radius, standard_bump, window_sum_ladder, window_sums_naive)
 from .errors import UnderResolved
-from .numerics import Grid, SampledFunction, Weight, convolve
+from .numerics import Grid, SampledFunction, Weight, convolve, kernel_frame
 
 __all__ = [
     "hardy_littlewood",
@@ -308,7 +308,7 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], f
         if fft and k < mid:
             kern = np.zeros(grid.n, dtype=np.complex128)
             kern[mid - k: mid + k + 1] = pr
-            kgrid = Grid(0.0, grid.half_width, grid.n)
+            kgrid = kernel_frame(grid)
             res = convolve(SampledFunction(kgrid, kern), SampledFunction(kgrid, values))
             out.append(np.abs(res.values))
         else:

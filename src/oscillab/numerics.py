@@ -33,6 +33,10 @@ __all__ = [
     "inverse_transform",
     "restrict",
     "convolve",
+    "kernel_frame",
+    "multiplier_kernel",
+    "smoothing_majorant",
+    "spectral_leak",
     "lp_norm",
     "weighted_l2",
     "load_weight_csv",
@@ -160,9 +164,6 @@ class Weight:
             b.flags.writeable = False
             object.__setattr__(self, "boundary", b)
 
-    def as_sampled(self) -> SampledFunction:
-        return SampledFunction(self.grid, self.values)
-
 
 @dataclass(frozen=True)
 class SpectralFunction:
@@ -265,6 +266,33 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     if lo < hi:
         out[lo - shift: hi - shift] = full[lo:hi]
     return SampledFunction(grid, np.multiply(grid.h, out, out=out))
+
+
+def kernel_frame(grid: Grid) -> Grid:
+    """The grid's copy with x = 0 at sample n // 2, the frame of every kernel."""
+    return Grid(0.0, grid.half_width, grid.n)
+
+
+def multiplier_kernel(grid: Grid, multiplier) -> SampledFunction:
+    """The kernel whose transform is multiplier(xi), on the grid's kernel frame."""
+    frame = kernel_frame(grid)
+    return inverse_transform(SpectralFunction(frame, multiplier(frame.freq_grid().xs)))
+
+
+def smoothing_majorant(kernel: SampledFunction, w: Weight) -> Weight:
+    """|K| * w clipped at 0, on w's grid. w is relabelled onto the grid's kernel
+    frame, so only differences of positions count; K must lie on that frame, or
+    :func:`convolve` raises :class:`GridMismatch`."""
+    conv = convolve(SampledFunction(kernel.grid, np.abs(kernel.values)),
+                    SampledFunction(kernel_frame(w.grid), w.values))
+    return Weight(w.grid, np.maximum(conv.values.real, 0.0))
+
+
+def spectral_leak(fhat: SpectralFunction, inside: np.ndarray) -> float:
+    """The share of the energy sum |f^|^2 outside the mask; 0 for a zero spectrum."""
+    energy = np.abs(fhat.values) ** 2
+    total = float(np.sum(energy))
+    return float(np.sum(energy[~inside])) / total if total > 0.0 else 0.0
 
 
 def lp_norm(f: SampledFunction | Weight, p: float) -> float:

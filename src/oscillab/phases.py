@@ -273,17 +273,14 @@ class NormalizedPhase:
     ``phase`` satisfies phi^(k)(0) = 0 for 0 <= k < ell and
     phi^(ell)(0) = 1 when the original meets its hypothesis with
     epsilon equal to the actual ell-th derivative. The original kernel
-    exp(i*lam*phi_orig(t)) equals, up to the recorded unimodular factor
-    exp(i*lam*(offset + linear_coeff*s)) at t = x0 + s, the kernel
-    exp(i*(lambda_scale*lam)*phi(s)), conjugated when ``conjugate``.
+    exp(i*lam*phi_orig(t)) equals, up to the unimodular factor
+    exp(i*lam*(phi_orig(x0) + phi_orig'(x0)*s)) at t = x0 + s, the kernel
+    exp(i*(lambda_scale*lam)*phi(s)), conjugated when phi_orig^(ell)(x0) < 0.
     """
 
     phase: Phase
     spec: FiniteTypeSpec
     lambda_scale: float
-    linear_coeff: float
-    offset: float
-    conjugate: bool
 
 
 def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
@@ -312,5 +309,4 @@ def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
         raise ValueError(f"the affine part of the phase cancels in floating point at "
                          f"x0 = {x0!r}: the normalized bounds A0 = {a0:.3g}, A1 = {a1:.3g}, "
                          f"A2 = {a2:.3g} break A0 <= A1*u and A1 <= A2*u at u = {u!r}")
-    return NormalizedPhase(out, nspec, lambda_scale=eps, linear_coeff=b, offset=a,
-                           conjugate=(sign < 0))
+    return NormalizedPhase(out, nspec, lambda_scale=eps)

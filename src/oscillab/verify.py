@@ -20,13 +20,13 @@ import numpy as np
 from ._util import smooth_plateau, standard_bump
 from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
 from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
-                      kernel_spectrum, normalized_kernel)
+                      normalized_kernel)
 from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, dominating_weights,
                      dyadic_pieces, spaced_energy, square_function)
 from .maximal import _check_region, approach_maximal, hardy_littlewood
-from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
-                       convolve, forward_transform, inverse_transform,
-                       lp_norm, on_bump, restrict, weighted_l2)
+from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, forward_transform,
+                       inverse_transform, lp_norm, multiplier_kernel, on_bump, restrict,
+                       smoothing_majorant, spectral_leak, weighted_l2)
 from .phases import FiniteTypeSpec, Phase, finite_type_spec, normalize_phase
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "kernel_decay_sweep",
     "lemma_checks",
     "lp_checks",
+    "approach_grid",
     "maximal_norm_sweep",
     "operator_norm_sweep",
     "random_weight",
@@ -353,18 +354,10 @@ def square_function_ratios(f: SampledFunction, w: Weight, fam: DyadicFamily,
 
 
 def _flat_window(grid: Grid, lo: float, hi: float) -> SampledFunction:
-    """Function whose transform is 1 on [lo, hi], supported on the doubled
-    interval."""
-    fg = grid.freq_grid()
+    """Kernel on the grid's kernel frame whose transform is 1 on [lo, hi],
+    supported on the doubled interval."""
     c, rho = (lo + hi) / 2.0, (hi - lo) / 2.0
-    hat = smooth_plateau((fg.xs - c) / rho, 1.0, 2.0)
-    return inverse_transform(SpectralFunction(grid, hat))
-
-
-def _abs_convolve(a: SampledFunction, w: Weight) -> Weight:
-    """|a| * w, clipped at 0, on a's grid."""
-    conv = convolve(SampledFunction(a.grid, np.abs(a.values)), w.as_sampled())
-    return Weight(a.grid, np.maximum(conv.values.real, 0.0))
+    return multiplier_kernel(grid, lambda xi: smooth_plateau((xi - c) / rho, 1.0, 2.0))
 
 
 def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
@@ -372,7 +365,7 @@ def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
     """Equally-spaced family: lhs = sum_k integral |P_k f|^2 w over
     rhs = integral |f|^2 (|W_L| * w), with W_L the family's spatial window."""
     lhs = spaced_energy(f, w, fam)
-    rhs = weighted_l2(f, _abs_convolve(fam.spatial_window(f.grid), w))
+    rhs = weighted_l2(f, smoothing_majorant(fam.spatial_window(f.grid), w))
     return RatioSample.of(lhs, rhs, provenance)
 
 
@@ -390,18 +383,15 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
     """
     lo, hi = psi_hat_support
     fhat = forward_transform(f)
-    energy = np.abs(fhat.values) ** 2
-    total = float(np.sum(energy))
-    inside = (fhat.freq_grid.xs >= lo) & (fhat.freq_grid.xs <= hi)
-    if total > 0 and float(np.sum(energy[~inside])) > 1e-8 * total:
+    xs = fhat.freq_grid.xs
+    if spectral_leak(fhat, (xs >= lo) & (xs <= hi)) > 1e-8:
         raise SupportViolation("input spectrum leaks outside the declared interval")
-    grid = f.grid
-    psi = _flat_window(grid, lo, hi)
+    psi = _flat_window(f.grid, lo, hi)
     tf = apply_T(kernel, f)
     lhs = weighted_l2(tf, w)
-    mol_rhs = lp_norm(psi, 1) * weighted_l2(tf, _abs_convolve(psi, w))
+    mol_rhs = lp_norm(psi, 1) * weighted_l2(tf, smoothing_majorant(psi, w))
     tpsi = apply_T(kernel, psi)
-    mol2_rhs = lp_norm(tpsi, 1) * weighted_l2(f, _abs_convolve(tpsi, w))
+    mol2_rhs = lp_norm(tpsi, 1) * weighted_l2(f, smoothing_majorant(tpsi, w))
     return RatioSample.of(lhs, mol_rhs, provenance), RatioSample.of(lhs, mol2_rhs, provenance)
 
 
@@ -426,7 +416,7 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
     if not (0.5 * k0 <= abs(k) <= 2.0 * k0):
         raise BadBand(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
     grid = kernel.grid
-    khat = kernel_spectrum(kernel)
+    khat = forward_transform(kernel.samples)
     tpsi = restrict(khat, smooth_plateau((khat.freq_grid.xs - k * L) / L, 2.0, 4.0))
     half = grid.n // 4  # inner window: spectral wrap pollutes the outer edge
     mid = grid.n // 2
@@ -456,14 +446,19 @@ def _largest_norm_ratio(op, corpus, p: float) -> float:
     return best
 
 
+def approach_grid(lam: float) -> Grid:
+    """The grid of the approach-region measurements at lam: [-2, 2] at step 1/(16 lam)."""
+    return Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
+
+
 def maximal_norm_sweep(ell: int, lambdas, seed: int = 0) -> SweepReport:
     """Per lambda, the largest ||M_approach w||_q / ||w||_q over the weight
-    corpus, with q = (ell/2)' and w on [-2, 2] at step 1/(16 lam)."""
+    corpus, with q = (ell/2)' and w on :func:`approach_grid`."""
     q = math.inf if ell == 2 else ell / (ell - 2.0)
 
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
-        grid = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * lam))
+        grid = approach_grid(lam)
         _check_region(ell, lam)  # up front: at ell < 2, q < 1 and lp_norm would object first
         return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, ell, lam),
                                                weight_corpus(grid, rng), q)
@@ -553,6 +548,8 @@ def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int
                  seed: int, chain_tol: float) -> tuple[bool, list, list]:
     """The check-lemmas corpus: from one RNG, at the first lam, the chain over ``pairs``
     weights and max(1, pairs // 4) uncertainty samples with |xi| <= 8; the envelope."""
+    if low := [lam for lam in lambdas if not lam >= 1.0]:
+        raise ValueError(f"lambda {low[0]!r} is below 1: the lemma checks need lambda >= 1")
     rng = np.random.default_rng(seed)
     holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng, chain_tol)
     mols = uncertainty_samples(phase, spec, lambdas[0], 8.0, max(1, pairs // 4), rng, seed)

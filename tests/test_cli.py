@@ -200,12 +200,15 @@ class TestExitCodes:
         assert run(["maximal", "--ell", "3", "--lambda", "64",
                     "--weight", "nonsense", "--out", str(tmp_path)]) == 2
 
-    # each used to end in a traceback (--p 1024: an OverflowError from 2.0**p),
-    # a run that did not end (--pairs), a config key ignored without a word
-    # (PASS for x^3 at 0, exit 0 for check-lp), or an exit-2 message naming
-    # no input ("could not convert string to float: ''", numpy's "expected
-    # non-negative integer" or nothing at all for a negative seed, "max_step
-    # must be positive, got 0.0", "zero-size array to reduction operation")
+    # each used to end in a traceback (--p 1024: an OverflowError from 2.0**p;
+    # --lambda 0: a ZeroDivisionError), a run that did not end (--pairs), a
+    # config key ignored without a word (PASS for x^3 at 0, exit 0 for
+    # check-lp), or an exit-2 message naming no input ("could not convert
+    # string to float: ''", numpy's "expected non-negative integer" or nothing
+    # at all for a negative seed, "max_step must be positive, got 0.0", "zero-size
+    # array to reduction operation", "max_step must be positive" or the grid
+    # budget for --lambda -4, nan and inf, numpy's "high <= 0" and a band
+    # message for check-lemmas at lambda < 1)
     @pytest.mark.parametrize("argv, config, message", [
         (["check-lemmas", "--ell", "3", "--lambdas", "256", "--pairs", "1", "--p", "1024"],
          None, "band p=1024 outside"),
@@ -247,14 +250,27 @@ class TestExitCodes:
          None, "--pairs: must be <= MAX_PAIRS = 4096"),
         (["check-lemmas", "--ell", "3", "--lambdas", "256", "--pairs", "100000000"], None,
          "--pairs: must be <= MAX_PAIRS = 4096"),
-        (["check-lp", "--pairs", "4097"], None, "--pairs: must be <= MAX_PAIRS = 4096")],
+        (["check-lp", "--pairs", "4097"], None, "--pairs: must be <= MAX_PAIRS = 4096"),
+        (["maximal", "--lambda", "0"], None, "--lambda must be finite and positive, got 0.0"),
+        (["maximal", "--lambda", "-4"], None, "--lambda must be finite and positive, got -4.0"),
+        (["maximal", "--lambda", "nan"], None, "--lambda must be finite and positive, got nan"),
+        (["maximal", "--lambda", "inf", "--op", "M"], None,
+         "--lambda must be finite and positive, got inf"),
+        (["check-lemmas", "--ell", "3", "--pairs", "1", "--lambdas", "1e-3"], None,
+         "lambda 0.001 is below 1"),
+        (["check-lemmas", "--ell", "3", "--pairs", "1", "--lambdas", "0.5,256"], None,
+         "lambda 0.5 is below 1"),
+        (["check-lemmas", "--ell", "3", "--pairs", "1", "--lambdas", "256,0.5"], None,
+         "lambda 0.5 is below 1")],
         ids=["p-1024", "p-100000", "phase-unlisted-key", "dyadic-unlisted-key",
              "cosine-config-ell", "cosine-flag-config-ell", "lambdas-trailing-comma",
              "lambdas-word", "lambdas-three-bounds", "config-lambdas-word",
              "seed-validate-phase", "seed-kernel-decay", "seed-maximal", "seed-sweep-maximal",
              "config-seed-maximal", "config-lambda-1e308", "lambda-1e308-epsilon",
              "maximal-lambda-1e308", "dyadic-5-5", "dyadic-20-30", "dyadic-minus-20-minus-10", "check-main-pairs-1e20", "check-lemmas-pairs-1e8",
-             "check-lp-pairs-4097"])
+             "check-lp-pairs-4097", "maximal-lambda-0", "maximal-lambda-negative",
+             "maximal-lambda-nan", "maximal-lambda-inf", "check-lemmas-lambda-1e-3",
+             "check-lemmas-lambda-0.5-first", "check-lemmas-lambda-0.5-last"])
     def test_input_is_refused_by_name(self, argv, config, message, tmp_path, capsys):
         if config is not None:
             cfg = tmp_path / "run.json"
@@ -699,6 +715,34 @@ def test_only_cli_writes_results_files():
                     found.setdefault(path.name, set()).add(name.split(".")[0])
     assert found == {"cli.py": {"csv", "json"}, "numerics.py": {"csv"}}
     assert writers == {"cli.py"}
+
+
+def test_only_numerics_builds_kernel_frames():
+    # numerics.kernel_frame is the one zero-centred copy of a grid, a
+    # Grid(0.0, g.half_width, g.n) call. Outside numerics.py convolve is called
+    # only by kernels.apply_T (T f = K * f) and the FFT branch of the regular
+    # family; every smoothing majorant goes through numerics.smoothing_majorant.
+    # np.convolve, the direct sums of _util and maximal, is another function.
+    frames, convolves = set(), set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if (name == "Grid" and len(node.args) == 3
+                        and getattr(node.args[1], "attr", None) == "half_width"
+                        and getattr(node.args[2], "attr", None) == "n"):
+                    frames.add(f"{path.stem}.{fn.name}")
+                if (name == "convolve"
+                        and getattr(getattr(node.func, "value", None), "id", None) != "np"):
+                    convolves.add(f"{path.stem}.{fn.name}")
+    assert frames == set()
+    assert convolves == {"kernels.apply_T", "maximal._bump_convolutions"}
 
 
 # Public functions and methods that nothing in src/ or scripts/ calls, each

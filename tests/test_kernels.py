@@ -12,8 +12,7 @@ from scipy.special import fresnel
 
 from oscillab._util import standard_bump
 from oscillab.errors import GridMismatch, UnderResolved, ValidationFailed
-from oscillab.kernels import (Kernel, admissible_step, apply_T, build_kernel,
-                              check_decay, kernel_spectrum)
+from oscillab.kernels import Kernel, admissible_step, apply_T, build_kernel, check_decay
 from oscillab.numerics import (Grid, SampledFunction, forward_transform, inverse_transform,
                                lp_norm)
 from oscillab.phases import Phase, finite_type_spec
@@ -181,7 +180,7 @@ class TestApplyT:
 class TestSpectrum:
     def test_spot_check_against_quadrature(self):
         _, _, K = cubic_setup(lam=128.0, half_width=1.0)
-        sf = kernel_spectrum(K)
+        sf = forward_transform(K.samples)
         xs = sf.freq_grid.xs
         lam13 = 128.0 ** (1 / 3)
         picks = np.unique(np.concatenate([
@@ -195,17 +194,21 @@ class TestSpectrum:
 
     def test_zero_frequency_is_plain_integral(self):
         _, _, K = cubic_setup(lam=64.0)
-        sf = kernel_spectrum(K)
+        sf = forward_transform(K.samples)
         mid = K.grid.n // 2
         oracle = kernel_spectrum_quadrature(K, [0.0])[0]
         assert abs(sf.values[mid] - oracle) <= 1e-8
 
     def test_without_oscillation_spectrum_is_cutoff_transform(self):
-        ph, spec, K = cubic_setup(lam=64.0)
-        flat = Kernel(ph, spec, K.lam, SampledFunction(K.grid, cutoff(K, K.grid.xs)))
-        sf = kernel_spectrum(flat)
-        direct = forward_transform(flat.samples)
-        assert np.max(np.abs(sf.values - direct.values)) == 0.0
+        # psi is even, so its transform is the cosine integral, checked by quadrature
+        _, spec, K = cubic_setup(lam=64.0)
+        sf = forward_transform(SampledFunction(K.grid, cutoff(K, K.grid.xs)))
+        u = spec.support_halfwidth
+        for j in K.grid.n // 2 + np.array([0, 3, -7, 20]):
+            xi = sf.freq_grid.xs[j]
+            oracle, _ = quad(lambda x: cutoff(K, x) * np.cos(xi * x), -u, u,
+                             epsabs=1e-12, epsrel=1e-12, limit=200)
+            assert abs(sf.values[j] - oracle) <= 1e-8
 
     def test_hermitian_kernel_symmetry(self):
         # odd phase + even cutoff make K(-x) = conj(K(x)); the transform of
@@ -214,7 +217,7 @@ class TestSpectrum:
         _, _, K = cubic_setup(lam=64.0)
         kv = K.samples.values[1:]
         assert np.max(np.abs(kv - np.conj(kv[::-1]))) == 0.0
-        sf = kernel_spectrum(K)
+        sf = forward_transform(K.samples)
         scale = np.max(np.abs(sf.values))
         assert np.max(np.abs(sf.values.imag)) <= 1e-12 * scale
 
@@ -229,7 +232,7 @@ class TestSpectrum:
         shifted_spec = finite_type_spec(shifted_phase, a, 3, epsilon=1.0,
                                         support_halfwidth=0.5)
         Ka = build_kernel(shifted_phase, shifted_spec, lam, grid)
-        sf, sfa = kernel_spectrum(K), kernel_spectrum(Ka)
+        sf, sfa = forward_transform(K.samples), forward_transform(Ka.samples)
         xs = sf.freq_grid.xs
         expected = sf.values * np.exp(-1j * xs * a)
         assert np.max(np.abs(sfa.values - expected)) <= 1e-9 * np.max(np.abs(sf.values))
@@ -274,7 +277,7 @@ class TestDecay:
         for lam in (64.0, 300.0, 1024.0):
             grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
             K = build_kernel(ph, spec, lam, grid)
-            spectrum = kernel_spectrum(K)
+            spectrum = forward_transform(K.samples)
             xs, mags = spectrum.freq_grid.xs, np.abs(spectrum.values)
             base = lam ** (1.0 / ell)
             tail_exp = (ell - 2.0) / (2.0 * (ell - 1.0))

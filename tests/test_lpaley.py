@@ -12,11 +12,12 @@ from oscillab.errors import BadBand, CoverageGap
 from oscillab.lpaley import (_BLOCK_SAMPLES, AnnuliIndex, DyadicFamily, SpacedFamily,
                              _spaced_blocks, _theta_samples, _translate_support,
                              annuli_project, dominating_weights, dyadic_pieces,
-                             spaced_energy, spaced_pieces, square_function)
+                             mollifier_weight, spaced_energy, spaced_pieces,
+                             square_function)
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction,
                                Weight, forward_transform, inverse_transform,
                                lp_norm, restrict, weighted_l2)
-from oscillab.verify import random_band_function, random_weight
+from oscillab.verify import random_band_function, random_weight, spaced_ratio
 
 GRID = Grid(0.0, 16.0, 4096)
 FAM = DyadicFamily(-2, 8)
@@ -161,7 +162,7 @@ class TestSpacedFamily:
         w = random_weight(GRID, rng)
         wl = fam.spatial_window(GRID)
         conv = convolve(SampledFunction(GRID, np.abs(wl.values).astype(np.complex128)),
-                        w.as_sampled())
+                        SampledFunction(GRID, w.values))
         rhs = float(GRID.h * np.sum(np.abs(f.values) ** 2
                                     * np.maximum(conv.values.real, 0.0)))
         lhs = sum(weighted_l2(p, w) for p in spaced_pieces(f, fam))
@@ -356,7 +357,7 @@ class TestDominatingWeights:
         grid0 = Grid(0.0, self.GRID4.half_width, self.GRID4.n)
         mass = lp_norm(band_limited_mollifier(grid0, ch.scale), 1)
         assert ch.w1.values[mid] / 2.0 == pytest.approx(mass**2, rel=1e-6)
-        theta = _theta_samples(grid0, ch.L)
+        theta = _theta_samples(grid0, ch.L).values.real
         theta_mass = grid0.h * float(np.sum(theta))
         # Theta tails reach the grid edge, so the convolved constant sits a
         # shade below the full Theta mass
@@ -370,7 +371,7 @@ class TestDominatingWeights:
             dominating_weights(w, 30, 256.0, 3)
 
     def test_theta_both_signs(self):
-        theta = _theta_samples(self.GRID4, 2.0)
+        theta = _theta_samples(self.GRID4, 2.0).values.real
         assert np.all(theta >= 0.0)
         that = forward_transform(SampledFunction(self.GRID4,
                                                  theta.astype(np.complex128)))
@@ -379,3 +380,26 @@ class TestDominatingWeights:
         # transform supported in [-L, L]
         outside = np.abs(that.freq_grid.xs) > 2.0 * (1 + 1e-9)
         assert np.max(np.abs(that.values[outside])) <= 1e-12 * scale
+
+
+# The same samples on a grid off the origin. Every smoothing kernel is sampled
+# on the kernel frame and every majorant convolves there, so each measurement
+# is bit for bit the centred grid's. spaced_ratio's rhs once convolved W_L at
+# absolute positions, which truncates it unevenly off the origin: it moved by
+# 2.5% at L = 0.125.
+OFF_GRID = Grid(3.0, 16.0, 4096)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda f, w: spaced_ratio(f, w, SpacedFamily(0.125)).rhs,
+    lambda f, w: spaced_ratio(f, w, SpacedFamily(2.0)).rhs,
+    lambda f, w: mollifier_weight(w, 4.0).values,
+    lambda f, w: dominating_weights(w, 3, 256.0, 3).w3.values,
+    lambda f, w: SpacedFamily(0.5).decay_constant(w.grid, 2)],
+    ids=["spaced-rhs-0.125", "spaced-rhs-2", "mollifier", "chain-w3", "decay-constant"])
+def test_measurements_ignore_the_grid_centre(measure):
+    rng = np.random.default_rng(19)
+    f = random_band_function(GRID, rng, 0.0, 60.0)
+    w = random_weight(GRID, rng)
+    off = measure(SampledFunction(OFF_GRID, f.values), Weight(OFF_GRID, w.values))
+    assert np.asarray(off).tobytes() == np.asarray(measure(f, w)).tobytes()

@@ -12,8 +12,9 @@ from oscillab._util import standard_bump
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                                _padded_fft_convolve, _support_rows, convolve,
-                               forward_transform, inverse_transform, load_weight_csv,
-                               lp_norm, on_bump, weighted_l2)
+                               forward_transform, inverse_transform, kernel_frame,
+                               load_weight_csv, lp_norm, multiplier_kernel, on_bump,
+                               smoothing_majorant, spectral_leak, weighted_l2)
 
 from conftest import convolve_direct, index_of, sampled, save_weight_csv
 
@@ -401,6 +402,52 @@ class TestWeight:
         w = Weight(g, np.ones(g.n))
         with pytest.raises(ValueError):
             w.values[0] = 2.0
+
+
+class TestKernelFrame:
+    OFF = Grid(3.0, 16.0, 4096)
+
+    def test_frame_puts_zero_at_the_middle_sample(self):
+        frame = kernel_frame(self.OFF)
+        assert (frame.h, frame.n) == (self.OFF.h, self.OFF.n)
+        assert frame.xs[frame.n // 2] == 0.0
+
+    def test_multiplier_kernel_lives_on_the_frame(self):
+        # the transform of a flat multiplier is the point mass 1/h at x = 0
+        k = multiplier_kernel(self.OFF, np.ones_like)
+        assert k.grid == kernel_frame(self.OFF)
+        spike = np.zeros(k.grid.n)
+        spike[k.grid.n // 2] = 1.0 / k.grid.h
+        assert np.max(np.abs(k.values - spike)) <= 1e-9 / k.grid.h
+
+    def test_majorant_of_a_point_mass_is_the_weight(self):
+        frame = kernel_frame(self.OFF)
+        delta = np.zeros(frame.n)
+        delta[frame.n // 2] = -1.0 / frame.h  # |K| is taken
+        w = Weight(self.OFF, standard_bump((self.OFF.xs - 5.0) / 4.0))
+        out = smoothing_majorant(SampledFunction(frame, delta), w)
+        assert out.grid == self.OFF
+        assert np.max(np.abs(out.values - w.values)) <= 1e-12
+
+    @pytest.mark.parametrize("kernel_grid", [OFF, Grid(0.0, 16.0, 2048), Grid(0.0, 8.0, 4096)],
+                             ids=["absolute-positions", "other-count", "other-step"])
+    def test_majorant_refuses_a_kernel_off_the_frame(self, kernel_grid):
+        w = Weight(self.OFF, np.ones(self.OFF.n))
+        with pytest.raises(GridMismatch, match="grids differ"):
+            smoothing_majorant(SampledFunction(kernel_grid, np.ones(kernel_grid.n)), w)
+
+    def test_leak_of_a_zero_spectrum_is_zero(self):
+        fhat = SpectralFunction(self.OFF, np.zeros(self.OFF.n))
+        assert spectral_leak(fhat, np.zeros(self.OFF.n, dtype=bool)) == 0.0
+
+    def test_leak_is_the_exact_share_outside_the_mask(self):
+        n = self.OFF.n
+        inside = np.arange(n) < n // 2
+        assert spectral_leak(SpectralFunction(self.OFF, np.ones(n)), inside) == 0.5
+        # |3|^2 inside and |1j|^2 outside: (n/2) / (5n)
+        values = np.where(inside, 3.0, 1j)
+        assert spectral_leak(SpectralFunction(self.OFF, values), inside) == 0.1
+        assert spectral_leak(SpectralFunction(self.OFF, values), ~inside) == 0.9
 
 
 class TestCsv:

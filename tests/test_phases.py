@@ -174,8 +174,6 @@ class TestNormalization:
         np.testing.assert_allclose(np.asarray(norm.phase.eval(0, xs)),
                                    xs - np.sin(xs), atol=1e-12)
         assert norm.lambda_scale == pytest.approx(1.0)
-        assert norm.linear_coeff == pytest.approx(-1.0)
-        assert not norm.conjugate
         # the normalized spec bounds x - sin(x) on [-1/2, 1/2], not cos on U
         assert norm.spec.derivative_bound(0) == pytest.approx(0.5 - np.sin(0.5))
         assert norm.spec.derivative_bound(1) == pytest.approx(1.0 - np.cos(0.5))
@@ -187,7 +185,6 @@ class TestNormalization:
         for k in (0, 1):
             assert abs(float(np.asarray(norm.phase.eval(k, 0.0)))) <= 1e-12
         assert float(np.asarray(norm.phase.eval(2, 0.0))) == pytest.approx(1.0)
-        assert norm.conjugate  # second derivative of cos at 0 is negative
 
     def test_validated_after_normalization(self):
         ph = Phase.cosine()
