@@ -22,8 +22,8 @@ from . import verify
 from .errors import OscillabError
 from .lpaley import DyadicFamily, SpacedFamily
 from .maximal import approach_maximal, operator_by_name
-from .numerics import Grid, Weight, load_weight_csv
-from .phases import Phase, finite_type_spec, validate_finite_type
+from .numerics import Grid, Weight
+from .phases import Phase, check_lambda, finite_type_spec, validate_finite_type
 from .verify import (RatioSample, maximal_norm_sweep, operator_norm_sweep,
                      two_weight_sweep)
 
@@ -130,31 +130,34 @@ def _emit_sweep(out_dir: str, name: str, ell: int, report, emit_plots: bool) -> 
 
 
 def _parse_lambdas(value) -> list[float]:
-    """"64..4096" doubles from 64 to 4096; "16,64,256" or a list is literal."""
+    """"64..4096" doubles from 64 to 4096; "16,64,256" or a list is literal.
+    Every entry, and both ends of a range, must pass check_lambda."""
+    span = isinstance(value, str) and ".." in value
     if isinstance(value, list) and all(type(v) in (int, float) for v in value):
         lams = [float(v) for v in value]
     elif not isinstance(value, str):
         raise ValueError(f"lambdas must be a string or a list of numbers, not {value!r}")
     else:
-        parts = value.split("..") if ".." in value else value.split(",")
         try:
-            lams = [float(t) for t in parts]
+            lams = [float(t) for t in value.split(".." if span else ",")]
         except ValueError:
             raise ValueError(f"lambdas {value!r} is not a number, a list a,b,c "
                              f"or a range lo..hi") from None
-        if ".." in value:
-            if len(lams) != 2:
-                raise ValueError(f"lambdas {value!r} is not a range lo..hi")
-            lo, hi = lams
-            if not (0.0 < lo <= hi < math.inf):
-                raise ValueError(f"lambda range {value!r} needs finite bounds 0 < lo <= hi")
-            lams = []
-            lam = lo
-            while lam <= hi * (1 + 1e-9):
-                lams.append(lam)
-                lam *= 2.0
-    if not lams or not all(0.0 < lam < math.inf for lam in lams):
-        raise ValueError(f"lambdas must be finite and positive, got {value!r}")
+        if span and len(lams) != 2:
+            raise ValueError(f"lambdas {value!r} is not a range lo..hi")
+    if not lams:
+        raise ValueError(f"lambdas must be nonempty, got {value!r}")
+    for lam in lams:
+        check_lambda(lam)
+    if span:
+        lo, hi = lams
+        if lo > hi:
+            raise ValueError(f"lambda range {value!r} needs lo <= hi")
+        lams = []
+        lam = lo
+        while lam <= hi * (1 + 1e-9) and lam < math.inf:
+            lams.append(lam)
+            lam *= 2.0
     return lams
 
 
@@ -215,6 +218,37 @@ def _weight_from_arg(arg: str, grid: Grid) -> Weight:
     if arg.startswith("csv:"):
         return load_weight_csv(arg[4:])
     raise ValueError(f"unknown weight source {arg!r} (use 'const' or 'csv:PATH')")
+
+
+def load_weight_csv(path: str) -> Weight:
+    xs, vals = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise ValueError(f"weight {path} is empty: it needs a header line x,w and samples")
+        for row in reader:
+            try:
+                xs.append(float(row[0]))
+                vals.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise ValueError(f"weight {path}, line {reader.line_num}: {row!r} "
+                                 f"is not two numbers x,w") from None
+    w = Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
+    with np.errstate(over="ignore"):
+        total = np.cumsum(w.values)[-1]  # the prefix sum every window sum is taken from
+    if not np.isfinite(total):
+        raise ValueError(f"weight {path}: the sum of its values overflows")
+    return w
+
+
+def _grid_from_samples(xs: np.ndarray) -> Grid:
+    n = len(xs)
+    if n < 2:
+        raise ValueError(f"a sampled weight needs at least 2 samples, got {n}")
+    h = (xs[-1] - xs[0]) / (n - 1)
+    half_width = n * h / 2.0
+    center = xs[0] + half_width
+    return Grid(float(center), float(half_width), n)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +519,7 @@ def run(argv=None) -> int:
         if args.writes:
             os.makedirs(args.out, exist_ok=True)
         return args.handler(args, cfg)
-    except (OscillabError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (OscillabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,11 +10,7 @@ class OrderUnavailable(OscillabError):
 
 
 class ValidationFailed(OscillabError):
-    """A finite-type hypothesis was violated; carries the first failing condition."""
-
-    def __init__(self, condition: str):
-        super().__init__(condition)
-        self.condition = condition
+    """A finite-type hypothesis was violated; the message is the first failing condition."""
 
 
 class DegenerateSupport(OscillabError):

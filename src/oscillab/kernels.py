@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UnderResolved
 from .lpaley import AnnuliIndex
 from .numerics import Grid, SampledFunction, convolve, forward_transform, on_bump
-from .phases import FiniteTypeSpec, Phase, ensure_finite_type, normalize_phase
+from .phases import FiniteTypeSpec, Phase, check_lambda, ensure_finite_type, normalize_phase
 
 __all__ = [
     "Kernel",
@@ -59,14 +59,13 @@ def build_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float, grid: Grid) -> 
     the oscillation must be resolved or :class:`UnderResolved` is raised
     with the largest admissible step.
     """
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
+    check_lambda(lam)
     ensure_finite_type(phase, spec)
     max_step = admissible_step(spec, lam)
     if grid.h > max_step:
         raise UnderResolved(f"step {grid.h:.3e} cannot resolve lam={lam}", max_step)
     samples = on_bump(grid, spec.x0, spec.support_halfwidth,
-                      lambda xs: np.exp(1j * lam * np.asarray(phase.eval(0, xs))))
+                      lambda xs: np.exp(1j * lam * phase.eval(0, xs)))
     return Kernel(phase, spec, float(lam), samples)
 
 
@@ -96,7 +95,6 @@ class DecayReport:
     tail_constants: tuple  # per-annulus max of the normalized tail quantity
     tail_max: float
     far_field: float  # max over |xi| >= 2*A1*lam of |K^| * |xi|^N
-    far_field_order: int
 
 
 def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
@@ -140,4 +138,4 @@ def check_decay(kernel: Kernel, N: int = 4) -> DecayReport:
 
     far = a >= 2.0 * a1 * lam
     far_field = float(np.max(mags[far] * a[far] ** N)) if np.any(far) else 0.0
-    return DecayReport(lam, ell, sup_low, tuple(consts), tail_max, far_field, N)
+    return DecayReport(lam, ell, sup_low, tuple(consts), tail_max, far_field)

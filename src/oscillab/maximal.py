@@ -40,6 +40,7 @@ from ._util import (boundary_mask, cells, sliding_max, sliding_max_naive,
                     snap_radius, standard_bump, window_sum_ladder, window_sums_naive)
 from .errors import UnderResolved
 from .numerics import Grid, SampledFunction, Weight, convolve, kernel_frame
+from .phases import check_lambda
 
 __all__ = [
     "hardy_littlewood",
@@ -191,11 +192,11 @@ def fractional_maximal_brute(w: Weight, alpha: float) -> Weight:
 
 def _check_region(ell: int, lam: float | None = None) -> None:
     """The (ell, lam) of every region operator: ell >= 2 and, when given,
-    lam finite and >= 1."""
+    lam passes check_lambda."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if lam is not None and not 1 <= lam < math.inf:
-        raise ValueError("lam must be finite and >= 1")
+    if lam is not None:
+        check_lambda(lam)
 
 
 def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn,

@@ -13,7 +13,6 @@ convolution of two grid-supported functions is computed without wrap-around.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -39,7 +38,6 @@ __all__ = [
     "spectral_leak",
     "lp_norm",
     "weighted_l2",
-    "load_weight_csv",
 ]
 
 
@@ -309,34 +307,3 @@ def weighted_l2(f: SampledFunction, w: Weight) -> float:
     """The weighted energy h * sum |f|^2 w (an integral, not a norm)."""
     _require_same_grid(f, w)
     return float(f.grid.h * np.sum(np.abs(f.values) ** 2 * w.values))
-
-
-def load_weight_csv(path: str) -> Weight:
-    xs, vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ValueError(f"weight {path} is empty: it needs a header line x,w and samples")
-        for row in reader:
-            try:
-                xs.append(float(row[0]))
-                vals.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise ValueError(f"weight {path}, line {reader.line_num}: {row!r} "
-                                 f"is not two numbers x,w") from None
-    w = Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
-    with np.errstate(over="ignore"):
-        total = np.cumsum(w.values)[-1]  # the prefix sum every window sum is taken from
-    if not np.isfinite(total):
-        raise ValueError(f"weight {path}: the sum of its values overflows")
-    return w
-
-
-def _grid_from_samples(xs: np.ndarray) -> Grid:
-    n = len(xs)
-    if n < 2:
-        raise ValueError(f"a sampled weight needs at least 2 samples, got {n}")
-    h = (xs[-1] - xs[0]) / (n - 1)
-    half_width = n * h / 2.0
-    center = xs[0] + half_width
-    return Grid(float(center), float(half_width), n)

@@ -27,6 +27,7 @@ __all__ = [
     "TypeReport",
     "ComparabilityReport",
     "finite_type_spec",
+    "check_lambda",
     "validate_finite_type",
     "ensure_finite_type",
     "comparability_check",
@@ -45,10 +46,11 @@ MAX_ELL = 170
 class Phase:
     """A smooth phase with derivative evaluation.
 
-    ``eval(k, x)`` returns the k-th derivative at ``x``, vectorized over
-    arrays. Orders up to ``max_analytic_order`` are analytic; at most two
-    further orders are supplied by 5-point centered differences at step
-    1e-4, beyond which :class:`OrderUnavailable` is raised.
+    ``eval(k, x)`` returns the k-th derivative at ``x`` as a float ndarray,
+    0-d for a scalar ``x``. Orders up to ``max_analytic_order`` are
+    analytic; at most two further orders are supplied by 5-point centered
+    differences at step 1e-4, beyond which :class:`OrderUnavailable` is
+    raised.
     """
 
     def __init__(self, kind: str, eval_analytic: Callable[[int, np.ndarray], np.ndarray],
@@ -57,20 +59,20 @@ class Phase:
         self._eval_analytic = eval_analytic
         self.max_analytic_order = max_analytic_order
 
-    def eval(self, k: int, x):
+    def eval(self, k: int, x) -> np.ndarray:
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
         xs = np.asarray(x, dtype=float)
         if k <= self.max_analytic_order:
-            return self._eval_analytic(k, xs)
+            return np.asarray(self._eval_analytic(k, xs), dtype=float)
         if k - self.max_analytic_order > _FD_DEPTH:
             raise OrderUnavailable(
                 f"order {k} exceeds analytic order {self.max_analytic_order} "
                 f"by more than {_FD_DEPTH}")
         d = _FD_STEP
-        lower = lambda t: np.asarray(self.eval(k - 1, t))
-        return (-lower(xs + 2 * d) + 8 * lower(xs + d)
-                - 8 * lower(xs - d) + lower(xs - 2 * d)) / (12 * d)
+        lower = lambda t: self.eval(k - 1, t)
+        return np.asarray((-lower(xs + 2 * d) + 8 * lower(xs + d)
+                           - 8 * lower(xs - d) + lower(xs - 2 * d)) / (12 * d))
 
     @staticmethod
     def monomial(ell: int) -> "Phase":
@@ -97,11 +99,7 @@ class Phase:
     def from_derivatives(derivs: Sequence[Callable]) -> "Phase":
         """User-supplied phase; ``derivs[k]`` evaluates the k-th derivative."""
         table = tuple(derivs)
-
-        def ev(k, x):
-            return np.asarray(table[k](x), dtype=float)
-
-        return Phase("user", ev, max_analytic_order=len(table) - 1)
+        return Phase("user", lambda k, x: table[k](x), max_analytic_order=len(table) - 1)
 
 
 @dataclass(frozen=True)
@@ -144,6 +142,14 @@ def _check_hypothesis(x0: float, ell: int, epsilon: float | None, u: float | Non
         raise ValueError("support halfwidth must be finite and positive")
 
 
+def check_lambda(lam: float) -> None:
+    """The domain of the oscillation parameter, for every kernel, approach
+    region and --lambdas entry: lam finite and >= 1."""
+    if not 1 <= lam < math.inf:
+        why = "below 1" if lam < 1 else "not finite"
+        raise ValueError(f"lambda {lam!r} is {why}: lam must be finite and >= 1")
+
+
 def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = None,
                      support_halfwidth: float | None = None) -> FiniteTypeSpec:
     """Build a :class:`FiniteTypeSpec`, filling defaults from the phase once
@@ -154,7 +160,7 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
     |phi^(ell)| >= epsilon/2 across a 1024-point grid on [x0-u, x0+u].
     """
     _check_hypothesis(x0, ell, epsilon, support_halfwidth)
-    dval = float(np.asarray(phase.eval(ell, x0)))
+    dval = float(phase.eval(ell, x0))
     if epsilon is None:
         epsilon = abs(dval)
         if epsilon == 0.0:
@@ -163,7 +169,7 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
         u = 1.0
         for _ in range(40):
             xs = x0 + np.linspace(-u, u, 1024)
-            if np.all(np.abs(np.asarray(phase.eval(ell, xs))) >= epsilon / 2):
+            if np.all(np.abs(phase.eval(ell, xs)) >= epsilon / 2):
                 break
             u /= 2.0
         else:
@@ -172,7 +178,7 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
     xs = x0 + np.linspace(-support_halfwidth, support_halfwidth, 1024)
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = tuple(
-            float(np.max(np.abs(np.asarray(phase.eval(j, xs))))) for j in range(ell + 3))
+            float(np.max(np.abs(phase.eval(j, xs)))) for j in range(ell + 3))
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"the derivatives of order <= ell + 2 = {ell + 2} of the phase are "
                          f"not finite on [x0 - u, x0 + u] at x0 = {x0!r}, u = "
@@ -184,8 +190,6 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
 class TypeReport:
     """Outcome of the finite-type validation at the base point."""
 
-    x0: float
-    ell: int
     lower_orders: tuple  # |phi^(k)(x0)| for 2 <= k < ell
     ell_value: float  # phi^(ell)(x0), signed
     passed: bool
@@ -206,19 +210,19 @@ def validate_finite_type(phase: Phase, spec: FiniteTypeSpec, tol: float = 1e-10)
     failures = []
     lower = []
     for k in range(2, spec.ell):
-        v = abs(float(np.asarray(phase.eval(k, spec.x0))))
+        v = abs(float(phase.eval(k, spec.x0)))
         lower.append(v)
         if v > tol:
             failures.append(f"|phi^({k})(x0)| = {v:.3e} exceeds tol {tol:.1e}")
-    dval = float(np.asarray(phase.eval(spec.ell, spec.x0)))
+    dval = float(phase.eval(spec.ell, spec.x0))
     if abs(dval) < spec.epsilon - tol:
         failures.append(
             f"|phi^({spec.ell})(x0)| = {abs(dval):.3e} below epsilon = {spec.epsilon:.3e}")
     u = spec.support_halfwidth
     xs = spec.x0 + np.linspace(-u, u, 1024)
-    if not np.all(np.abs(np.asarray(phase.eval(spec.ell, xs))) >= spec.epsilon / 2 - tol):
+    if not np.all(np.abs(phase.eval(spec.ell, xs)) >= spec.epsilon / 2 - tol):
         failures.append("|phi^(ell)| drops below epsilon/2 on the support interval")
-    return TypeReport(spec.x0, spec.ell, tuple(lower), dval, not failures, tuple(failures))
+    return TypeReport(tuple(lower), dval, not failures, tuple(failures))
 
 
 def ensure_finite_type(phase: Phase, spec: FiniteTypeSpec) -> TypeReport:
@@ -232,11 +236,8 @@ def ensure_finite_type(phase: Phase, spec: FiniteTypeSpec) -> TypeReport:
 
 @dataclass(frozen=True)
 class ComparabilityReport:
-    k: int
     ratio_min: float
     ratio_max: float
-    lower_bound: float
-    upper_bound: float
     passed: bool
 
 
@@ -257,13 +258,13 @@ def comparability_check(phase: Phase, spec: FiniteTypeSpec, k: int,
     norm = normalize_phase(phase, spec)
     offs = np.arange(1, m + 1) * grid_step
     xs = np.concatenate([-offs[::-1], offs])
-    vals = np.abs(np.asarray(norm.phase.eval(k, xs)))
+    vals = np.abs(norm.phase.eval(k, xs))
     ratios = vals / np.abs(xs) ** (spec.ell - k)
     delta = 1e-3
     a_ell = spec.derivative_bound(spec.ell) / spec.epsilon
     lo, hi = 0.5 * (1 - delta), a_ell * (1 + delta)
     rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
-    return ComparabilityReport(k, rmin, rmax, lo, hi, lo <= rmin and rmax <= hi)
+    return ComparabilityReport(rmin, rmax, lo <= rmin and rmax <= hi)
 
 
 @dataclass(frozen=True)
@@ -289,17 +290,17 @@ def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
     As phi(0) = phi'(0) = 0, bounds that break A0 <= A1*u or A1 <= A2*u mean
     the affine part cancelled phi(x0 + x) in floating point: ValueError."""
     x0, eps = spec.x0, spec.epsilon
-    a = float(np.asarray(phase.eval(0, x0)))
-    b = float(np.asarray(phase.eval(1, x0)))
-    dval = float(np.asarray(phase.eval(spec.ell, x0)))
+    a = float(phase.eval(0, x0))
+    b = float(phase.eval(1, x0))
+    dval = float(phase.eval(spec.ell, x0))
     sign = -1.0 if dval < 0 else 1.0
 
     def ev(k, x):
         if k == 0:
-            return sign * (np.asarray(phase.eval(0, x + x0)) - a - b * x) / eps
+            return sign * (phase.eval(0, x + x0) - a - b * x) / eps
         if k == 1:
-            return sign * (np.asarray(phase.eval(1, x + x0)) - b) / eps
-        return sign * np.asarray(phase.eval(k, x + x0)) / eps
+            return sign * (phase.eval(1, x + x0) - b) / eps
+        return sign * phase.eval(k, x + x0) / eps
 
     out = Phase(f"{phase.kind}-normalized", ev, phase.max_analytic_order)
     u = spec.support_halfwidth

@@ -249,7 +249,7 @@ def focusing_input(kernel: Kernel) -> SampledFunction:
     """Phase-conjugated bump on the kernel's support: maximizes |T f(0)|
     and realizes the norm lower bound at the known exponent."""
     return on_bump(kernel.grid, 0.0, kernel.spec.support_halfwidth,
-                   lambda xs: np.exp(-1j * kernel.lam * np.asarray(kernel.phase.eval(0, -xs))))
+                   lambda xs: np.exp(-1j * kernel.lam * kernel.phase.eval(0, -xs)))
 
 
 def h1_atom(grid: Grid, width: float) -> SampledFunction:
@@ -548,8 +548,6 @@ def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int
                  seed: int, chain_tol: float) -> tuple[bool, list, list]:
     """The check-lemmas corpus: from one RNG, at the first lam, the chain over ``pairs``
     weights and max(1, pairs // 4) uncertainty samples with |xi| <= 8; the envelope."""
-    if low := [lam for lam in lambdas if not lam >= 1.0]:
-        raise ValueError(f"lambda {low[0]!r} is below 1: the lemma checks need lambda >= 1")
     rng = np.random.default_rng(seed)
     holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng, chain_tol)
     mols = uncertainty_samples(phase, spec, lambdas[0], 8.0, max(1, pairs // 4), rng, seed)

@@ -24,7 +24,7 @@ def quantized_weight(grid, seed):
 
 
 def save_weight_csv(w, path):
-    """Write a weight in the format ``numerics.load_weight_csv`` reads."""
+    """Write a weight in the format ``cli.load_weight_csv`` reads."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "w"])

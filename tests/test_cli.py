@@ -1,22 +1,28 @@
 """CLI contract: exit codes, file outputs, determinism, config handling."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oscillab import maximal, verify
+from oscillab import cli, kernels, maximal, verify
 from oscillab.cli import MAX_PAIRS, _atomic_write, _build_parser, run
+from oscillab.kernels import build_kernel
 from oscillab.numerics import Grid, Weight
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import RatioSample
@@ -640,6 +646,85 @@ class TestLambdaValues:
         assert run(["sweep-maximal", f"--lambdas={text}", "--out", str(tmp_path)]) == 2
         assert "lambda" in capsys.readouterr().err
 
+    # near the float maximum, hi * (1 + 1e-9) overflows: the doubling reached
+    # inf, and inf <= inf kept appending it
+    def test_range_up_to_the_float_maximum_ends(self):
+        lams = cli._parse_lambdas(f"1..{sys.float_info.max!r}")
+        assert len(lams) == 1024 and lams[-1] == 2.0**1023
+
+    # build_kernel said "lam must be >= 1" and built an all-NaN kernel at NaN,
+    # the region operators said "lam must be finite and >= 1": neither named
+    # the value, and a --lambdas list was refused only at the bad entry's turn
+    @pytest.mark.parametrize("lam", [0.5, math.nan, math.inf])
+    def test_one_rule_names_the_value(self, lam, tmp_path, capsys):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        w = Weight(Grid(0.0, 2.0, 1024), np.ones(1024))
+        messages = set()
+        for refuse in (lambda: build_kernel(ph, spec, lam, Grid(0.0, 2.0, 4096)),
+                       lambda: maximal.approach_maximal(w, 3, lam),
+                       lambda: maximal.regular_maximal(w, 3, lam=lam)):
+            with pytest.raises(ValueError) as info:
+                refuse()
+            messages.add(str(info.value))
+        assert run(["check-main", "--ell", "3", "--pairs", "1", f"--lambdas=64,{lam!r}",
+                    "--out", str(tmp_path)]) == 2
+        messages.add(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
+        assert len(messages) == 1
+        assert messages.pop().startswith(f"lambda {lam!r} is ")
+
+    # every --lambdas subcommand, by flag and by config: a list with an entry
+    # outside lam finite and >= 1 exits 2 naming the first such entry, before
+    # any kernel or approach region is built
+    @settings(max_examples=200, derandomize=True)
+    @given(command=st.sampled_from(sorted(CHEAP_LAMBDAS)),
+           lams=st.lists(st.one_of(st.sampled_from([1.0, 2.0, 4.0, 16.0, 64.0]),
+                                   st.sampled_from([0.0, 0.5, 1e-3, math.nan, math.inf,
+                                                    -math.inf]),
+                                   st.floats(max_value=0.0, allow_nan=False)),
+                         min_size=1, max_size=4),
+           by_config=st.booleans())
+    @example(command="check-main", lams=[64.0, 128.0, 0.5], by_config=False)
+    @example(command="kernel-decay", lams=[64.0, 0.5], by_config=False)
+    @example(command="sweep-operator", lams=[64.0, 0.5], by_config=False)
+    @example(command="sweep-maximal", lams=[16.0, 0.5], by_config=False)
+    @example(command="check-lemmas", lams=[256.0, 0.5], by_config=False)
+    @example(command="check-main", lams=[64.0, math.nan], by_config=True)
+    @example(command="sweep-maximal", lams=[16.0, math.inf], by_config=False)
+    def test_every_lambda_list_meets_one_rule(self, command, lams, by_config):
+        bad = [lam for lam in lams if not 1.0 <= lam < math.inf]
+        built = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                built.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        err = io.StringIO()
+        with (pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp,
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            for module in (cli, kernels, maximal, verify):
+                for name in ("build_kernel", "approach_maximal"):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, counting(getattr(module, name)))
+            argv = [command, *CHEAP_ARGS[command], "--out", os.path.join(tmp, "out")]
+            if by_config:
+                path = os.path.join(tmp, "run.json")
+                with open(path, "w") as fh:
+                    json.dump({"lambdas": lams}, fh)
+                argv += ["--config", path]
+            else:
+                argv.append(f"--lambdas={','.join(map(repr, lams))}")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue() and not caught
+        if bad:
+            assert code == 2 and f"lambda {bad[0]!r} is " in err.getvalue()
+            assert built == []
+
 
 class TestAtomicWrite:
     def test_failed_writer_leaves_target_and_no_temp_file(self, tmp_path):
@@ -697,8 +782,8 @@ def _opens_for_writing(node) -> bool:
 
 
 def test_only_cli_writes_results_files():
-    # cli.py writes every results file; numerics.py reads the weight CSVs.
-    # No other module imports csv or json, or opens a file for writing.
+    # cli.py writes every results file and reads the weight CSVs. No other
+    # module imports csv or json, or opens a file for writing.
     found, writers = {}, set()
     for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -713,7 +798,7 @@ def test_only_cli_writes_results_files():
             for name in names:
                 if name.split(".")[0] in ("csv", "json"):
                     found.setdefault(path.name, set()).add(name.split(".")[0])
-    assert found == {"cli.py": {"csv", "json"}, "numerics.py": {"csv"}}
+    assert found == {"cli.py": {"csv", "json"}}
     assert writers == {"cli.py"}
 
 
@@ -768,6 +853,26 @@ _UNCALLED_ON_PURPOSE = {
     "h1_atom": "an input of the acceptance suite",
     "Phase.from_derivatives": "the user phase kind the README documents",
 }
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read when a module of src/, scripts/ or tests/ takes an
+    # attribute of its name; DecayReport.far_field_order and three fields of
+    # ComparabilityReport were written and never read
+    root = Path(__file__).parents[1]
+    fields = {}
+    for path in sorted((root / "src" / "oscillab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields.update((f"{node.name}.{item.target.id}", item.target.id)
+                              for item in node.body if isinstance(item, ast.AnnAssign))
+    read = set()
+    for path in sorted([*(root / "src" / "oscillab").glob("*.py"),
+                        *(root / "scripts").glob("*.py"), *(root / "tests").glob("*.py")]):
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert fields and {q for q, name in fields.items() if name not in read} == set()
 
 
 def test_every_public_function_is_called_or_kept_on_purpose():

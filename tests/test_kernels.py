@@ -102,6 +102,14 @@ class TestBuildKernel:
         with pytest.raises(ValueError):
             build_kernel(ph, spec, 0.5, Grid(0.0, 2.0, 4096))
 
+    def test_nan_lambda_rejected(self):
+        # every comparison with NaN is false: lam < 1 let it through, and the
+        # kernel's samples were all NaN
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        with pytest.raises(ValueError, match="lambda nan is not finite"):
+            build_kernel(ph, spec, float("nan"), Grid(0.0, 2.0, 4096))
+
     def test_cutoff_even_and_compact(self):
         # |K| is the cutoff: even about x0 = 0 (sample n/2) and 0 off |x| < u
         _, spec, K = cubic_setup()

@@ -9,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscillab._util import standard_bump
+from oscillab.cli import load_weight_csv
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                                _padded_fft_convolve, _support_rows, convolve,
                                forward_transform, inverse_transform, kernel_frame,
-                               load_weight_csv, lp_norm, multiplier_kernel, on_bump,
+                               lp_norm, multiplier_kernel, on_bump,
                                smoothing_majorant, spectral_leak, weighted_l2)
 
 from conftest import convolve_direct, index_of, sampled, save_weight_csv

@@ -54,6 +54,22 @@ class TestPhaseEvaluation:
         with pytest.raises(OrderUnavailable):
             ph.eval(4, 0.3)
 
+    # one contract for every kind: a float ndarray, 0-d at a scalar x. The
+    # monomial, the cosine and a difference order gave numpy scalars
+    @pytest.mark.parametrize("phase, k", [
+        (Phase.monomial(3), 2),
+        (Phase.cosine(), 5),
+        (Phase.from_derivatives([np.cos, lambda x: -np.sin(x)]), 1),
+        (Phase.from_derivatives([np.cos, lambda x: -np.sin(x)]), 2),
+        (normalize_phase(Phase.cosine(), finite_type_spec(
+            Phase.cosine(), np.pi / 2, 3, epsilon=1.0, support_halfwidth=0.5)).phase, 3)],
+        ids=["monomial", "cosine", "user-analytic", "user-difference", "normalized"])
+    def test_eval_returns_a_float_ndarray(self, phase, k):
+        for x, shape in ((0.3, ()), (np.linspace(-0.5, 0.5, 5), (5,))):
+            out = phase.eval(k, x)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.shape == shape
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             Phase.monomial(2).eval(-1, 0.0)
