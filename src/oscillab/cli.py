@@ -23,7 +23,7 @@ from .errors import OscillabError
 from .lpaley import DyadicFamily, SpacedFamily
 from .maximal import approach_maximal, operator_by_name
 from .numerics import Grid, Weight
-from .phases import Phase, check_lambda, finite_type_spec, validate_finite_type
+from .phases import Phase, check_ell, check_lambda, finite_type_spec, validate_finite_type
 from .verify import (RatioSample, maximal_norm_sweep, operator_norm_sweep,
                      two_weight_sweep)
 
@@ -502,6 +502,8 @@ def _resolve(args, cfg: dict) -> None:
             setattr(args, flag, value)
     if args.seed < 0:  # every subcommand takes --seed
         raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if hasattr(args, "ell"):
+        check_ell(args.ell)
     if hasattr(args, "lambdas"):
         args.lambdas = _parse_lambdas(cfg.get("lambdas", args.lambdas_default)
                                       if args.lambdas is None else args.lambdas)

@@ -74,7 +74,7 @@ def normalized_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float,
     """The kernel in the phase's normalized frame on [-half_width, half_width], just
     under the admissible step; its ``lam`` is lam * epsilon, its ``spec`` normalized."""
     norm = normalize_phase(phase, spec)
-    lam_eff = lam * norm.lambda_scale
+    lam_eff = lam * spec.epsilon
     grid = Grid.from_step(0.0, half_width,
                           admissible_step(norm.spec, lam_eff) * 0.999)
     return build_kernel(norm.phase, norm.spec, lam_eff, grid)

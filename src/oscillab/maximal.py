@@ -25,8 +25,8 @@ the center (strictly inside r for the fractional operator, matching its
 single-cell smallest window). Windows clamp at the grid edge, by padding
 the prefix sum once per call; results carry a ``boundary`` mask marking
 cells any clamped window could have reached. The approach, global and
-regular operators accept the same (ell, lam): ell >= 2 and lam finite
-and >= 1.
+regular operators accept the same (ell, lam): ell passes
+:func:`oscillab.phases.check_ell` and lam :func:`oscillab.phases.check_lambda`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ._util import (boundary_mask, cells, sliding_max, sliding_max_naive,
                     snap_radius, standard_bump, window_sum_ladder, window_sums_naive)
 from .errors import UnderResolved
 from .numerics import Grid, SampledFunction, Weight, convolve, kernel_frame
-from .phases import check_lambda
+from .phases import check_ell, check_lambda
 
 __all__ = [
     "hardy_littlewood",
@@ -190,15 +190,6 @@ def fractional_maximal_brute(w: Weight, alpha: float) -> Weight:
 # approach-region and global operators
 
 
-def _check_region(ell: int, lam: float | None = None) -> None:
-    """The (ell, lam) of every region operator: ell >= 2 and, when given,
-    lam passes check_lambda."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if lam is not None:
-        check_lambda(lam)
-
-
 def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn,
                 naive: bool) -> Weight:
     """sup over (y, r): factor(r) * row_r(y), |y - x| <= aperture(r).
@@ -244,7 +235,8 @@ def _window_sup(w: Weight, radii: Sequence[float], scale, naive: bool) -> Weight
 
 
 def _approach(w: Weight, ell: int, lam: float, naive: bool) -> Weight:
-    _check_region(ell, lam)
+    check_ell(ell)
+    check_lambda(lam)
     h = w.grid.h
     max_h = (1.0 / lam) / 4.0
     if h > max_h:
@@ -270,7 +262,7 @@ def approach_maximal_brute(w: Weight, ell: int, lam: float) -> Weight:
 
 
 def _global(w: Weight, ell: int, naive: bool) -> Weight:
-    _check_region(ell)
+    check_ell(ell)
     e = 1.0 / (ell - 1)
     return _window_sup(w, global_radii(w.grid.h), lambda r: r ** (-e), naive)
 
@@ -324,7 +316,9 @@ def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: flo
         raise ValueError("exactly one of lam and beta must be given")
     if beta is not None and not (0.0 <= beta <= 1.0):
         raise ValueError("beta must lie in [0, 1]")
-    _check_region(ell, lam)
+    check_ell(ell)
+    if lam is not None:
+        check_lambda(lam)
     grid = w.grid
     h = grid.h
     if radii is None:

@@ -27,6 +27,7 @@ __all__ = [
     "TypeReport",
     "ComparabilityReport",
     "finite_type_spec",
+    "check_ell",
     "check_lambda",
     "validate_finite_type",
     "ensure_finite_type",
@@ -77,11 +78,7 @@ class Phase:
     @staticmethod
     def monomial(ell: int) -> "Phase":
         """phi(x) = x**ell; eval(k, x) = ell!/(ell-k)! * x**(ell-k)."""
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        if ell > MAX_ELL:
-            raise ValueError(f"ell = {ell} is too large for the monomial phase: "
-                             f"ell! overflows a float above ell = {MAX_ELL}")
+        check_ell(ell)
 
         def ev(k, x):
             if k > ell:
@@ -128,18 +125,22 @@ class FiniteTypeSpec:
 
 
 def _check_hypothesis(x0: float, ell: int, epsilon: float | None, u: float | None) -> None:
-    """Reject ell outside [2, MAX_ELL] and a non-finite x0, epsilon or u; None
-    is not yet derived."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if ell > MAX_ELL:
-        raise ValueError(f"ell = {ell} is above the budget MAX_ELL = {MAX_ELL}")
+    """Reject an ell that fails check_ell and a non-finite x0, epsilon or u;
+    None is not yet derived."""
+    check_ell(ell)
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     if epsilon is not None and not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and positive")
     if u is not None and not 0 < u < math.inf:
         raise ValueError("support halfwidth must be finite and positive")
+
+
+def check_ell(ell: int) -> None:
+    """The domain of the finite type, for every phase, region and --ell: 2 <= ell <= MAX_ELL."""
+    if not 2 <= ell <= MAX_ELL:
+        why = "below 2" if ell < 2 else f"above the budget MAX_ELL = {MAX_ELL}"
+        raise ValueError(f"ell = {ell} is {why}")
 
 
 def check_lambda(lam: float) -> None:
@@ -273,19 +274,17 @@ class NormalizedPhase:
 
     ``phase`` satisfies phi^(k)(0) = 0 for 0 <= k < ell and
     phi^(ell)(0) = 1 when the original meets its hypothesis with
-    epsilon equal to the actual ell-th derivative. The original kernel
-    exp(i*lam*phi_orig(t)) equals, up to the unimodular factor
-    exp(i*lam*(phi_orig(x0) + phi_orig'(x0)*s)) at t = x0 + s, the kernel
-    exp(i*(lambda_scale*lam)*phi(s)), conjugated when phi_orig^(ell)(x0) < 0.
-    """
+    epsilon equal to the actual ell-th derivative."""
 
     phase: Phase
     spec: FiniteTypeSpec
-    lambda_scale: float
 
 
 def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
-    """Translate to x0 = 0, remove the affine part, rescale by epsilon. The
+    """Translate to x0 = 0, remove the affine part, rescale by epsilon: the kernel
+    exp(i*lam*phi_orig(t)) equals, up to the unimodular factor
+    exp(i*lam*(phi_orig(x0) + phi_orig'(x0)*s)) at t = x0 + s, the kernel
+    exp(i*(epsilon*lam)*phi(s)), conjugated when phi_orig^(ell)(x0) < 0. The
     normalized spec bounds the normalized phase on the same support half-width.
     As phi(0) = phi'(0) = 0, bounds that break A0 <= A1*u or A1 <= A2*u mean
     the affine part cancelled phi(x0 + x) in floating point: ValueError."""
@@ -310,4 +309,4 @@ def normalize_phase(phase: Phase, spec: FiniteTypeSpec) -> NormalizedPhase:
         raise ValueError(f"the affine part of the phase cancels in floating point at "
                          f"x0 = {x0!r}: the normalized bounds A0 = {a0:.3g}, A1 = {a1:.3g}, "
                          f"A2 = {a2:.3g} break A0 <= A1*u and A1 <= A2*u at u = {u!r}")
-    return NormalizedPhase(out, nspec, lambda_scale=eps)
+    return NormalizedPhase(out, nspec)

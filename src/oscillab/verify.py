@@ -23,11 +23,11 @@ from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_deca
                       normalized_kernel)
 from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, dominating_weights,
                      dyadic_pieces, spaced_energy, square_function)
-from .maximal import _check_region, approach_maximal, hardy_littlewood
+from .maximal import approach_maximal, hardy_littlewood
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, forward_transform,
                        inverse_transform, lp_norm, multiplier_kernel, on_bump, restrict,
                        smoothing_majorant, spectral_leak, weighted_l2)
-from .phases import FiniteTypeSpec, Phase, finite_type_spec, normalize_phase
+from .phases import FiniteTypeSpec, Phase, check_ell, finite_type_spec, normalize_phase
 
 __all__ = [
     "Provenance",
@@ -312,7 +312,7 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
     samples, maxima = [], []
     for lam in lambdas:
         rng = np.random.default_rng(seed)
-        lam_eff = lam * norm.lambda_scale
+        lam_eff = lam * spec.epsilon
         step = min(1.0 / (4.0 * lam_eff), admissible_step(norm.spec, lam_eff))
         grid = Grid.from_step(0.0, 4.0, step)
         kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
@@ -395,6 +395,11 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
     return RatioSample.of(lhs, mol_rhs, provenance), RatioSample.of(lhs, mol2_rhs, provenance)
 
 
+def _envelope_band(spec: FiniteTypeSpec, nspec: FiniteTypeSpec, lam: float, p: int):
+    """Band p of envelope_check at lam: at lam * epsilon, A1 of the normalized nspec, >= 1/4."""
+    return AnnuliIndex(spec.ell, lam * spec.epsilon).band(p, max(nspec.derivative_bound(1), 0.25))
+
+
 def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: int,
                    N: int, provenance: Provenance = Provenance()) -> RatioSample:
     """Envelope constant for one spaced-band piece pushed through T.
@@ -411,7 +416,7 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
     """
     kernel = normalized_kernel(phase, spec, lam, 8.0)
     lam_eff, ell = kernel.lam, spec.ell
-    L, scale = AnnuliIndex(ell, lam_eff).band(p, max(kernel.spec.derivative_bound(1), 0.25))
+    L, scale = _envelope_band(spec, kernel.spec, lam, p)
     k0 = scale / L
     if not (0.5 * k0 <= abs(k) <= 2.0 * k0):
         raise BadBand(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
@@ -454,12 +459,12 @@ def approach_grid(lam: float) -> Grid:
 def maximal_norm_sweep(ell: int, lambdas, seed: int = 0) -> SweepReport:
     """Per lambda, the largest ||M_approach w||_q / ||w||_q over the weight
     corpus, with q = (ell/2)' and w on :func:`approach_grid`."""
+    check_ell(ell)  # before q: at ell < 2, q < 1 and lp_norm would object first
     q = math.inf if ell == 2 else ell / (ell - 2.0)
 
     def one(lam: float) -> tuple[float, float]:
         rng = np.random.default_rng(seed)
         grid = approach_grid(lam)
-        _check_region(ell, lam)  # up front: at ell < 2, q < 1 and lp_norm would object first
         return float(lam), _largest_norm_ratio(lambda w: approach_maximal(w, ell, lam),
                                                weight_corpus(grid, rng), q)
 
@@ -548,6 +553,14 @@ def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int
                  seed: int, chain_tol: float) -> tuple[bool, list, list]:
     """The check-lemmas corpus: from one RNG, at the first lam, the chain over ``pairs``
     weights and max(1, pairs // 4) uncertainty samples with |xi| <= 8; the envelope."""
+    nspec = normalize_phase(phase, spec).spec
+    try:  # before the first draw, every band the run asks for: the chain's (A1 = 1), the envelopes'
+        lam = lambdas[0]
+        AnnuliIndex(spec.ell, lam).band(p, 1.0)
+        for lam in lambdas:
+            _envelope_band(spec, nspec, lam, p)
+    except BadBand as exc:
+        raise BadBand(f"lambda = {lam!r}: {exc}") from None
     rng = np.random.default_rng(seed)
     holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng, chain_tol)
     mols = uncertainty_samples(phase, spec, lambdas[0], 8.0, max(1, pairs // 4), rng, seed)

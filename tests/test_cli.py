@@ -603,6 +603,42 @@ def _lambda_flag(values):
     return ",".join(str(float(v)) for v in values)
 
 
+# The subcommands that take --ell, and values of ell outside [2, MAX_ELL].
+ELL_COMMANDS = sorted(command for command, argv in CHEAP_ARGS.items() if "--ell" in argv)
+BAD_ELLS = (-5, 0, 1, 171, 10**9, 10**400)
+
+
+def _run_counting_builds(argv, config=None):
+    """run(argv) in-process with ``config`` as its --config file and --out in a
+    temporary directory: (exit code, stderr, the warnings raised, the names of
+    the build_kernel and approach_maximal calls made)."""
+    built = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    err = io.StringIO()
+    with (pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp,
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        for module in (cli, kernels, maximal, verify):
+            for name in ("build_kernel", "approach_maximal"):
+                if hasattr(module, name):
+                    mp.setattr(module, name, counting(getattr(module, name)))
+        argv = [*argv, "--out", os.path.join(tmp, "out")]
+        if config is not None:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv += ["--config", path]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+    return code, err.getvalue(), caught, built
+
+
 @pytest.mark.parametrize("command, key", PRECEDENCE_CASES)
 def test_flag_beats_config_beats_default(command, key, tmp_path, capsys):
     base = list(CHEAP_ARGS[command])
@@ -693,37 +729,71 @@ class TestLambdaValues:
     @example(command="sweep-maximal", lams=[16.0, math.inf], by_config=False)
     def test_every_lambda_list_meets_one_rule(self, command, lams, by_config):
         bad = [lam for lam in lams if not 1.0 <= lam < math.inf]
-        built = []
-
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                built.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapper
-
-        err = io.StringIO()
-        with (pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp,
-              warnings.catch_warnings(record=True) as caught):
-            warnings.simplefilter("always")
-            for module in (cli, kernels, maximal, verify):
-                for name in ("build_kernel", "approach_maximal"):
-                    if hasattr(module, name):
-                        mp.setattr(module, name, counting(getattr(module, name)))
-            argv = [command, *CHEAP_ARGS[command], "--out", os.path.join(tmp, "out")]
-            if by_config:
-                path = os.path.join(tmp, "run.json")
-                with open(path, "w") as fh:
-                    json.dump({"lambdas": lams}, fh)
-                argv += ["--config", path]
-            else:
-                argv.append(f"--lambdas={','.join(map(repr, lams))}")
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run(argv)
+        argv = [command, *CHEAP_ARGS[command]]
+        if by_config:
+            code, err, caught, built = _run_counting_builds(argv, {"lambdas": lams})
+        else:
+            argv.append(f"--lambdas={','.join(map(repr, lams))}")
+            code, err, caught, built = _run_counting_builds(argv)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue() and not caught
+        assert "Traceback" not in err and not caught
         if bad:
-            assert code == 2 and f"lambda {bad[0]!r} is " in err.getvalue()
+            assert code == 2 and f"lambda {bad[0]!r} is " in err
             assert built == []
+
+
+class TestEllValues:
+    # ell's domain was five comparisons under three bounds: validate-phase said
+    # "ell must be >= 1" at 0 and "ell must be >= 2" at 1, naming neither; the
+    # region operators had no upper bound, so sweep-maximal --ell 1000 exited 0,
+    # and at ell = 10**400 maximal and sweep-maximal ended in an OverflowError
+    # traceback (exit 1). Every --ell subcommand, by flag and by config: a bad
+    # ell exits 2 naming it, before any kernel or approach region is built
+    @settings(max_examples=200, derandomize=True)
+    @given(command=st.sampled_from(ELL_COMMANDS),
+           ell=st.one_of(st.sampled_from([2, 3]), st.sampled_from(BAD_ELLS)),
+           by_config=st.booleans())
+    @example(command="maximal", ell=10**400, by_config=False)
+    @example(command="sweep-maximal", ell=10**400, by_config=False)
+    @example(command="sweep-maximal", ell=1000, by_config=False)
+    @example(command="validate-phase", ell=0, by_config=False)
+    @example(command="validate-phase", ell=1, by_config=True)
+    def test_every_ell_meets_one_rule(self, command, ell, by_config):
+        argv = [command, *CHEAP_ARGS[command]]
+        at = argv.index("--ell")
+        if command in CHEAP_LAMBDAS:
+            argv.append(f"--lambdas={_lambda_flag(CHEAP_LAMBDAS[command][0])}")
+        if by_config:
+            del argv[at: at + 2]
+            code, err, caught, built = _run_counting_builds(argv, {"ell": ell})
+        else:
+            argv[at + 1] = str(ell)
+            code, err, caught, built = _run_counting_builds(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and not caught
+        if not 2 <= ell <= 170:
+            assert code == 2 and err.startswith(f"error: ell = {ell} is ")
+            assert built == []
+
+    # Mtilde:1 and Mbeta:1:0.5 said "ell must be >= 2"; Mll:10**400:64 ended in
+    # an OverflowError traceback (exit 1)
+    @pytest.mark.parametrize("op, ell", [("Mtilde:1", 1), ("Mbeta:1:0.5", 1),
+                                         (f"Mll:{10**400}:64", 10**400),
+                                         ("Mreg:171:64", 171)],
+                             ids=["Mtilde-1", "Mbeta-1", "Mll-10**400", "Mreg-171"])
+    def test_operator_ell_field_meets_the_rule(self, op, ell, tmp_path, capsys):
+        assert run(["maximal", "--ell", "3", "--lambda", "64", "--op", op,
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ell = {ell} is ")
+
+    # Phase.monomial said "ell must be >= 1" at a phase.ell of 0
+    @pytest.mark.parametrize("command", [c for c in ELL_COMMANDS if "--kind" in CHEAP_ARGS[c]])
+    def test_config_phase_ell_meets_the_rule(self, command):
+        argv = [command, *CHEAP_ARGS[command]]
+        if command in CHEAP_LAMBDAS:
+            argv.append(f"--lambdas={_lambda_flag(CHEAP_LAMBDAS[command][0])}")
+        code, err, caught, built = _run_counting_builds(argv, {"phase": {"ell": 0}})
+        assert (code, err, caught, built) == (2, "error: ell = 0 is below 2\n", [], [])
 
 
 class TestAtomicWrite:
@@ -828,6 +898,33 @@ def test_only_numerics_builds_kernel_frames():
                     convolves.add(f"{path.stem}.{fn.name}")
     assert frames == set()
     assert convolves == {"kernels.apply_T", "maximal._bump_convolutions"}
+
+
+def test_only_check_ell_bounds_ell():
+    # phases.check_ell is ell's one domain, 2 <= ell <= MAX_ELL. The monomial,
+    # the hypothesis check and the region operators each used to compare ell
+    # with a bound of their own (ell >= 1, ell >= 2, and no upper bound for the
+    # regions). An equality test such as ell == 2 is not a bound.
+    def is_ell(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "ell"
+
+    def is_bound(node):
+        return isinstance(node, ast.Constant) or getattr(node, "id", None) == "MAX_ELL"
+
+    bounding = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare):
+                    continue
+                terms = [node.left, *node.comparators]
+                for op, a, b in zip(node.ops, terms, terms[1:]):
+                    if (isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                            and (is_ell(a) and is_bound(b) or is_bound(a) and is_ell(b))):
+                        bounding.add(f"{path.stem}.{fn.name}")
+    assert bounding == {"phases.check_ell"}
 
 
 # Public functions and methods that nothing in src/ or scripts/ calls, each
@@ -954,6 +1051,24 @@ class TestChecks:
         assert len(rows) == 4
         assert [float(r.split(",")[2]) for r in rows] == [64.0, 64.0, 64.0, 128.0]
         assert not (tmp_path / "summary.json").exists()
+
+    # the band gate was met only when the chain or envelope_check reached its
+    # lambda: --lambdas 4096,256,4 computed for 5.6 s before refusing lambda = 4
+    # in a message that named no lambda. The second case fails only the
+    # chain's band (A1 = 1); the envelope's, at lambda * epsilon, holds
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambdas", "4096,256,4"], "lambda = 4.0: band p=3 outside"),
+        (["--lambdas", "1", "--p", "2", "--epsilon", "0.25"],
+         "lambda = 1.0: band p=2 outside [0, log2(4*A1*lam^((ell-1)/ell))) at A1 = 1.0")],
+        ids=["envelope", "chain"])
+    def test_check_lemmas_checks_every_band_before_the_first_draw(self, argv, message,
+                                                                  tmp_path, capsys,
+                                                                  monkeypatch):
+        drawn = []
+        monkeypatch.setattr(verify, "random_weight", lambda *args: drawn.append(args))
+        assert run(["check-lemmas", "--ell", "3", "--pairs", "1", *argv,
+                    "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err and drawn == []
 
     # each lemma fails just past the threshold check-lemmas keeps: domination
     # to a relative 1e-9, mollification ratios <= 1 + 1e-6, envelope

@@ -417,7 +417,7 @@ REGION_OPERATORS = {
     "regular": lambda w, ell, lam: regular_maximal(w, ell, lam=lam),
     "regular-brute": lambda w, ell, lam: regular_maximal_brute(w, ell, lam=lam),
 }
-BAD_REGIONS = {"ell=1": (1, 64.0, "ell must be >= 2"),
+BAD_REGIONS = {"ell=1": (1, 64.0, "ell = 1 is below 2"),
                "lam=0.5": (3, 0.5, "lambda 0.5 is below 1: lam must be finite and >= 1"),
                "lam=nan": (3, float("nan"),
                            "lambda nan is not finite: lam must be finite and >= 1"),

@@ -189,7 +189,7 @@ class TestNormalization:
         xs = np.linspace(-0.5, 0.5, 21)
         np.testing.assert_allclose(np.asarray(norm.phase.eval(0, xs)),
                                    xs - np.sin(xs), atol=1e-12)
-        assert norm.lambda_scale == pytest.approx(1.0)
+        assert spec.epsilon == pytest.approx(1.0)
         # the normalized spec bounds x - sin(x) on [-1/2, 1/2], not cos on U
         assert norm.spec.derivative_bound(0) == pytest.approx(0.5 - np.sin(0.5))
         assert norm.spec.derivative_bound(1) == pytest.approx(1.0 - np.cos(0.5))

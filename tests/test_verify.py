@@ -155,7 +155,7 @@ class TestTwoWeightInequality:
         f = random_test_function(g, rng, max_freq=6.0, support_halfwidth=1.0)
         w = random_weight(g, rng)
         norm = normalize_phase(ph, spec)
-        K = build_kernel(norm.phase, norm.spec, lam * norm.lambda_scale, g)
+        K = build_kernel(norm.phase, norm.spec, lam * spec.epsilon, g)
         rs = two_weight_ratio(K, f, w)
         assert rs.lhs > 0 and rs.rhs > 0 and np.isfinite(rs.ratio)
 
