@@ -3,12 +3,14 @@
 Window sums come as a ladder: one prefix sum per call, padded once so that
 windows clamp at the grid edge without branches, and one O(n) slice
 difference per rung (:func:`window_sum_ladder`). Sliding maxima double
-their span with one shifted ``np.maximum`` per pass (:func:`sliding_max`).
+their span with one shifted ``np.maximum`` per pass (:func:`sliding_max`);
+a ladder of them at shrinking widths shares one such cascade
+(:func:`sliding_max_ladder`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +82,63 @@ def sliding_max_naive(values: np.ndarray, halfwidth: int) -> np.ndarray:
         return values.copy()
     padded = np.pad(values, halfwidth, constant_values=-np.inf)
     return np.lib.stride_tricks.sliding_window_view(padded, 2 * halfwidth + 1).max(axis=1)
+
+
+def sliding_max_ladder(rungs: Iterable[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """max over the rungs (row, t) of row's centered sliding maximum over 2t+1
+    cells, the windows clamped to the n cells; -inf everywhere for no rungs.
+
+    One doubling cascade serves every rung. t is first clamped to n - 1, whose
+    window already covers the grid from every cell, and 2^J <= 2t+1 < 2^(J+1)
+    splits each window into two 2^J-blocks, starting at x - t and at
+    x + t - 2^J + 1. The passes a(x) <- max(a(x), a(x + s)) commute with each
+    other and with the pointwise max, so the row is merged twice, shifted by t
+    and by -(t - 2^J + 1), into one buffer on which the passes of spans 2^J and
+    up have already run; the rest run once, after the last rung. J must not
+    grow from rung to rung. The buffers ping-pong, as an in-place shifted
+    np.maximum would copy. Max is exact, so this agrees bitwise with
+    :func:`sliding_max_ladder_naive`, save the sign of a zero maximum (see
+    :func:`sliding_max`).
+    """
+    buf = spare = None
+    level = 0  # the passes of spans 2^level and up have run
+
+    def descend(to: int) -> None:
+        nonlocal buf, spare, level
+        while level > to:
+            level -= 1
+            s = 1 << level
+            m = n + 2 * s - 1  # the cells that outputs still read
+            np.maximum(buf[:m - s], buf[s:m], out=spare[:m - s])
+            buf, spare = spare, buf
+
+    for row, t in rungs:
+        t = min(t, n - 1)
+        j = (2 * t + 1).bit_length() - 1
+        if buf is None:
+            level = j
+            buf = np.full(n + (1 << j) - 1, -np.inf)
+            spare = np.empty_like(buf)
+        elif j > level:
+            raise ValueError("sliding-max half-widths must not grow along the ladder")
+        descend(j)
+        np.maximum(buf[t:t + n], row, out=buf[t:t + n])
+        d = t - (1 << j) + 1  # the right block's start, x + d, may lie left of x
+        lo = max(d, 0)
+        np.maximum(buf[lo - d:n - d], row[lo:], out=buf[lo - d:n - d])
+    if buf is None:
+        return np.full(n, -np.inf)
+    descend(0)
+    return buf[:n]
+
+
+def sliding_max_ladder_naive(rungs: Iterable[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """Oracle counterpart of :func:`sliding_max_ladder`: the maximum of the
+    rungs' naive sliding maxima, taken rung by rung."""
+    best = np.full(n, -np.inf)
+    for row, t in rungs:
+        best = np.maximum(best, sliding_max_naive(row, min(t, n - 1)))
+    return best
 
 
 def window_sum_ladder(values: np.ndarray, halfwidths: Sequence[int]) -> Iterator[np.ndarray]:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import UnderResolved
 from .lpaley import AnnuliIndex
-from .numerics import Grid, SampledFunction, convolve, forward_transform, on_bump
+from .numerics import (Grid, PaddedSpectrum, SampledFunction, convolve, forward_transform,
+                       on_bump)
 from .phases import FiniteTypeSpec, Phase, check_lambda, ensure_finite_type, normalize_phase
 
 __all__ = [
@@ -80,9 +81,14 @@ def normalized_kernel(phase: Phase, spec: FiniteTypeSpec, lam: float,
     return build_kernel(norm.phase, norm.spec, lam_eff, grid)
 
 
-def apply_T(kernel: Kernel, f: SampledFunction) -> SampledFunction:
-    """T f = K * f, by padded FFT; f must share the kernel's grid."""
-    return convolve(kernel.samples, f)
+def apply_T(kernel: Kernel | PaddedSpectrum, f: SampledFunction) -> SampledFunction:
+    """T f = K * f, by padded FFT; f must share the kernel's grid.
+
+    A caller that applies T to many inputs passes the kernel's
+    :func:`oscillab.numerics.padded_spectrum` in place of the kernel, so K is
+    transformed once for all of them.
+    """
+    return convolve(kernel if isinstance(kernel, PaddedSpectrum) else kernel.samples, f)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,12 @@ Operators provided:
 Every operator has a ``*_brute`` oracle. The Hardy-Littlewood and
 fractional oracles are independent direct-summation references; the
 approach, global and regular oracles run the same body as their fast
-form with the naive primitives swapped in (direct window sums and naive
-sliding maxima). The fast window sums take one prefix sum per call, one
-O(n) slice difference per rung (:func:`oscillab._util.window_sum_ladder`).
+form with the naive primitives swapped in (direct window sums, and the
+region supremum taken rung by rung over naive sliding maxima). The fast
+window sums take one prefix sum per call, one O(n) slice difference per
+rung (:func:`oscillab._util.window_sum_ladder`), and the fast region
+supremum is one doubling cascade that every rung feeds
+(:func:`oscillab._util.sliding_max_ladder`).
 Windows are whole-cell: a radius r covers cells within ``cells(r, h)`` of
 the center (strictly inside r for the fractional operator, matching its
 single-cell smallest window). Windows clamp at the grid edge, by padding
@@ -36,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import (boundary_mask, cells, sliding_max, sliding_max_naive,
+from ._util import (boundary_mask, cells, sliding_max_ladder, sliding_max_ladder_naive,
                     snap_radius, standard_bump, window_sum_ladder, window_sums_naive)
 from .errors import UnderResolved
 from .numerics import Grid, SampledFunction, Weight, convolve, kernel_frame
@@ -196,26 +199,23 @@ def _region_sup(grid: Grid, radii: Sequence[float], rows, factor_fn, aperture_fn
 
     ``rows`` yields, per radius, the rung's row (scaled in place) and the
     half-width of the window behind it. The radii increase and the
-    apertures shrink, and sliding maxima compose (half-widths a then b
-    make a + b): so the rows merge into one array that each rung widens
-    by the aperture's shrinkage, and only the last aperture is applied in
-    full. ``naive`` swaps the sliding maximum for its oracle counterpart.
+    apertures shrink, so every rung feeds one doubling cascade
+    (:func:`oscillab._util.sliding_max_ladder`); ``naive`` swaps it for the
+    supremum taken rung by rung over naive sliding maxima.
     """
-    wmax = sliding_max_naive if naive else sliding_max
-    merged, width, reach = None, 0, 0
-    for r, (row, s) in zip(radii, rows):
-        t = cells(aperture_fn(r), grid.h)
-        np.multiply(row, factor_fn(r), out=row)
-        if merged is None:
-            merged = row.copy()
-        elif t > width:
-            raise ValueError("region apertures must not grow with the radius")
-        else:
-            merged = wmax(merged, width - t)
-            np.maximum(merged, row, out=merged)
-        width = t
-        reach = max(reach, s + t)
-    best = np.full(grid.n, -np.inf) if merged is None else wmax(merged, width)
+    reach = 0
+
+    def rungs():
+        nonlocal reach
+        width = math.inf
+        for r, (row, s) in zip(radii, rows):
+            t = cells(aperture_fn(r), grid.h)
+            if t > width:
+                raise ValueError("region apertures must not grow with the radius")
+            width, reach = t, max(reach, s + t)
+            yield np.multiply(row, factor_fn(r), out=row), t
+
+    best = (sliding_max_ladder_naive if naive else sliding_max_ladder)(rungs(), grid.n)
     return Weight(grid, best, boundary=boundary_mask(grid.n, reach))
 
 
@@ -250,9 +250,10 @@ def approach_maximal(w: Weight, ell: int, lam: float) -> Weight:
     (1/lam, lam^(-1/ell)], aperture and normalization (lam*r)^(-1/(ell-1)).
 
     Fast path: one prefix sum per call, one O(n) slice difference per
-    rung for the clamped window sums, and the aperture supremum by
-    sliding-window maxima of log2(2d+1) doubling passes each, where d is
-    the cells the aperture shrinks by at that rung (see ``_region_sup``).
+    rung for the clamped window sums, and the aperture supremum by one
+    doubling cascade for all rungs: log2(2t+1) passes in all, t the widest
+    aperture in cells (at most n - 1), and two slice maxima per rung (see
+    ``_region_sup``).
     """
     return _approach(w, ell, lam, naive=False)
 
@@ -289,11 +290,10 @@ def bump_samples(h: float, r: float) -> np.ndarray:
 
 
 def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], fft: bool):
-    """|P_r * f| per rung: by the padded FFT path when
+    """|P_r * f| per rung, yielded one at a time: by the padded FFT path when
     ``fft`` is set and the bump fits inside the grid window, else by
     np.convolve."""
     h = grid.h
-    out = []
     for r in radii:
         pr = bump_samples(h, r)
         k = len(pr) // 2
@@ -303,11 +303,10 @@ def _bump_convolutions(values: np.ndarray, grid: Grid, radii: Sequence[float], f
             kern[mid - k: mid + k + 1] = pr
             kgrid = kernel_frame(grid)
             res = convolve(SampledFunction(kgrid, kern), SampledFunction(kgrid, values))
-            out.append(np.abs(res.values))
+            yield np.abs(res.values)
         else:
             full = np.convolve(values, pr)
-            out.append(h * np.abs(full[k: k + grid.n]))
-    return out
+            yield h * np.abs(full[k: k + grid.n])
 
 
 def _regular(w: Weight | SampledFunction, ell: int, lam: float | None, beta: float | None,

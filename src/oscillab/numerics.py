@@ -31,6 +31,8 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "restrict",
+    "PaddedSpectrum",
+    "padded_spectrum",
     "convolve",
     "kernel_frame",
     "multiplier_kernel",
@@ -230,22 +232,40 @@ def _require_same_grid(a, b):
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
 
 
-def _padded_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution by FFT, both inputs zero-padded to twice their length.
+@dataclass(frozen=True)
+class PaddedSpectrum:
+    """The FFT of a grid function's samples zero-padded to twice their length:
+    the first operand of :func:`convolve`, taken once to convolve with many."""
 
-    The product and its inverse overwrite a's spectrum, so one padded
-    spectrum besides b's is alive at a time.
+    grid: Grid
+    values: np.ndarray
+
+
+def padded_spectrum(f: SampledFunction) -> PaddedSpectrum:
+    """f's padded spectrum; read-only, as every convolution with it reads it."""
+    values = np.fft.fft(f.values, 2 * f.grid.n)
+    values.flags.writeable = False
+    return PaddedSpectrum(f.grid, values)
+
+
+def _padded_fft_convolve(fa: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution by FFT from a's spectrum, zero-padded to twice the
+    length, and b, zero-padded to that length.
+
+    a's spectrum is the product's first operand. The product and its inverse
+    overwrite b's spectrum, so a's is left for the next b, and one padded
+    spectrum besides a's is alive at a time.
     """
-    n = 2 * len(a)
-    fa = np.fft.fft(a, n)
-    np.multiply(fa, np.fft.fft(b, n), out=fa)
-    return np.fft.ifft(fa, out=fa)
+    fb = np.fft.fft(b, len(fa))
+    np.multiply(fa, fb, out=fb)
+    return np.fft.ifft(fb, out=fb)
 
 
-def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
+def convolve(f: SampledFunction | PaddedSpectrum, g: SampledFunction) -> SampledFunction:
     """h-weighted linear convolution, evaluated on the shared grid.
 
-    Zero-pads to twice the length, so no periodic wrap-around occurs. The
+    Zero-pads to twice the length, so no periodic wrap-around occurs. f may
+    come as its :func:`padded_spectrum`, which is then not taken again. The
     grid center must be an integer multiple of the step for the result
     samples to land on grid points.
     """
@@ -255,7 +275,10 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     c_cells = grid.center / grid.h
     if abs(c_cells - round(c_cells)) > 1e-9:
         raise GridMismatch("grid center must be an integer multiple of the step")
-    full = _padded_fft_convolve(f.values, g.values)
+    # a spectrum taken here is dropped when _padded_fft_convolve returns, and full
+    # before the copy into the result: two padded arrays at most besides a held one
+    full = _padded_fft_convolve(
+        (f if isinstance(f, PaddedSpectrum) else padded_spectrum(f)).values, g.values)
     # linear conv index k sits at position 2*(center-half_width) + k*h; output
     # sample j is full[j + shift], 0 where that index falls outside full
     shift = n // 2 - int(round(c_cells))
@@ -263,6 +286,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     out = np.zeros(n, dtype=np.complex128)
     if lo < hi:
         out[lo - shift: hi - shift] = full[lo:hi]
+    del full
     return SampledFunction(grid, np.multiply(grid.h, out, out=out))
 
 

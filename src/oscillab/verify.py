@@ -24,9 +24,10 @@ from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_deca
 from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, dominating_weights,
                      dyadic_pieces, spaced_energy, square_function)
 from .maximal import approach_maximal, hardy_littlewood
-from .numerics import (Grid, SampledFunction, SpectralFunction, Weight, forward_transform,
-                       inverse_transform, lp_norm, multiplier_kernel, on_bump, restrict,
-                       smoothing_majorant, spectral_leak, weighted_l2)
+from .numerics import (Grid, PaddedSpectrum, SampledFunction, SpectralFunction, Weight,
+                       forward_transform, inverse_transform, lp_norm, multiplier_kernel, on_bump,
+                       padded_spectrum, restrict, smoothing_majorant, spectral_leak,
+                       weighted_l2)
 from .phases import FiniteTypeSpec, Phase, check_ell, finite_type_spec, normalize_phase
 
 __all__ = [
@@ -272,10 +273,12 @@ def h1_atom(grid: Grid, width: float) -> SampledFunction:
 
 
 def _two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight, provenance: Provenance,
-                      k_inner: int, k_outer: int) -> RatioSample:
+                      k_inner: int, k_outer: int,
+                      khat: PaddedSpectrum | None = None) -> RatioSample:
     """lhs = integral |T f|^2 w, rhs = integral |f|^2 * (M^k_outer M_approach M^k_inner w),
-    with the approach region at the kernel's lam."""
-    lhs = weighted_l2(apply_T(kernel, f), w)
+    with the approach region at the kernel's lam; T applies ``khat``, the kernel's
+    padded spectrum, when the caller holds it."""
+    lhs = weighted_l2(apply_T(kernel if khat is None else khat, f), w)
     inner = hardy_littlewood(w, k_inner)
     mid = approach_maximal(inner, kernel.spec.ell, kernel.lam)
     outer = hardy_littlewood(mid, k_outer)
@@ -283,10 +286,12 @@ def _two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight, provenance:
 
 
 def two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
-                     provenance: Provenance = Provenance()) -> RatioSample:
+                     provenance: Provenance = Provenance(),
+                     khat: PaddedSpectrum | None = None) -> RatioSample:
     """The two-weight inequality: lhs = integral |T f|^2 w, rhs =
-    integral |f|^2 * (M^2 M_approach M^4 w)."""
-    return _two_weight_ratio(kernel, f, w, provenance, 4, 2)
+    integral |f|^2 * (M^2 M_approach M^4 w). ``khat``, the kernel's padded
+    spectrum, saves transforming K again for each f."""
+    return _two_weight_ratio(kernel, f, w, provenance, 4, 2, khat)
 
 
 def frequency_restricted_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
@@ -306,7 +311,7 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
     polynomial with frequencies up to 2*lam_eff^(1/ell) under a bump of
     half-width 1.5, w a random weight; f, w and |T f|^2 all live in that
     frame, so w weighs the kernel's output where it is computed. Each lam
-    draws from a fresh RNG seeded with ``seed``.
+    draws from a fresh RNG seeded with ``seed``. K is transformed once per lam.
     """
     norm = normalize_phase(phase, spec)
     samples, maxima = [], []
@@ -316,18 +321,20 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
         step = min(1.0 / (4.0 * lam_eff), admissible_step(norm.spec, lam_eff))
         grid = Grid.from_step(0.0, 4.0, step)
         kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
+        khat = padded_spectrum(kernel.samples)
         best = 0.0
         for i in range(pairs):
             f = random_test_function(grid, rng, max_freq=2.0 * lam_eff ** (1.0 / spec.ell),
                                      support_halfwidth=1.5)
             w = random_weight(grid, rng)
             rs = two_weight_ratio(kernel, f, w,
-                                  Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed))
+                                  Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed), khat)
             samples.append(rs)
             if rs.vacuous and rs.lhs > 1e-10:
                 return TwoWeightSweep(tuple(samples), tuple(maxima), rs)
             best = max(best, rs.ratio)
         maxima.append((lam, best))
+        del khat  # held for this lam only, not while the next kernel is built
     return TwoWeightSweep(tuple(samples), tuple(maxima))
 
 
@@ -369,7 +376,7 @@ def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
     return RatioSample.of(lhs, rhs, provenance)
 
 
-def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
+def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel | PaddedSpectrum, w: Weight,
                              psi_hat_support: tuple[float, float],
                              provenance: Provenance = Provenance()):
     """The two mollification bounds from the uncertainty principle.
@@ -379,7 +386,8 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel, w: Weight,
 
     with Psi^ equal to one on the declared spectral support of f. Both
     are exact inequalities; the returned ratios must not exceed one
-    beyond discretization error.
+    beyond discretization error. T is applied as by :func:`apply_T`, so
+    ``kernel`` may be the kernel's padded spectrum.
     """
     lo, hi = psi_hat_support
     fhat = forward_transform(f)
@@ -492,12 +500,14 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas,
     The corpus holds the focusing input, modulated wide bumps at
     frequencies spread through the low band, and 8 seeded random
     band-limited functions, streamed in that order; the measured value is
-    a certified lower bound on the discretized operator norm.
+    a certified lower bound on the discretized operator norm. K is
+    transformed once per lambda.
     """
     def one(lam: float) -> tuple[float, float]:
         kernel = normalized_kernel(phase, spec, lam, 4.0)
+        khat = padded_spectrum(kernel.samples)
         return float(lam), _largest_norm_ratio(
-            lambda f: apply_T(kernel, f), _operator_corpus(kernel, np.random.default_rng(seed)),
+            lambda f: apply_T(khat, f), _operator_corpus(kernel, np.random.default_rng(seed)),
             spec.ell)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])
@@ -522,11 +532,13 @@ def weight_chain_holds(p: int, lam: float, ell: int, draws: int,
 def uncertainty_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, band_hi: float,
                         draws: int, rng: np.random.Generator, seed: int = 0) -> list:
     """(mol, mol2) of ``draws`` pairs through the normalized kernel on [-8, 8],
-    f with |xi| <= band_hi inside the declared support [-10, 10]."""
+    f with |xi| <= band_hi inside the declared support [-10, 10]; K is
+    transformed once for all of them."""
     kernel = normalized_kernel(phase, spec, lam, 8.0)
+    khat = padded_spectrum(kernel.samples)
     return _band_samples(
         kernel.grid, (0.0, band_hi), draws, rng,
-        lambda f, w, pv: uncertainty_bounds_check(f, kernel, w, (-10.0, 10.0), pv),
+        lambda f, w, pv: uncertainty_bounds_check(f, khat, w, (-10.0, 10.0), pv),
         Provenance(ell=spec.ell, lam=lam, seed=seed))
 
 

@@ -900,6 +900,29 @@ def test_only_numerics_builds_kernel_frames():
     assert convolves == {"kernels.apply_T", "maximal._bump_convolutions"}
 
 
+def test_only_numerics_calls_the_fft():
+    # numerics.py is the one home of np.fft: its transforms, the padded
+    # spectrum that convolve and the held kernel spectra share, the rows of
+    # _support_rows. Any other module reaching numpy's FFT, by attribute or by
+    # import, would grow a second path beside them.
+    found = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                found.add(f"{path.stem}: line {node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.startswith("numpy.fft")
+                    or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+                found.add(f"{path.stem}: line {node.lineno}")
+            if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft")
+                                                    for a in node.names):
+                found.add(f"{path.stem}: line {node.lineno}")
+    assert found == set()
+
+
 def test_only_check_ell_bounds_ell():
     # phases.check_ell is ell's one domain, 2 <= ell <= MAX_ELL. The monomial,
     # the hypothesis check and the region operators each used to compare ell
@@ -1036,11 +1059,11 @@ class TestChecks:
         real = verify.two_weight_ratio
         calls = []
 
-        def fourth_violates(kernel, f, w, provenance):
+        def fourth_violates(kernel, f, w, provenance, khat):
             calls.append(provenance.lam)
             if len(calls) == 4:
                 return RatioSample.of(1.0, 0.0, provenance)
-            return real(kernel, f, w, provenance)
+            return real(kernel, f, w, provenance, khat)
 
         monkeypatch.setattr(verify, "two_weight_ratio", fourth_violates)
         assert run(["check-main", "--ell", "2", "--lambdas", "64,128", "--pairs", "3",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import maximal
+from oscillab import _util, maximal
 from oscillab._util import (cells, sliding_max_naive, snap_radius, standard_bump,
                             window_sums_naive)
 from oscillab.errors import UnderResolved
@@ -367,37 +367,92 @@ class TestOracleIndependence:
             lambda w: regular_maximal(w, 3, lam=32.0),
             lambda w: regular_maximal(w, 3, beta=0.5)]
 
+    # the fast forms take no sliding maximum at all: their region suprema are
+    # one doubling cascade; "_util." names are patched in oscillab._util
     @pytest.mark.parametrize("forbidden, ops", [
-        (("sliding_max", "window_sum_ladder"), BRUTE),
-        (("sliding_max_naive", "window_sums_naive"), FAST),
+        (("sliding_max_ladder", "window_sum_ladder", "_util.sliding_max"), BRUTE),
+        (("sliding_max_ladder_naive", "window_sums_naive", "_util.sliding_max",
+          "_util.sliding_max_naive"), FAST),
     ], ids=["brute", "fast"])
     def test_primitives_not_crossed(self, forbidden, ops, monkeypatch):
         def forbidden_call(*args, **kwargs):
             raise AssertionError("primitive of the other path called")
 
         for name in forbidden:
-            monkeypatch.setattr(maximal, name, forbidden_call)
+            module, _, attr = name.rpartition(".")
+            monkeypatch.setattr(_util if module else maximal, attr, forbidden_call)
         g = Grid(0.0, 2.0, 1024)
         w = qweight(g, 31)
         for op in ops:
             assert op(w).values.shape == (g.n,)
 
-    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_merged_ladder_is_the_rung_by_rung_supremum_bitwise(self, ell):
-        # fast and brute forms share the merging of rows along the ladder,
-        # so it is checked here against the supremum taken rung by rung
+        # the fast forms merge the rows of the whole ladder in one doubling
+        # cascade, so each is checked here against the supremum taken rung by
+        # rung; the regular rows are the direct bump convolutions, as the fast
+        # form takes them up to n = 4096
         g = Grid(0.0, 2.0, 1024)
         w = qweight(g, 37)
         e = 1.0 / (ell - 1)
-        cases = [(approach_maximal(w, ell, 32.0), approach_radii(ell, 32.0, g.h),
-                  lambda r: (32.0 * r) ** (-e)),
-                 (global_maximal(w, ell), global_radii(g.h), lambda r: r ** (-e))]
-        for out, radii, scale in cases:
+
+        def window_row(r, scale):
+            return window_sums_naive(w.values, cells(r, g.h)) * (scale(r) * g.h)
+
+        def bump_row(r, factor):
+            k = cells(2.0 * r, g.h)
+            conv = g.h * np.abs(np.convolve(w.values, bump_samples(g.h, r))[k:k + g.n])
+            return conv * factor(r)
+
+        approach = lambda r: (32.0 * r) ** (-e)
+        top = lambda r: r ** (-e)
+        cases = [
+            (approach_maximal(w, ell, 32.0), approach_radii(ell, 32.0, g.h),
+             lambda r: window_row(r, approach), approach),
+            (global_maximal(w, ell), global_radii(g.h), lambda r: window_row(r, top), top),
+            (regular_maximal(w, ell, lam=32.0), regular_radii(ell, 32.0, g.h),
+             lambda r: bump_row(r, lambda r: r * approach(r)), approach),
+            (regular_maximal(w, ell, beta=0.5), regular_radii(ell, 1.0, g.h),
+             lambda r: bump_row(r, lambda r: r ** (ell * 0.5 * e)), top),
+        ]
+        for out, radii, row_of, aperture in cases:
             best = np.full(g.n, -np.inf)
             for r in radii:
-                row = window_sums_naive(w.values, cells(r, g.h)) * (scale(r) * g.h)
-                best = np.maximum(best, sliding_max_naive(row, cells(scale(r), g.h)))
+                best = np.maximum(best, sliding_max_naive(row_of(r), cells(aperture(r), g.h)))
             assert out.values.tobytes() == best.tobytes()
+
+    # the cascade's edges: one rung; equal consecutive apertures; t = 0; a right
+    # block that starts left of x (t = 2, 5, 6: 2^J > t + 1); t >= n - 1 and
+    # t > 2n, which size the buffer from t clamped at n - 1
+    LADDERS = {
+        "single": lambda n: [5],
+        "single-third": lambda n: [n // 3],
+        "equal": lambda n: [7, 7, 3, 3, 3, 0],
+        "zero": lambda n: [0],
+        "right-block-left-of-x": lambda n: [6, 5, 2, 2],
+        "all-shapes": lambda n: [n // 2, 12, 9, 8, 4, 3, 1, 1, 0],
+        "saturated": lambda n: [n - 1, n - 1, n // 2, 3],
+        "beyond-grid": lambda n: [2 * n + 1, n, n - 2, 1],
+        "far-beyond-grid": lambda n: [64 * n, 64 * n, 2],
+    }
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("ladder", list(LADDERS))
+    @pytest.mark.parametrize("naive", [False, True], ids=["fast", "brute"])
+    def test_region_sup_is_the_rung_by_rung_maximum_bitwise(self, n, ladder, naive):
+        ts = self.LADDERS[ladder](n)
+        g = Grid(0.0, 2.0, n)
+        rng = np.random.default_rng(n + len(ts))
+        rows = [rng.random(n) * 4.0 for _ in ts]
+        want = np.full(n, -np.inf)
+        for row, t in zip(rows, ts):
+            # a window of 3n cells already covers the grid from every cell
+            want = np.maximum(want, sliding_max_naive(row, min(t, 3 * n)))
+        radii = list(range(len(ts)))
+        out = maximal._region_sup(g, radii, iter([(row.copy(), 0) for row in rows]),
+                                  lambda r: 1.0, lambda r: ts[r] * g.h, naive=naive)
+        assert out.values.tobytes() == want.tobytes()
+        assert out.boundary.tobytes() == _util.boundary_mask(n, max(ts)).tobytes()
 
     def test_growing_aperture_is_refused(self):
         g = Grid(0.0, 2.0, 64)

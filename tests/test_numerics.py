@@ -2,6 +2,7 @@
 closed forms and a direct-summation oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                                _padded_fft_convolve, _support_rows, convolve,
                                forward_transform, inverse_transform, kernel_frame,
-                               lp_norm, multiplier_kernel, on_bump,
+                               lp_norm, multiplier_kernel, on_bump, padded_spectrum,
                                smoothing_majorant, spectral_leak, weighted_l2)
 
 from conftest import convolve_direct, index_of, sampled, save_weight_csv
@@ -263,6 +264,12 @@ def frozen_padded_fft_convolve(a, b):
     return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
 
 
+def padded_fft_convolve(a, b):
+    """The package's padded convolution of two sample arrays: a's padded
+    spectrum, then the shared product, inverse and crop."""
+    return _padded_fft_convolve(np.fft.fft(a, 2 * len(a)), b)
+
+
 def frozen_linear_convolution(f, g, full_of):
     """The linear convolution's placement as an index gather, then grid.h * out."""
     grid = f.grid
@@ -289,7 +296,46 @@ class TestInPlaceConvolution:
         a, b = (rng.normal(size=n) + (1j * rng.normal(size=n) if dtype is np.complex128
                                       else 0.0) for _ in range(2))
         assert a.dtype == dtype
-        assert _padded_fft_convolve(a, b).tobytes() == frozen_padded_fft_convolve(a, b).tobytes()
+        assert padded_fft_convolve(a, b).tobytes() == frozen_padded_fft_convolve(a, b).tobytes()
+
+    # one kernel spectrum, held across inputs as the sweeps hold it: the kernel's
+    # spectrum stays the product's first operand, and no product overwrites it
+    @pytest.mark.parametrize("n", [64, 4096, 8192, 32768])
+    def test_held_spectrum_bitwise(self, n):
+        rng = np.random.default_rng(n + 1)
+        grid = Grid(0.0, 4.0, n)
+        k = SampledFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+        khat = padded_spectrum(k)
+        before = khat.values.tobytes()
+        for _ in range(3):
+            f = SampledFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+            assert (_padded_fft_convolve(khat.values, f.values).tobytes()
+                    == frozen_padded_fft_convolve(k.values, f.values).tobytes())
+            assert convolve(khat, f).values.tobytes() == convolve(k, f).values.tobytes()
+            assert (convolve(khat, f).values.tobytes()
+                    == frozen_linear_convolution(k, f, frozen_padded_fft_convolve).tobytes())
+        assert khat.values.tobytes() == before and not khat.values.flags.writeable
+
+    # a spectrum taken inside convolve dies with the call, and the padded result
+    # before the copy into the SampledFunction: the peak is two padded arrays (4
+    # grid arrays), and 3 more beside a held spectrum; keeping either alive to the
+    # copy made it 6 and 4
+    def test_convolve_peak(self):
+        n = 2**15
+        grid = Grid(0.0, 4.0, n)
+        rng = np.random.default_rng(3)
+        f, g = (SampledFunction(grid, rng.normal(size=n) + 0j) for _ in range(2))
+        khat = padded_spectrum(f)
+        for first, arrays in [(f, 4), (khat, 3)]:
+            convolve(first, g)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                convolve(first, g)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * 16 * n + 4096
 
     # the grid center sits frac * n + 37 cells off 0, so the output range
     # [n/2 - cells, 3n/2 - cells) of the full convolution lies inside it
@@ -304,7 +350,7 @@ class TestInPlaceConvolution:
         assert grid.h == h
         f, g = (SampledFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
                 for _ in range(2))
-        paths = [(convolve, _padded_fft_convolve)]
+        paths = [(convolve, padded_fft_convolve)]
         if n <= 256:
             paths.append((convolve_direct, np.convolve))
         for conv, full_of in paths:

@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d
 
-from oscillab._util import sliding_max, sliding_max_naive, window_sum_ladder, window_sums
+from oscillab._util import (sliding_max, sliding_max_ladder, sliding_max_ladder_naive,
+                            sliding_max_naive, window_sum_ladder, window_sums)
 from oscillab.maximal import _eighth_octave_cells
 
 
@@ -83,6 +84,39 @@ def test_sliding_max_matches_references_bitwise(case):
         got = sliding_max(values, s).tobytes()
         assert got == sliding_max_naive(values, s).tobytes(), s
         assert got == reference_sliding_max(values, s).tobytes(), s
+
+
+@st.composite
+def sliding_max_ladders(draw):
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 6))
+    rows = draw_values(draw, n * k).reshape(k, n)  # one kind: the zeros never mix
+    widths = [0, 1, 2, 3, 5, n - 1, n, 2 * n + 3]
+    halfwidths = sorted(draw(st.lists(st.sampled_from(widths) | st.integers(0, 2 * n + 3),
+                                      min_size=k, max_size=k)), reverse=True)
+    return n, list(zip(rows, halfwidths))
+
+
+# the cascade merges every rung into one buffer; its reference is the C filter
+# applied rung by rung, then the pointwise maximum
+@given(sliding_max_ladders())
+def test_sliding_max_ladder_matches_references_bitwise(case):
+    n, rungs = case
+    want = np.full(n, -np.inf)
+    for row, s in rungs:
+        want = np.maximum(want, reference_sliding_max(row, s))
+    assert sliding_max_ladder(iter(rungs), n).tobytes() == want.tobytes()
+    assert sliding_max_ladder_naive(iter(rungs), n).tobytes() == want.tobytes()
+
+
+def test_sliding_max_ladder_of_no_rungs_is_minus_inf():
+    assert sliding_max_ladder(iter([]), 4).tolist() == [-np.inf] * 4
+
+
+def test_sliding_max_ladder_refuses_a_growing_block():
+    # t = 1 then t = 2: the blocks grow from 2 to 4 cells, whose passes have run
+    with pytest.raises(ValueError, match="must not grow"):
+        sliding_max_ladder(iter([(np.ones(8), 1), (np.ones(8), 2)]), 8)
 
 
 @pytest.mark.parametrize("n", [2**15 + 1, 3 * 2**15 - 5, 2**17])

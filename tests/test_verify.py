@@ -12,7 +12,7 @@ from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
 from oscillab.kernels import admissible_step, apply_T, build_kernel, normalized_kernel
 from oscillab.lpaley import DyadicFamily
-from oscillab.maximal import approach_maximal
+from oscillab.maximal import approach_maximal, global_maximal, regular_maximal
 from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
 from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_report,
@@ -22,8 +22,8 @@ from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_r
                              operator_norm_sweep, random_band_function,
                              random_test_function, random_weight,
                              square_function_ratios, two_weight_sweep,
-                             uncertainty_bounds_check, uncertainty_samples,
-                             weight_corpus)
+                             approach_grid, uncertainty_bounds_check,
+                             uncertainty_samples, weight_corpus)
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
@@ -374,6 +374,62 @@ class TestSweepMemory:
         spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0)
         n = normalized_kernel(ph, spec, 256.0, 4.0).grid.n
         assert traced_peak(lambda: operator_norm_sweep(ph, spec, [256.0])) <= 10 * 16 * n
+
+    # The widest apertures reach far beyond the grid: 2,097,152 cells for the
+    # global operator at ell = 2 on n = 4096. Clamped at n - 1, the region
+    # supremum's buffers stay a few grid arrays; sized from the raw aperture they
+    # took about 64 MB here. The grid stays this small so that a wrong build
+    # cannot exhaust the machine.
+    @pytest.mark.parametrize("op", [lambda w: global_maximal(w, 2),
+                                    lambda w: regular_maximal(w, 2, beta=1.0)],
+                             ids=["global", "regular-beta"])
+    def test_wide_apertures_hold_a_few_grid_arrays(self, op):
+        g = approach_grid(64.0)
+        w = random_weight(g, np.random.default_rng(5))
+        assert traced_peak(lambda: op(w)) <= 16 * 8 * g.n
+
+
+class TestOneKernelSpectrumPerLambda:
+    """The sweeps transform each lambda's kernel once and convolve every input
+    with that spectrum; counted over the padded forward FFTs, those of length
+    2n, grouped by n (each lambda has its own grid)."""
+
+    @staticmethod
+    def padded_ffts(monkeypatch) -> dict:
+        counts = {}
+        fft = np.fft.fft
+
+        def counting(a, n=None, *args, **kwargs):
+            if n is not None and n == 2 * len(a):
+                counts[len(a)] = counts.get(len(a), 0) + 1
+            return fft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting)
+        return counts
+
+    def test_operator_sweep(self, monkeypatch):
+        # 12 inputs and the kernel, where transforming K per input made 24
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0)
+        counts = self.padded_ffts(monkeypatch)
+        operator_norm_sweep(ph, spec, [64.0, 128.0])
+        assert list(counts.values()) == [13, 13]
+
+    def test_two_weight_sweep(self, monkeypatch):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0)
+        counts = self.padded_ffts(monkeypatch)
+        two_weight_sweep(ph, spec, [64.0, 128.0], 3, 0)
+        assert list(counts.values()) == [4, 4]
+
+    def test_uncertainty_samples(self, monkeypatch):
+        # per sample: T f and T Psi, and the two smoothing majorants' two
+        # transforms each; plus the kernel once
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        counts = self.padded_ffts(monkeypatch)
+        uncertainty_samples(ph, spec, 64.0, 8.0, 3, np.random.default_rng(1))
+        assert list(counts.values()) == [3 * 6 + 1]
 
 
 class TestCorpora:
