@@ -2,10 +2,11 @@
 
 Window sums come as a ladder: one prefix sum per call, padded once so that
 windows clamp at the grid edge without branches, and one O(n) slice
-difference per rung (:func:`window_sum_ladder`). Sliding maxima double
-their span with one shifted ``np.maximum`` per pass (:func:`sliding_max`);
-a ladder of them at shrinking widths shares one such cascade
-(:func:`sliding_max_ladder`).
+difference per rung (:func:`window_sum_ladder`). Sliding maxima come as
+one doubling cascade: each pass doubles the span with one shifted
+``np.maximum``, and a ladder of maxima at shrinking widths shares the passes
+(:func:`sliding_max_ladder`). :func:`window_sums` and :func:`sliding_max`
+are each one rung of their ladder.
 """
 
 from __future__ import annotations
@@ -35,45 +36,12 @@ def snap_radius(r: float, h: float) -> float:
     return (2 * cells(r, h) + 1) * h / 2.0
 
 
-# Outputs per block of :func:`sliding_max`, raised to twice the window so
-# that the overlap between blocks stays under half the work. For windows
-# up to 2^14 cells a block's passes then touch at most 1.5 * 2^15 doubles
-# (384 KiB), which stay in a 2 MiB L2 cache; unblocked, each pass over
-# n = 2^18 streams from L3 and took about twice as long (2-core Xeon).
-_SLIDING_BLOCK = 1 << 15
-
-
 def sliding_max(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Centered sliding maximum over windows of 2*halfwidth+1 cells.
-
-    Windows overflowing the array are clamped to it. The array is padded
-    with -inf; pass j leaves each cell holding the maximum of the 2^j
-    cells starting there, and each window is covered by two overlapping
-    blocks of the largest such span that fits in it. Long arrays are
-    done in blocks of outputs, each from its own slice of the padding.
-    Max is exact, so this agrees bitwise with any naive evaluation of the
-    same windows, save the sign of a zero maximum over a window holding
-    both 0.0 and -0.0.
-    """
+    """Centered sliding maximum over windows of 2*halfwidth+1 cells, clamped
+    to the array: one rung of :func:`sliding_max_ladder`."""
     if halfwidth <= 0:
         return values.copy()
-    n = len(values)
-    size = 2 * halfwidth + 1
-    if size >= 2 * n:
-        return np.full_like(values, np.max(values))
-    pad = np.full(halfwidth, -np.inf)
-    padded = np.concatenate([pad, values, pad])
-    out = np.empty_like(values)
-    step = max(_SLIDING_BLOCK, 2 * size)
-    for lo in range(0, n, step):
-        k = min(step, n - lo)
-        m = padded[lo:lo + k + size - 1]
-        span = 1
-        while 2 * span <= size:
-            m = np.maximum(m[:-span], m[span:])
-            span *= 2
-        np.maximum(m[:k], m[size - span:size - span + k], out=out[lo:lo + k])
-    return out
+    return sliding_max_ladder([(values, halfwidth)], len(values))
 
 
 def sliding_max_naive(values: np.ndarray, halfwidth: int) -> np.ndarray:
@@ -97,8 +65,8 @@ def sliding_max_ladder(rungs: Iterable[tuple[np.ndarray, int]], n: int) -> np.nd
     up have already run; the rest run once, after the last rung. J must not
     grow from rung to rung. The buffers ping-pong, as an in-place shifted
     np.maximum would copy. Max is exact, so this agrees bitwise with
-    :func:`sliding_max_ladder_naive`, save the sign of a zero maximum (see
-    :func:`sliding_max`).
+    :func:`sliding_max_ladder_naive`, save the sign of a zero maximum over a
+    window holding both 0.0 and -0.0.
     """
     buf = spare = None
     level = 0  # the passes of spans 2^level and up have run

@@ -233,7 +233,10 @@ def load_weight_csv(path: str) -> Weight:
             except (IndexError, ValueError):
                 raise ValueError(f"weight {path}, line {reader.line_num}: {row!r} "
                                  f"is not two numbers x,w") from None
-    w = Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
+    try:
+        w = Weight(_grid_from_samples(np.asarray(xs)), np.asarray(vals))
+    except ValueError as exc:
+        raise ValueError(f"weight {path}: {exc}") from None
     with np.errstate(over="ignore"):
         total = np.cumsum(w.values)[-1]  # the prefix sum every window sum is taken from
     if not np.isfinite(total):
@@ -242,10 +245,15 @@ def load_weight_csv(path: str) -> Weight:
 
 
 def _grid_from_samples(xs: np.ndarray) -> Grid:
+    """The grid of the positions xs, which must step by one h to within 1e-6 h.
+    Grid refuses the rest: ends that are not finite, or an h that is not > 0."""
     n = len(xs)
     if n < 2:
         raise ValueError(f"a sampled weight needs at least 2 samples, got {n}")
     h = (xs[-1] - xs[0]) / (n - 1)
+    if np.isfinite(h) and not np.all(np.abs(np.diff(xs) - h) <= 1e-6 * abs(h)):
+        raise ValueError(f"positions must be increasing and equally spaced: a step "
+                         f"differs from {float(h)!r} by more than 1e-6 of it")
     half_width = n * h / 2.0
     center = xs[0] + half_width
     return Grid(float(center), float(half_width), n)

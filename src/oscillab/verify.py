@@ -28,7 +28,8 @@ from .numerics import (Grid, PaddedSpectrum, SampledFunction, SpectralFunction, 
                        forward_transform, inverse_transform, lp_norm, multiplier_kernel, on_bump,
                        padded_spectrum, restrict, smoothing_majorant, spectral_leak,
                        weighted_l2)
-from .phases import FiniteTypeSpec, Phase, check_ell, finite_type_spec, normalize_phase
+from .phases import (FiniteTypeSpec, Phase, check_ell, check_lambda, finite_type_spec,
+                     normalize_phase)
 
 __all__ = [
     "Provenance",
@@ -147,8 +148,7 @@ def fit_power_law(points) -> tuple[float, float, float]:
     for lam, v in pts:
         if v <= 0.0:
             raise NonpositiveValue(f"value {v} at lambda {lam} not positive")
-        if lam <= 1.0:
-            raise NonpositiveValue(f"lambda {lam} must exceed 1")
+        check_lambda(lam)
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -455,10 +455,14 @@ class TestSweepOutputs:
         assert (tmp_path / "sweep.csv").read_bytes() == sweep
         assert (tmp_path / "summary.json").read_bytes() == summary
 
-    def test_sweep_maximal_summary(self, tmp_path, capsys):
-        assert run(["sweep-maximal", "--ell", "4", "--lambdas", "16..256",
+    # from lam = 1 the fit refused its five valid points with a bound of its
+    # own, lam > 1: "insufficient points for a fit", a NaN slope and exit 1
+    @pytest.mark.parametrize("ell, lambdas", [("4", "16..256"), ("3", "1,2,4,8,16")])
+    def test_sweep_maximal_summary(self, ell, lambdas, tmp_path, capsys):
+        assert run(["sweep-maximal", "--ell", ell, "--lambdas", lambdas,
                     "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "summary.json").read_text())
+        assert payload["insufficient_points"] is False
         assert abs(payload["slope"] - payload["target_slope"]) <= 0.1
 
     def test_kernel_decay_of_recentred_cosine(self, tmp_path, capsys):
@@ -923,16 +927,11 @@ def test_only_numerics_calls_the_fft():
     assert found == set()
 
 
-def test_only_check_ell_bounds_ell():
-    # phases.check_ell is ell's one domain, 2 <= ell <= MAX_ELL. The monomial,
-    # the hypothesis check and the region operators each used to compare ell
-    # with a bound of their own (ell >= 1, ell >= 2, and no upper bound for the
-    # regions). An equality test such as ell == 2 is not a bound.
-    def is_ell(node):
-        return getattr(node, "id", getattr(node, "attr", None)) == "ell"
-
-    def is_bound(node):
-        return isinstance(node, ast.Constant) or getattr(node, "id", None) == "MAX_ELL"
+def _functions_bounding(name, is_bound):
+    """module.function of every function in src/oscillab that compares the
+    name with a bound by <, <=, > or >=; an equality test is not a bound."""
+    def is_name(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == name
 
     bounding = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
@@ -945,9 +944,40 @@ def test_only_check_ell_bounds_ell():
                 terms = [node.left, *node.comparators]
                 for op, a, b in zip(node.ops, terms, terms[1:]):
                     if (isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
-                            and (is_ell(a) and is_bound(b) or is_bound(a) and is_ell(b))):
+                            and (is_name(a) and is_bound(b) or is_bound(a) and is_name(b))):
                         bounding.add(f"{path.stem}.{fn.name}")
-    assert bounding == {"phases.check_ell"}
+    return bounding
+
+
+def test_only_check_ell_bounds_ell():
+    # phases.check_ell is ell's one domain, 2 <= ell <= MAX_ELL. The monomial,
+    # the hypothesis check and the region operators each used to compare ell
+    # with a bound of their own (ell >= 1, ell >= 2, and no upper bound for the
+    # regions).
+    def is_bound(node):
+        return isinstance(node, ast.Constant) or getattr(node, "id", None) == "MAX_ELL"
+
+    assert _functions_bounding("ell", is_bound) == {"phases.check_ell"}
+
+
+# The comparisons of lam with a bound kept outside phases.check_lambda, each
+# with its reason.
+_LAMBDA_BOUNDS_ELSEWHERE = {
+    "cli._cmd_maximal": "maximal --lambda only sizes the grid, so with --op it may be below 1",
+    "cli._parse_lambdas": "the doubling of a range lo..hi stops once it overflows to inf",
+}
+
+
+def test_only_check_lambda_bounds_lambda():
+    # phases.check_lambda is lam's one domain, 1 <= lam < inf. The power-law
+    # fit kept a bound of its own, lam > 1, so a sweep from lam = 1 read
+    # "insufficient points for a fit".
+    def is_bound(node):
+        return isinstance(node, ast.Constant) or (
+            getattr(node, "attr", None) == "inf" and getattr(node.value, "id", None) == "math")
+
+    assert (_functions_bounding("lam", is_bound)
+            == {"phases.check_lambda", *_LAMBDA_BOUNDS_ELSEWHERE})
 
 
 # Public functions and methods that nothing in src/ or scripts/ calls, each

@@ -512,3 +512,19 @@ class TestCsv:
         path.write_text("x,w\n" + "nan,1\n" * 4)
         with pytest.raises(ValueError, match="finite center"):
             load_weight_csv(str(path))
+
+    # uneven positions loaded as if equally spaced, since only the first and
+    # last were read; the other three were refused without naming the file
+    @pytest.mark.parametrize("xs, message", [
+        ([0, 1, 5, 6], "increasing and equally spaced"),
+        ([0, np.nan, 2, 3], "increasing and equally spaced"),
+        ([0, 1, 2], "n=3 is not a power of two"),
+        ([0, 0, 0, 0], "finite center"),
+        ([3, 1], "finite center"),
+    ])
+    def test_malformed_positions_are_refused_by_path(self, xs, message, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("x,w\n" + "".join(f"{x!r},1\n" for x in xs))
+        with pytest.raises(ValueError, match=message) as info:
+            load_weight_csv(str(path))
+        assert str(path) in str(info.value)

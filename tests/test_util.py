@@ -119,11 +119,12 @@ def test_sliding_max_ladder_refuses_a_growing_block():
         sliding_max_ladder(iter([(np.ones(8), 1), (np.ones(8), 2)]), 8)
 
 
-@pytest.mark.parametrize("n", [2**15 + 1, 3 * 2**15 - 5, 2**17])
-def test_sliding_max_in_blocks_matches_reference_bitwise(n):
-    # arrays longer than one block of outputs are done block by block
+@pytest.mark.parametrize("n", [2**15 + 1, 3 * 2**15 - 5, 2**17, 2**18])
+def test_long_sliding_max_matches_reference_bitwise(n):
+    # one rung of the cascade over long arrays; check-lemmas takes w2 over
+    # 456 cells of 2^14 when its first lambda is 256, over 2896 of 2^18 at 4096
     values = np.random.default_rng(n).integers(-4096, 4096, n) / 4096.0
-    for s in [1, 7, 1000, 2**14, 2**15 - 1, n // 2, n - 1]:
+    for s in [1, 7, 456, 1000, 2896, 5000, 2**14, 2**15 - 1, n // 2, n - 1]:
         assert sliding_max(values, s).tobytes() == reference_sliding_max(values, s).tobytes(), s
 
 

@@ -36,12 +36,19 @@ def cubic(lam, half_width=4.0, for_approach=True):
 
 
 class TestFitPowerLaw:
-    def test_exact_power_law(self):
+    # log 1 = 0 is a valid abscissa: lam = 1 used to be refused by a bound of
+    # the fit's own, lam > 1, outside phases.check_lambda
+    @pytest.mark.parametrize("lams", [(16, 64, 256, 1024), (1, 2, 4, 8)])
+    def test_exact_power_law(self, lams):
         slope, intercept, resid = fit_power_law(
-            [(lam, 2.0 * lam ** (-2.0 / 3.0)) for lam in (16, 64, 256, 1024)])
+            [(lam, 2.0 * lam ** (-2.0 / 3.0)) for lam in lams])
         assert slope == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert np.exp(intercept) == pytest.approx(2.0, rel=1e-12)
         assert resid <= 1e-12
+
+    def test_lambda_below_one_meets_the_one_rule(self):
+        with pytest.raises(ValueError, match="lambda 0.5 is below 1"):
+            fit_power_law([(0.5, 1.0), (2.0, 1.0), (4.0, 1.0)])
 
     def test_constant_data(self):
         slope, _, _ = fit_power_law([(lam, 5.0) for lam in (4, 16, 64)])
