@@ -245,15 +245,18 @@ def load_weight_csv(path: str) -> Weight:
 
 
 def _grid_from_samples(xs: np.ndarray) -> Grid:
-    """The grid of the positions xs, which must step by one h to within 1e-6 h.
+    """The grid of the positions xs through its ends, step h: each xs[i] must
+    lie within h/4 of xs[0] + i*h. That admits positions rounded to a few
+    decimals, and refuses a missing or repeated sample (off by about h/2).
     Grid refuses the rest: ends that are not finite, or an h that is not > 0."""
     n = len(xs)
     if n < 2:
         raise ValueError(f"a sampled weight needs at least 2 samples, got {n}")
     h = (xs[-1] - xs[0]) / (n - 1)
-    if np.isfinite(h) and not np.all(np.abs(np.diff(xs) - h) <= 1e-6 * abs(h)):
-        raise ValueError(f"positions must be increasing and equally spaced: a step "
-                         f"differs from {float(h)!r} by more than 1e-6 of it")
+    off = ~(np.abs(xs - (xs[0] + h * np.arange(n))) <= abs(h) / 4)  # NaN is off too
+    if np.isfinite(h) and off.any():
+        raise ValueError(f"positions must be increasing and equally spaced: x = "
+                         f"{float(xs[off][0])!r} lies more than a quarter step off its place")
     half_width = n * h / 2.0
     center = xs[0] + half_width
     return Grid(float(center), float(half_width), n)

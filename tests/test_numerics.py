@@ -17,6 +17,7 @@ from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                                forward_transform, inverse_transform, kernel_frame,
                                lp_norm, multiplier_kernel, on_bump, padded_spectrum,
                                smoothing_majorant, spectral_leak, weighted_l2)
+from oscillab.verify import approach_grid
 
 from conftest import convolve_direct, index_of, sampled, save_weight_csv
 
@@ -506,6 +507,17 @@ class TestCsv:
         back = load_weight_csv(path)
         np.testing.assert_allclose(back.values, w.values, atol=0)
 
+    # positions written to a few decimals lie off the grid through their
+    # ends by up to 0.009 h here, and by 0.1 h with %g at lam = 1024; they load
+    @pytest.mark.parametrize("lam, fmt", [(64, "%.6f"), (1024, "%.6f"), (1024, "%g")])
+    def test_rounded_positions_load(self, lam, fmt, tmp_path):
+        g = approach_grid(lam)
+        path = tmp_path / "w.csv"
+        path.write_text("x,w\n" + "".join(f"{fmt % x},1\n" for x in g.xs))
+        back = load_weight_csv(str(path))
+        assert back.grid.n == g.n
+        assert abs(back.grid.h - g.h) < 1e-3 * g.h
+
     def test_nan_positions_are_refused(self, tmp_path):
         # used to load as a weight on Grid(nan, nan, 4)
         path = tmp_path / "w.csv"
@@ -518,6 +530,8 @@ class TestCsv:
     @pytest.mark.parametrize("xs, message", [
         ([0, 1, 5, 6], "increasing and equally spaced"),
         ([0, np.nan, 2, 3], "increasing and equally spaced"),
+        ([0, 1, 2, 3, 4, 6, 7, 8], "increasing and equally spaced"),  # 5 is missing
+        ([0, 1, 2, 2, 3, 4, 5, 6], "increasing and equally spaced"),  # 2 twice
         ([0, 1, 2], "n=3 is not a power of two"),
         ([0, 0, 0, 0], "finite center"),
         ([3, 1], "finite center"),

@@ -8,12 +8,15 @@ sum per call. ``reference_sliding_max`` is the C maximum filter that
 frozen here so that any change in the bits shows up.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d
 
+from oscillab import _util
 from oscillab._util import (sliding_max, sliding_max_ladder, sliding_max_ladder_naive,
                             sliding_max_naive, window_sum_ladder, window_sums)
 from oscillab.maximal import _eighth_octave_cells
@@ -109,6 +112,18 @@ def test_sliding_max_ladder_matches_references_bitwise(case):
     assert sliding_max_ladder_naive(iter(rungs), n).tobytes() == want.tobytes()
 
 
+# Blocks of a few outputs put the cascade's blocked last descent on the short
+# grids drawn here, with windows across every block's ends
+@given(sliding_max_ladders(), st.integers(1, 16))
+def test_blocked_cascade_matches_references_bitwise(case, block):
+    n, rungs = case
+    want = np.full(n, -np.inf)
+    for row, s in rungs:
+        want = np.maximum(want, reference_sliding_max(row, s))
+    with mock.patch.object(_util, "_CASCADE_BLOCK", block):
+        assert sliding_max_ladder(iter(rungs), n).tobytes() == want.tobytes()
+
+
 def test_sliding_max_ladder_of_no_rungs_is_minus_inf():
     assert sliding_max_ladder(iter([]), 4).tolist() == [-np.inf] * 4
 
@@ -126,6 +141,19 @@ def test_long_sliding_max_matches_reference_bitwise(n):
     values = np.random.default_rng(n).integers(-4096, 4096, n) / 4096.0
     for s in [1, 7, 456, 1000, 2896, 5000, 2**14, 2**15 - 1, n // 2, n - 1]:
         assert sliding_max(values, s).tobytes() == reference_sliding_max(values, s).tobytes(), s
+
+
+@pytest.mark.parametrize("n", [2**15 + 1, 2**17, 2**18])
+def test_long_sliding_max_ladder_matches_reference_bitwise(n):
+    # a region supremum's shape: apertures from n / 5 down to 1 / 64 of n,
+    # each rung on its own row, the last descent in blocks of 2^15 outputs
+    rng = np.random.default_rng(n)
+    rungs = [(rng.integers(-4096, 4096, n) / 4096.0, int(t))
+             for t in np.geomspace(n / 5, n / 64, 12)]
+    want = np.full(n, -np.inf)
+    for row, s in rungs:
+        want = np.maximum(want, reference_sliding_max(row, s))
+    assert sliding_max_ladder(iter(rungs), n).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2**12 + 1, 2**15, 2**16])
