@@ -111,7 +111,8 @@ def sliding_max_ladder(rungs: Iterable[tuple[np.ndarray, int]], n: int) -> np.nd
     w = step + (1 << level) // 2  # longer than any row a block's passes write to scratch
     scratch = spare[:2 * w].reshape(2, w) if len(spare) >= 2 * w else np.empty((2, w))
     for lo in range(0, n, step):
-        k, a = min(step, n - lo), buf[lo:]
+        k = min(step, n - lo)
+        a = buf[lo:]
         for i in reversed(range(level)):  # the last pass writes cells no later block reads
             s = 1 << i
             out = buf[lo:lo + k] if i == 0 else scratch[i % 2]
