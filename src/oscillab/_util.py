@@ -91,14 +91,17 @@ def sliding_max_ladder(rungs: Iterable[tuple[np.ndarray, int]], n: int) -> np.nd
     for row, t in rungs:
         t = min(t, n - 1)
         j = (2 * t + 1).bit_length() - 1
-        if buf is None:
+        if buf is None:  # the row itself, padded with -inf: max(-inf, x) = x
             level = j
-            buf = np.full(n + (1 << j) - 1, -np.inf)
+            buf = np.empty(n + (1 << j) - 1)
             spare = np.empty_like(buf)
+            buf[:t] = buf[t + n:] = -np.inf
+            buf[t:t + n] = row
         elif j > level:
             raise ValueError("sliding-max half-widths must not grow along the ladder")
-        descend(j)
-        np.maximum(buf[t:t + n], row, out=buf[t:t + n])
+        else:
+            descend(j)
+            np.maximum(buf[t:t + n], row, out=buf[t:t + n])
         d = t - (1 << j) + 1  # the right block's start, x + d, may lie left of x
         lo = max(d, 0)
         np.maximum(buf[lo - d:n - d], row[lo:], out=buf[lo - d:n - d])

@@ -115,11 +115,14 @@ def square_function(pieces: list[SampledFunction]) -> SampledFunction:
 # The piece budget: k_range refuses more translates than this, which bounds the work of
 # spaced_energy and spaced_pieces at one full-grid inverse FFT per piece. The window
 # and its products with f^, the phase and 1/h are evaluated only on each translate's
-# support; the rest of a row is copied from a precomputed zero row. spaced_energy holds
-# one block of pieces at a time; spaced_pieces returns every piece.
+# support; the rest of a row keeps the values of a precomputed zero row. spaced_energy
+# holds one block of pieces at a time; spaced_pieces returns every piece.
 MAX_PIECES = 2**16
 # Samples in one block of pieces (2 MiB of complex128, about one core's L2 cache):
-# 32 pieces on the n = 4096 grid, 16 on n = 8192, 1 from n = 2^17 on.
+# 32 pieces on the n = 4096 grid, 16 on n = 8192, 1 from n = 2^17 on. It budgets the
+# window samples of one evaluation too: all 6,439 translates of L = 0.125 on the
+# n = 4096 grid of check-lp (7 samples each) in one, one whole-grid window per
+# evaluation once a window has 2^17 samples or more.
 _BLOCK_SAMPLES = 2**17
 
 
@@ -160,6 +163,11 @@ class SpacedFamily:
         return float(np.max(np.abs(w.values) * (1.0 + self.L * np.abs(w.grid.xs)) ** N / self.L))
 
 
+def _support_width(fam: SpacedFamily, freq_grid: Grid) -> int:
+    """Samples in each translate's window on the frequency grid."""
+    return int(min(freq_grid.n, np.ceil(4.0 * fam.L / freq_grid.h) + 4))
+
+
 def _translate_support(fam: SpacedFamily, freq_grid: Grid,
                        ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(idx, values): row r holds W^_L(xi - ks[r] L) at the samples idx[r] of the
@@ -167,7 +175,7 @@ def _translate_support(fam: SpacedFamily, freq_grid: Grid,
     at least one more sample at each end. At every other sample the translate is
     exactly 0.0."""
     n, dxi = freq_grid.n, freq_grid.h
-    width = int(min(n, np.ceil(4.0 * fam.L / dxi) + 4))
+    width = _support_width(fam, freq_grid)
     kl = ks * fam.L
     first = np.zeros(len(ks), dtype=np.int64)
     if width < n:  # else each window is the whole grid, and 2L may overflow
@@ -180,14 +188,27 @@ def _translate_support(fam: SpacedFamily, freq_grid: Grid,
 def _spaced_blocks(f: SampledFunction, fam: SpacedFamily):
     """The pieces of :func:`spaced_pieces` in k order, as the rows of one
     (block, n) array per block of at most _BLOCK_SAMPLES samples, each row
-    inverted from its translate's support alone."""
+    inverted from its translate's support alone.
+
+    The windows are evaluated for as many whole blocks of translates as fit
+    _BLOCK_SAMPLES window samples, and for one block where none fits, so a
+    call holds at most max(_BLOCK_SAMPLES, n) window samples. A yielded block
+    is valid only until the generator is advanced (see :func:`_support_rows`).
+    """
     fhat = forward_transform(f)
     fg = fhat.freq_grid
     ks = np.array(fam.k_range(fg))
     block = max(1, _BLOCK_SAMPLES // f.grid.n)
-    supports = (_translate_support(fam, fg, ks[lo:lo + block])
-                for lo in range(0, len(ks), block))
-    return _support_rows(f.grid, ((idx, fhat.values[idx] * mult) for idx, mult in supports))
+    per_call = max(1, _BLOCK_SAMPLES // (_support_width(fam, fg) * block)) * block
+
+    def supports():
+        for lo in range(0, len(ks), per_call):
+            idx, mult = _translate_support(fam, fg, ks[lo:lo + per_call])
+            for r in range(0, len(idx), block):
+                part = idx[r:r + block]
+                yield part, fhat.values[part] * mult[r:r + block]
+
+    return _support_rows(f.grid, supports())
 
 
 def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction]:
@@ -197,10 +218,23 @@ def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction
 
 def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
     """sum_k integral |f_k|^2 w over the pieces of :func:`spaced_pieces`: bit for
-    bit their weighted_l2 sum in k order, holding one block of pieces at a time."""
+    bit their weighted_l2 sum in k order, holding one block of pieces at a time.
+
+    |rows|^2 w is formed in one reused float block, with the elementwise
+    operations of weighted_l2 (``a**2`` is np.square), before the next block
+    overwrites the rows."""
     _require_same_grid(f, w)
-    return sum(e for rows in _spaced_blocks(f, fam)
-               for e in (f.grid.h * np.sum(np.abs(rows) ** 2 * w.values, axis=-1)).tolist())
+
+    def energies():
+        energy = np.empty((0, f.grid.n))
+        for rows in _spaced_blocks(f, fam):
+            if len(rows) > len(energy):
+                energy = np.empty(rows.shape)
+            a = np.abs(rows, out=energy[:len(rows)])
+            np.multiply(np.square(a, out=a), w.values, out=a)
+            yield from (f.grid.h * np.sum(a, axis=-1)).tolist()
+
+    return sum(energies())
 
 
 # ---------------------------------------------------------------------------

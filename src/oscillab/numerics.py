@@ -209,17 +209,28 @@ def _support_rows(g: Grid, supports):
     ifftshifted positions; every other sample is the (0j * phase) / h that the
     dense expression writes there, signed zeros included. One FFT over a block of
     rows gives each row the bits it gets alone.
+
+    One block of rows is filled from that zero row once per call, and grows only
+    for a block with more rows than any before; each block scatters its support
+    into it, and the scattered cells are put back once the consumer advances.
+    Every block is inverted into one reused output: a yielded array is valid only
+    until the generator is advanced, so copy it to keep it.
     """
     phase = _offset_phase(g, 1j)
     empty = np.zeros(g.n, dtype=np.complex128) * phase / g.h
+    rows = out = np.empty((0, g.n), dtype=np.complex128)
     for idx, vals in supports:
+        m = len(idx)
+        if m > len(rows):
+            rows = np.tile(empty, (m, 1))
+            out = np.empty_like(rows)
         jdx = (idx - g.n // 2) % g.n
-        rows = np.tile(empty, (len(idx), 1))
         # np.multiply, not *: on a large block numpy would reuse the temporary
         # phase[jdx] and compute phase[jdx] * vals, which FMA rounds differently
         spectrum = np.multiply(vals, phase[jdx])
-        np.put_along_axis(rows, jdx, spectrum / g.h, axis=-1)
-        yield np.fft.ifft(rows, axis=-1)
+        np.put_along_axis(rows[:m], jdx, spectrum / g.h, axis=-1)
+        yield np.fft.ifft(rows[:m], axis=-1, out=out[:m])
+        np.put_along_axis(rows[:m], jdx, empty[jdx], axis=-1)
 
 
 def restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:

@@ -169,23 +169,33 @@ def test_ifft_over_rows_matches_single_calls_bitwise(n):
 # Whole-grid supports, windows, and an empty one; 8 whole rows of 4096 are past
 # numpy's 256 KiB threshold for reusing a temporary in place. The FFT's input is
 # checked too: off the support the FFT absorbs the sign of a zero, so only the
-# input shows that every zero is the dense expression's (0j * phase) / h.
-@pytest.mark.parametrize("width", [4096, 300, 1, 0])
-def test_support_rows_match_inverse_transform_bitwise(width, monkeypatch):
+# input shows that every zero is the dense expression's (0j * phase) / h. Two
+# blocks in one call, each with its windows in its own half of the grid, show
+# that the cells the first block scattered are put back before the second is
+# inverted. A block's rows are reused, so each is checked before the next.
+@pytest.mark.parametrize("widths", [(4096,), (300,), (1,), (0,), (300, 300)],
+                         ids=["4096", "300", "1", "0", "300-300"])
+def test_support_rows_match_inverse_transform_bitwise(widths, monkeypatch):
     g = Grid(3.0, 16.0, 4096)
-    rng = np.random.default_rng(width)
-    first = rng.integers(0, g.n - width + 1, size=8)
-    idx = first[:, None] + np.arange(width)
-    vals = rng.standard_normal(idx.shape) + 1j * rng.standard_normal(idx.shape)
+    rng = np.random.default_rng(widths[0])
+    part = g.n // len(widths)
+    blocks, expected = [], []
+    for b, width in enumerate(widths):
+        first = b * part + rng.integers(0, part - width + 1, size=8)
+        idx = first[:, None] + np.arange(width)
+        vals = rng.standard_normal(idx.shape) + 1j * rng.standard_normal(idx.shape)
+        blocks.append((idx, vals))
+        spectra = np.zeros((len(idx), g.n), dtype=np.complex128)
+        np.put_along_axis(spectra, idx, vals, axis=-1)
+        expected.append([(reference_inverse_input(g, s).tobytes(),
+                          inverse_transform(SpectralFunction(g, s)).values.tobytes())
+                         for s in spectra])
     inputs, ifft = [], np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: inputs.append(a.copy()) or ifft(a, **kw))
-    [rows] = _support_rows(g, [(idx, vals)])
-    monkeypatch.undo()
-    for row, row_input, i, v in zip(rows, inputs[0], idx, vals):
-        spectrum = np.zeros(g.n, dtype=np.complex128)
-        spectrum[i] = v
-        assert row_input.tobytes() == reference_inverse_input(g, spectrum).tobytes()
-        assert row.tobytes() == inverse_transform(SpectralFunction(g, spectrum)).values.tobytes()
+    for rows, row_inputs, dense in zip(_support_rows(g, blocks), inputs, expected, strict=True):
+        for row, row_input, (dense_input, dense_row) in zip(rows, row_inputs, dense, strict=True):
+            assert row_input.tobytes() == dense_input
+            assert row.tobytes() == dense_row
 
 
 @given(off_centre_samples())
