@@ -5,6 +5,7 @@ Thin driver over the CLI so that a single invocation reproduces every
 table and plot. Exits nonzero if any experiment reports a violation.
 """
 
+import argparse
 import os
 import sys
 
@@ -37,8 +38,11 @@ BATTERY = [
 ]
 
 
-def main() -> int:
-    base = sys.argv[1] if len(sys.argv) > 1 else "results"
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", nargs="?", default="results",
+                    help="directory that gets one subdirectory per experiment (default: results)")
+    base = ap.parse_args(argv).out
     failures = []
     for args in BATTERY:
         tag = args[0]

@@ -13,6 +13,7 @@ identically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,8 @@ import numpy as np
 
 from ._util import cells, sliding_max, smooth_plateau, standard_bump
 from .errors import BadBand, CoverageGap
-from .numerics import (Grid, SampledFunction, Weight, _require_same_grid, _support_rows,
+from .numerics import (Grid, PaddedSpectrum, SampledFunction, SpectralFunction, Weight,
+                       _require_same_grid, _support_norms, _support_rows, abs_spectrum,
                        forward_transform, lp_norm, multiplier_kernel, restrict,
                        smoothing_majorant, spectral_leak)
 
@@ -35,7 +37,6 @@ __all__ = [
     "dominating_weights",
     "DominatedChain",
     "annuli_project",
-    "mollifier_weight",
     "band_limited_mollifier",
 ]
 
@@ -185,30 +186,37 @@ def _translate_support(fam: SpacedFamily, freq_grid: Grid,
     return idx, fam.window_hat(freq_grid.xs[idx] - kl[:, None])
 
 
+def _spaced_supports(fhat: SpectralFunction, fam: SpacedFamily, ks: np.ndarray):
+    """(idx, vals) for each block of at most _BLOCK_SAMPLES // n translates of ks, in
+    order: the samples of their windows (see :func:`_translate_support`) and f^
+    times W^_L there.
+
+    The windows are evaluated for as many whole blocks of translates as fit
+    _BLOCK_SAMPLES window samples, and for one block where none fits, so a call
+    holds at most max(_BLOCK_SAMPLES, n) window samples; those of one evaluation
+    are dropped before the next.
+    """
+    fg = fhat.freq_grid
+    block = max(1, _BLOCK_SAMPLES // fg.n)
+    per_call = max(1, _BLOCK_SAMPLES // (_support_width(fam, fg) * block)) * block
+    for lo in range(0, len(ks), per_call):
+        idx, mult = _translate_support(fam, fg, ks[lo:lo + per_call])
+        for r in range(0, len(idx), block):
+            part = idx[r:r + block]
+            yield part, fhat.values[part] * mult[r:r + block]
+        del idx, mult, part
+
+
 def _spaced_blocks(f: SampledFunction, fam: SpacedFamily):
     """The pieces of :func:`spaced_pieces` in k order, as the rows of one
     (block, n) array per block of at most _BLOCK_SAMPLES samples, each row
-    inverted from its translate's support alone.
-
-    The windows are evaluated for as many whole blocks of translates as fit
-    _BLOCK_SAMPLES window samples, and for one block where none fits, so a
-    call holds at most max(_BLOCK_SAMPLES, n) window samples. A yielded block
-    is valid only until the generator is advanced (see :func:`_support_rows`).
+    inverted from its translate's support alone (:func:`_spaced_supports`).
+    A yielded block is valid only until the generator is advanced (see
+    :func:`_support_rows`).
     """
     fhat = forward_transform(f)
-    fg = fhat.freq_grid
-    ks = np.array(fam.k_range(fg))
-    block = max(1, _BLOCK_SAMPLES // f.grid.n)
-    per_call = max(1, _BLOCK_SAMPLES // (_support_width(fam, fg) * block)) * block
-
-    def supports():
-        for lo in range(0, len(ks), per_call):
-            idx, mult = _translate_support(fam, fg, ks[lo:lo + per_call])
-            for r in range(0, len(idx), block):
-                part = idx[r:r + block]
-                yield part, fhat.values[part] * mult[r:r + block]
-
-    return _support_rows(f.grid, supports())
+    ks = np.array(fam.k_range(fhat.freq_grid))
+    return _support_rows(f.grid, _spaced_supports(fhat, fam, ks))
 
 
 def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction]:
@@ -216,25 +224,77 @@ def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction
     return [SampledFunction(f.grid, row) for rows in _spaced_blocks(f, fam) for row in rows]
 
 
+def _energy_bounds(fhat: SpectralFunction, w: Weight, fam: SpacedFamily,
+                   ks: np.ndarray) -> np.ndarray:
+    """B_k >= 2 E_k for each translate of ks, E_k the energy h sum |f_k|^2 w of
+    its piece as computed, from the values x that its row receives alone.
+
+    By Parseval the exact inverse of a row has squared norm sum |x|^2 / n, so
+    h max(w) sum |x|^2 / n bounds its energy. B_k is twice that (the FFT's
+    norm-wise error and the rounding of the sums are below 2^-40 of it for
+    every grid up to 2^22 samples) plus 2^-1060 (1 + h n (1 + max w)), more than
+    all that underflow to or within the subnormals can add to E_k and take from
+    B_k. An overflow on the way reads inf, and a NaN in f^ NaN.
+    """
+    g = fhat.space_grid
+    peak = float(np.max(w.values))
+    norms = _support_norms(g, _spaced_supports(fhat, fam, ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norms * peak * (2.0 * g.h / g.n) + math.ldexp(1.0 + g.h * g.n * (1.0 + peak),
+                                                              -1060)
+
+
 def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
     """sum_k integral |f_k|^2 w over the pieces of :func:`spaced_pieces`: bit for
-    bit their weighted_l2 sum in k order, holding one block of pieces at a time.
+    bit the sum S of their weighted_l2 in k order, added left to right as Python
+    3.11's sum adds floats, inverting only the pieces that can change a bit of it.
 
-    |rows|^2 w is formed in one reused float block, with the elementwise
-    operations of weighted_l2 (``a**2`` is np.square), before the next block
-    overwrites the rows."""
+    With B_k from :func:`_energy_bounds`, E_k <= B_k / 2, so when S > 0 and
+    B_k < ulp(S)/2, S + E_k rounds to S and piece k is skipped. The pieces with
+    B_k >= 2^-60 max B are inverted first, one block at a time; the pieces before
+    the first positive energy e so found are skipped when twice their bounds total
+    less than ulp(e)/2. Every piece that no such rule skips is inverted in its turn,
+    with the rest of its run up to the next inverted piece. Each energy is formed
+    as weighted_l2 forms it (``a**2`` is np.square), in one reused float block.
+    """
     _require_same_grid(f, w)
+    g = f.grid
+    fhat = forward_transform(f)
+    ks = np.array(fam.k_range(fhat.freq_grid))
+    bounds = _energy_bounds(fhat, w, fam, ks)
 
-    def energies():
-        energy = np.empty((0, f.grid.n))
-        for rows in _spaced_blocks(f, fam):
+    def energies(pick) -> dict:
+        """{i: E_i} for the pieces ks[i] of the index list ``pick``."""
+        out, energy = [], np.empty((0, g.n))
+        for rows in _support_rows(g, _spaced_supports(fhat, fam, ks[pick])):
             if len(rows) > len(energy):
                 energy = np.empty(rows.shape)
             a = np.abs(rows, out=energy[:len(rows)])
             np.multiply(np.square(a, out=a), w.values, out=a)
-            yield from (f.grid.h * np.sum(a, axis=-1)).tolist()
+            out += (g.h * np.sum(a, axis=-1)).tolist()
+        return dict(zip(pick, out))
 
-    return sum(energies())
+    known = energies(np.flatnonzero(bounds >= 2.0**-60 * np.max(bounds)).tolist())
+    total, head = 0.0, []  # head: the pieces skipped while the sum was 0
+    for i, bound in enumerate(bounds.tolist()):
+        if i not in known:
+            if total == 0.0:
+                head.append(i)
+                continue
+            if bound < math.ulp(total) / 2:
+                continue
+            run = list(itertools.takewhile(lambda j: j not in known, range(i, len(ks))))
+            known.update(energies(run))
+        elif head and known[i] != 0.0:
+            if not 2.0 * float(np.sum(bounds[head])) < math.ulp(known[i]) / 2:
+                for e in energies(head).values():
+                    total += e
+            head = []
+        total += known[i]
+    if head:  # no energy was positive
+        for e in energies(head).values():
+            total += e
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +369,6 @@ def band_limited_mollifier(grid: Grid, scale: float) -> SampledFunction:
     return SampledFunction(phi.grid, phi.values.real)
 
 
-def mollifier_weight(w: Weight, scale: float) -> Weight:
-    """w1 = ||Phi_s||_1 * (|Phi_s| * w): the smoothing majorant at the given scale."""
-    phi = band_limited_mollifier(w.grid, scale)
-    return Weight(w.grid, lp_norm(phi, 1) * smoothing_majorant(phi, w).values)
-
-
 def _theta_samples(grid: Grid, L: float) -> SampledFunction:
     """Theta_L on the grid's kernel frame: nonnegative, with nonnegative
     transform supported in [-L, L]. Built as 2*pi*|F^-1[b_L]|^2 with b_L a
@@ -350,23 +404,47 @@ class DominatedChain:
                                <= self.constant * self.w3.values[inner] * (1 + rel_tol)))
 
 
-def dominating_weights(w: Weight, p: int, lam: float, ell: int) -> DominatedChain:
-    """Build the dominating chain for band p at oscillation lam, for a phase
-    normalized to A1 = 1, at the spacing L and scale of :meth:`AnnuliIndex.band`.
-    """
+@dataclass(frozen=True)
+class _ChainKernels:
+    """What the chain of band p at lam takes from the grid alone, built once for
+    many weights: the band's spacing and scale, the half-width of w2's window,
+    ||Phi_s||_1, the :func:`abs_spectrum` of Phi_s and of Theta_L, and the
+    certified constant."""
+
+    L: float
+    scale: float
+    margin_cells: int
+    mass: float
+    phi: PaddedSpectrum
+    theta: PaddedSpectrum
+    constant: float
+
+
+def _chain_kernels(grid: Grid, p: int, lam: float, ell: int) -> _ChainKernels:
+    """The kernels of the chain of band p at lam (A1 = 1) on the grid, at the
+    spacing L and scale of :meth:`AnnuliIndex.band`."""
     L, scale = AnnuliIndex(ell, lam).band(p, 1.0)
-    h = w.grid.h
-
-    w1 = mollifier_weight(w, scale)
-
+    h = grid.h
     rho = 4.0 ** (-1.0 / (ell - 1.0)) / L
     s2 = cells(rho, h)
-    w2 = Weight(w.grid, sliding_max(w1.values, s2))
-
-    theta = _theta_samples(w.grid, L)
-    w3 = smoothing_majorant(theta, w2)
-
-    mid = w.grid.n // 2  # x = 0 sits at this index of the kernel frame
+    phi = band_limited_mollifier(grid, scale)
+    theta = _theta_samples(grid, L)
+    mid = grid.n // 2  # x = 0 sits at this index of the kernel frame
     one_sided = h * float(np.sum(theta.values.real[mid: mid + s2 + 1]))
     constant = float("inf") if one_sided == 0.0 else 1.0 / one_sided
-    return DominatedChain(w1, w2, w3, L, scale, constant, s2)
+    return _ChainKernels(L, scale, s2, lp_norm(phi, 1), abs_spectrum(phi), abs_spectrum(theta),
+                         constant)
+
+
+def dominating_weights(w: Weight, p: int, lam: float, ell: int,
+                       kernels: _ChainKernels | None = None) -> DominatedChain:
+    """Build the dominating chain for band p at oscillation lam, for a phase
+    normalized to A1 = 1: w1 = ||Phi_s||_1 (|Phi_s| * w), w2 its sliding maximum,
+    w3 = Theta_L * w2. ``kernels``, the :func:`_chain_kernels` of w's grid at
+    (p, lam, ell), saves building them again for each weight.
+    """
+    k = _chain_kernels(w.grid, p, lam, ell) if kernels is None else kernels
+    w1 = Weight(w.grid, k.mass * smoothing_majorant(k.phi, w).values)
+    w2 = Weight(w.grid, sliding_max(w1.values, k.margin_cells))
+    w3 = smoothing_majorant(k.theta, w2)
+    return DominatedChain(w1, w2, w3, k.L, k.scale, k.constant, k.margin_cells)

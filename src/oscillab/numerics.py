@@ -33,6 +33,7 @@ __all__ = [
     "restrict",
     "PaddedSpectrum",
     "padded_spectrum",
+    "abs_spectrum",
     "convolve",
     "kernel_frame",
     "multiplier_kernel",
@@ -200,37 +201,63 @@ def inverse_transform(fhat: SpectralFunction) -> SampledFunction:
                                           * _offset_phase(g, 1j) / g.h))
 
 
+def _support_spectra(g: Grid, phase: np.ndarray, supports):
+    """For each (idx, vals) of ``supports``: (jdx, x), the samples idx of g's dual grid
+    ifftshifted and the values there of the spectrum that is vals[r] at idx[r] and 0.0
+    at every other sample, times the phase (``_offset_phase(g, 1j)``) and 1/h, as
+    :func:`inverse_transform` multiplies them before its FFT; each name is dropped
+    before the next support is drawn."""
+    for idx, vals in supports:
+        jdx = (idx - g.n // 2) % g.n
+        # np.multiply, not *: on a large block numpy would reuse the temporary
+        # phase[jdx] and compute phase[jdx] * vals, which FMA rounds differently
+        x = np.multiply(vals, phase[jdx]) / g.h
+        del idx, vals
+        yield jdx, x
+        del jdx, x
+
+
+def _support_norms(g: Grid, supports) -> np.ndarray:
+    """sum |x|^2 over each row of :func:`_support_spectra`, in order: by Parseval, n
+    times the squared norm of the row that :func:`_support_rows` inverts it into. An
+    overflow reads inf."""
+    norms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for jdx, x in _support_spectra(g, _offset_phase(g, 1j), supports):
+            norms.append(np.sum(np.square(x.real) + np.square(x.imag), axis=-1))
+            del jdx, x
+    return np.concatenate(norms)
+
+
 def _support_rows(g: Grid, supports):
     """For each (idx, vals) of ``supports``: one row per r, the inverse transform of
     the spectrum that is vals[r] at the samples idx[r] of g's dual grid and 0.0 at
     the others, bit for bit what :func:`inverse_transform` returns for it.
 
-    The phase and 1/h are applied only on the support, scattered straight to the
-    ifftshifted positions; every other sample is the (0j * phase) / h that the
-    dense expression writes there, signed zeros included. One FFT over a block of
-    rows gives each row the bits it gets alone.
+    The phase and 1/h are applied only on the support (:func:`_support_spectra`),
+    scattered straight to the ifftshifted positions; every other sample is the
+    (0j * phase) / h that the dense expression writes there, signed zeros included.
+    One FFT over a block of rows gives each row the bits it gets alone.
 
     One block of rows is filled from that zero row once per call, and grows only
     for a block with more rows than any before; each block scatters its support
     into it, and the scattered cells are put back once the consumer advances.
     Every block is inverted into one reused output: a yielded array is valid only
-    until the generator is advanced, so copy it to keep it.
+    until the generator is advanced, so copy it to keep it. A block's support is
+    dropped before the next one is drawn.
     """
     phase = _offset_phase(g, 1j)
     empty = np.zeros(g.n, dtype=np.complex128) * phase / g.h
     rows = out = np.empty((0, g.n), dtype=np.complex128)
-    for idx, vals in supports:
-        m = len(idx)
+    for jdx, x in _support_spectra(g, phase, supports):
+        m = len(jdx)
         if m > len(rows):
             rows = np.tile(empty, (m, 1))
             out = np.empty_like(rows)
-        jdx = (idx - g.n // 2) % g.n
-        # np.multiply, not *: on a large block numpy would reuse the temporary
-        # phase[jdx] and compute phase[jdx] * vals, which FMA rounds differently
-        spectrum = np.multiply(vals, phase[jdx])
-        np.put_along_axis(rows[:m], jdx, spectrum / g.h, axis=-1)
+        np.put_along_axis(rows[:m], jdx, x, axis=-1)
         yield np.fft.ifft(rows[:m], axis=-1, out=out[:m])
         np.put_along_axis(rows[:m], jdx, empty[jdx], axis=-1)
+        del jdx, x
 
 
 def restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:
@@ -312,11 +339,18 @@ def multiplier_kernel(grid: Grid, multiplier) -> SampledFunction:
     return inverse_transform(SpectralFunction(frame, multiplier(frame.freq_grid().xs)))
 
 
-def smoothing_majorant(kernel: SampledFunction, w: Weight) -> Weight:
+def abs_spectrum(kernel: SampledFunction) -> PaddedSpectrum:
+    """The padded spectrum of |K|: the kernel of :func:`smoothing_majorant`, taken
+    once to smooth many weights."""
+    return padded_spectrum(SampledFunction(kernel.grid, np.abs(kernel.values)))
+
+
+def smoothing_majorant(kernel: SampledFunction | PaddedSpectrum, w: Weight) -> Weight:
     """|K| * w clipped at 0, on w's grid. w is relabelled onto the grid's kernel
     frame, so only differences of positions count; K must lie on that frame, or
-    :func:`convolve` raises :class:`GridMismatch`."""
-    conv = convolve(SampledFunction(kernel.grid, np.abs(kernel.values)),
+    :func:`convolve` raises :class:`GridMismatch`. K may come as its
+    :func:`abs_spectrum`."""
+    conv = convolve(kernel if isinstance(kernel, PaddedSpectrum) else abs_spectrum(kernel),
                     SampledFunction(kernel_frame(w.grid), w.values))
     return Weight(w.grid, np.maximum(conv.values.real, 0.0))
 

@@ -21,13 +21,13 @@ from ._util import smooth_plateau, standard_bump
 from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
 from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
                       normalized_kernel)
-from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, dominating_weights,
-                     dyadic_pieces, spaced_energy, square_function)
+from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, _chain_kernels,
+                     dominating_weights, dyadic_pieces, spaced_energy, square_function)
 from .maximal import approach_maximal, hardy_littlewood
 from .numerics import (Grid, PaddedSpectrum, SampledFunction, SpectralFunction, Weight,
-                       forward_transform, inverse_transform, lp_norm, multiplier_kernel, on_bump,
-                       padded_spectrum, restrict, smoothing_majorant, spectral_leak,
-                       weighted_l2)
+                       abs_spectrum, forward_transform, inverse_transform, lp_norm,
+                       multiplier_kernel, on_bump, padded_spectrum, restrict, smoothing_majorant,
+                       spectral_leak, weighted_l2)
 from .phases import (FiniteTypeSpec, Phase, check_ell, check_lambda, finite_type_spec,
                      normalize_phase)
 
@@ -343,14 +343,14 @@ def square_function_ratios(f: SampledFunction, w: Weight, fam: DyadicFamily,
     """Forward and reverse square-function inequalities.
 
     forward: integral (Sf)^2 w over integral |f|^2 Mw
-    backward: integral |f|^2 w over integral (Sf)^2 M^3 w
+    backward: integral |f|^2 w over integral (Sf)^2 M^3 w, with M^3 w = M^2 (Mw)
     """
     pieces = dyadic_pieces(f, fam)
     sf = square_function(pieces)
-    forward = RatioSample.of(weighted_l2(sf, w),
-                             weighted_l2(f, hardy_littlewood(w, 1)), provenance)
+    mw = hardy_littlewood(w, 1)
+    forward = RatioSample.of(weighted_l2(sf, w), weighted_l2(f, mw), provenance)
     backward = RatioSample.of(weighted_l2(f, w),
-                              weighted_l2(sf, hardy_littlewood(w, 3)), provenance)
+                              weighted_l2(sf, hardy_littlewood(mw, 2)), provenance)
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
         return SquareFunctionSample(forward, backward, 0.0, 0.0)
@@ -376,9 +376,30 @@ def spaced_ratio(f: SampledFunction, w: Weight, fam: SpacedFamily,
     return RatioSample.of(lhs, rhs, provenance)
 
 
+@dataclass(frozen=True)
+class _Mollifiers:
+    """Psi and T Psi of :func:`uncertainty_bounds_check` for one kernel and
+    declared support, built once for many (f, w): their L1 norms and their
+    :func:`abs_spectrum`."""
+
+    psi_mass: float
+    psi: PaddedSpectrum
+    tpsi_mass: float
+    tpsi: PaddedSpectrum
+
+
+def _mollifiers(grid: Grid, kernel: Kernel | PaddedSpectrum,
+                psi_hat_support: tuple[float, float]) -> _Mollifiers:
+    """Psi, flat on the declared support, and T Psi on the grid's kernel frame."""
+    psi = _flat_window(grid, *psi_hat_support)
+    tpsi = apply_T(kernel, psi)
+    return _Mollifiers(lp_norm(psi, 1), abs_spectrum(psi), lp_norm(tpsi, 1), abs_spectrum(tpsi))
+
+
 def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel | PaddedSpectrum, w: Weight,
                              psi_hat_support: tuple[float, float],
-                             provenance: Provenance = Provenance()):
+                             provenance: Provenance = Provenance(),
+                             mollifiers: _Mollifiers | None = None):
     """The two mollification bounds from the uncertainty principle.
 
     mol:  integral |Tf|^2 w   <= ||Psi||_1 integral |Tf|^2 (|Psi| * w)
@@ -387,19 +408,20 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel | PaddedSpectrum
     with Psi^ equal to one on the declared spectral support of f. Both
     are exact inequalities; the returned ratios must not exceed one
     beyond discretization error. T is applied as by :func:`apply_T`, so
-    ``kernel`` may be the kernel's padded spectrum.
+    ``kernel`` may be the kernel's padded spectrum; ``mollifiers``, the
+    :func:`_mollifiers` of f's grid, kernel and support, saves building Psi
+    and T Psi again for each pair.
     """
     lo, hi = psi_hat_support
     fhat = forward_transform(f)
     xs = fhat.freq_grid.xs
     if spectral_leak(fhat, (xs >= lo) & (xs <= hi)) > 1e-8:
         raise SupportViolation("input spectrum leaks outside the declared interval")
-    psi = _flat_window(f.grid, lo, hi)
+    m = _mollifiers(f.grid, kernel, psi_hat_support) if mollifiers is None else mollifiers
     tf = apply_T(kernel, f)
     lhs = weighted_l2(tf, w)
-    mol_rhs = lp_norm(psi, 1) * weighted_l2(tf, smoothing_majorant(psi, w))
-    tpsi = apply_T(kernel, psi)
-    mol2_rhs = lp_norm(tpsi, 1) * weighted_l2(f, smoothing_majorant(tpsi, w))
+    mol_rhs = m.psi_mass * weighted_l2(tf, smoothing_majorant(m.psi, w))
+    mol2_rhs = m.tpsi_mass * weighted_l2(f, smoothing_majorant(m.tpsi, w))
     return RatioSample.of(lhs, mol_rhs, provenance), RatioSample.of(lhs, mol2_rhs, provenance)
 
 
@@ -523,9 +545,11 @@ def _band_samples(grid: Grid, band: tuple[float, float], draws: int,
 def weight_chain_holds(p: int, lam: float, ell: int, draws: int,
                        rng: np.random.Generator, rel_tol: float) -> bool:
     """Whether the chain of band p at lam (A1 = 1) dominates to ``rel_tol`` for each of
-    ``draws`` random weights on [-4, 4] at step 1/(8 lam); all are drawn whatever the outcome."""
+    ``draws`` random weights on [-4, 4] at step 1/(8 lam); all are drawn whatever the
+    outcome. The chain's kernels are built once for all of them."""
     grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * lam))
-    return all([dominating_weights(random_weight(grid, rng), p, lam, ell)
+    kernels = _chain_kernels(grid, p, lam, ell)
+    return all([dominating_weights(random_weight(grid, rng), p, lam, ell, kernels)
                 .dominates(rel_tol) for _ in range(draws)])
 
 
@@ -533,12 +557,13 @@ def uncertainty_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, band_hi:
                         draws: int, rng: np.random.Generator, seed: int = 0) -> list:
     """(mol, mol2) of ``draws`` pairs through the normalized kernel on [-8, 8],
     f with |xi| <= band_hi inside the declared support [-10, 10]; K is
-    transformed once for all of them."""
+    transformed, and Psi and T Psi built, once for all of them."""
     kernel = normalized_kernel(phase, spec, lam, 8.0)
     khat = padded_spectrum(kernel.samples)
+    mollifiers = _mollifiers(kernel.grid, khat, (-10.0, 10.0))
     return _band_samples(
         kernel.grid, (0.0, band_hi), draws, rng,
-        lambda f, w, pv: uncertainty_bounds_check(f, khat, w, (-10.0, 10.0), pv),
+        lambda f, w, pv: uncertainty_bounds_check(f, khat, w, (-10.0, 10.0), pv, mollifiers),
         Provenance(ell=spec.ell, lam=lam, seed=seed))
 
 

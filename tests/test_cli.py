@@ -4,7 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -1215,3 +1215,36 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _run_experiments_module():
+    path = Path(__file__).parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunExperiments:
+    # the battery driver took sys.argv[1] as its output directory whatever it
+    # was: --help ran all 13 commands into "--help/<tag>", and each exited 2
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2),
+                                            (["a", "b"], 2)])
+    def test_flags_run_nothing(self, argv, code, monkeypatch, capsys):
+        module = _run_experiments_module()
+        calls = []
+        monkeypatch.setattr(module, "run", lambda args: calls.append(args) or 0)
+        with pytest.raises(SystemExit) as exc:
+            module.main(argv)
+        assert exc.value.code == code and calls == []
+        assert "usage: " in capsys.readouterr()[0 if code == 0 else 1]
+
+    @pytest.mark.parametrize("argv, base", [([], "results"), (["out/dir"], "out/dir")])
+    def test_output_directory(self, argv, base, monkeypatch, capsys):
+        module = _run_experiments_module()
+        outs = []
+        monkeypatch.setattr(module, "run", lambda args: outs.append(args[-1]) or 0)
+        assert module.main(argv) == 0
+        assert len(outs) == len(module.BATTERY) == 13
+        assert all(os.path.dirname(out) == base for out in outs)
+        assert os.path.basename(outs[-1]) == "check-lemmas-3-monomial"

@@ -2,6 +2,7 @@
 coverage, and the dominating weight chain."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscillab import lpaley
 from oscillab.errors import BadBand, CoverageGap
 from oscillab.lpaley import (_BLOCK_SAMPLES, AnnuliIndex, DyadicFamily, SpacedFamily,
-                             _spaced_blocks, _support_width, _theta_samples,
+                             _energy_bounds, _spaced_blocks, _support_width, _theta_samples,
                              _translate_support,
-                             annuli_project, dominating_weights, dyadic_pieces,
-                             mollifier_weight, spaced_energy, spaced_pieces,
-                             square_function)
+                             annuli_project, band_limited_mollifier, dominating_weights,
+                             dyadic_pieces, spaced_energy, spaced_pieces, square_function)
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction,
                                Weight, forward_transform, inverse_transform,
-                               lp_norm, restrict, weighted_l2)
-from oscillab.verify import random_band_function, random_weight, spaced_ratio
+                               lp_norm, restrict, smoothing_majorant, weighted_l2)
+from oscillab.verify import lp_checks, random_band_function, random_weight, spaced_ratio
 
 GRID = Grid(0.0, 16.0, 4096)
 FAM = DyadicFamily(-2, 8)
@@ -28,6 +29,12 @@ FAM = DyadicFamily(-2, 8)
 def translate_hat(fam, k, xi):
     """The k-th translate W^_L(xi - kL) of the family's window."""
     return fam.window_hat(np.asarray(xi, dtype=float) - k * fam.L)
+
+
+def mollifier_weight(w, scale):
+    """w1 = ||Phi_s||_1 * (|Phi_s| * w) at the given scale, as dominating_weights forms it."""
+    phi = band_limited_mollifier(w.grid, scale)
+    return Weight(w.grid, lp_norm(phi, 1) * smoothing_majorant(phi, w).values)
 
 
 def band_limited(seed, lo=0.5, hi=128.0, grid=GRID):
@@ -236,8 +243,9 @@ class TestSpacedFamily:
             assert row.tobytes() == dense.values.tobytes()
 
     # At n = 2^17 and L = 1e3 each of the 7 windows is the whole grid, so one
-    # window fills the _BLOCK_SAMPLES budget. Evaluated one at a time, the
-    # traced peak was 14.1 complex grid arrays; all 7 at once, 38.4.
+    # window fills the _BLOCK_SAMPLES budget. Evaluated one at a time, with each
+    # block's support dropped before the next window, the traced peak is 10.6
+    # complex grid arrays; holding the last block's, 14.1; all 7 at once, 38.4.
     def test_energy_evaluates_one_budget_of_windows_at_a_time(self):
         n = 2**17
         grid = Grid(0.0, n / 64.0, n)
@@ -255,7 +263,7 @@ class TestSpacedFamily:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 16 * n
+        assert peak <= 11 * 16 * n
 
     def test_piece_budget(self):
         # 6,439 pieces is the most any run makes; L = 1e-6 would be about 8e8
@@ -264,6 +272,175 @@ class TestSpacedFamily:
         for L in (1e-6, 5e-324):
             with pytest.raises(ValueError, match="MAX_PIECES"):
                 SpacedFamily(L).k_range(GRID.freq_grid())
+
+
+def k_order_sum(f, w, fam):
+    """The weighted_l2 of every piece of spaced_pieces, added left to right in k
+    order, row by row so that no list of pieces is held."""
+    total = 0.0
+    for e in piece_energies(f, w, fam):
+        total += e
+    return total
+
+
+def piece_energies(f, w, fam):
+    return [weighted_l2(SampledFunction(f.grid, row), w)
+            for rows in _spaced_blocks(f, fam) for row in rows]
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.fixture
+def inverted(monkeypatch):
+    """The row count of each block that lpaley inverts from here on."""
+    counts, real = [], lpaley._support_rows
+
+    def counting(g, supports):
+        for rows in real(g, supports):
+            counts.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(lpaley, "_support_rows", counting)
+    return counts
+
+
+def bounds_of(f, w, fam):
+    fhat = forward_transform(f)
+    return _energy_bounds(fhat, w, fam, np.array(fam.k_range(fhat.freq_grid)))
+
+
+class TestSpacedEnergyPruning:
+    # spaced_energy inverts only the pieces whose energy can change a bit of the
+    # sum; every other piece's skip is proven from its bound, so the sum is the
+    # full one bit for bit. The grids are those of the block-rows test.
+    @pytest.mark.parametrize("hi", [60.0, 128.0])
+    @pytest.mark.parametrize("n", [32, 1024, 4096, 8192])
+    @pytest.mark.parametrize("L", [0.125, 0.5, 2.0, 8.0, 100.0, 1e3, 5e307])
+    def test_energy_is_the_k_order_sum_bitwise(self, L, n, hi):
+        g = Grid(3.0, n / 64.0, n)
+        fam = SpacedFamily(L)
+        rng = np.random.default_rng(n + int(hi))
+        f = random_band_function(g, rng, 0.0, hi)
+        w = random_weight(g, rng)
+        assert bits(spaced_energy(f, w, fam)) == bits(k_order_sum(f, w, fam))
+
+    def test_every_piece_with_signal_is_inverted(self, inverted):
+        # white noise fills the dual grid, so every piece whose window meets it
+        # is significant; the rest are exactly 0
+        rng = np.random.default_rng(11)
+        f = SampledFunction(GRID, rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n))
+        w = random_weight(GRID, rng)
+        fam = SpacedFamily(8.0)
+        energy = spaced_energy(f, w, fam)
+        fg = GRID.freq_grid()
+        mult = _translate_support(fam, fg, np.array(fam.k_range(fg)))[1]
+        assert sum(inverted) == np.count_nonzero(np.any(mult != 0.0, axis=-1))
+        assert bits(energy) == bits(k_order_sum(f, w, fam))
+
+    @pytest.mark.parametrize("case", ["zero-f", "zero-w", "spike-w", "nan-f"])
+    def test_degenerate_inputs_bitwise(self, case):
+        rng = np.random.default_rng(12)
+        f = band_limited(12)
+        w = random_weight(GRID, rng)
+        if case == "zero-f":
+            f = SampledFunction(GRID, np.zeros(GRID.n))
+        elif case == "zero-w":
+            w = Weight(GRID, np.zeros(GRID.n))
+        elif case == "spike-w":
+            w = Weight(GRID, 3.0 * (np.arange(GRID.n) == 1000))
+        else:
+            vals = f.values.copy()
+            vals[77] = np.nan
+            f = SampledFunction(GRID, vals)
+        fam = SpacedFamily(0.5)
+        energy = spaced_energy(f, w, fam)
+        assert bits(energy) == bits(k_order_sum(f, w, fam))
+        assert (case == "nan-f") == math.isnan(energy)
+
+    def test_failed_head_check_inverts_the_head(self, inverted):
+        # a faint line 2^-28 below a strong one, a few samples to its left: the
+        # first significant piece sees only the faint line, and the roundoff of
+        # the pieces before it outweighs ulp/2 of its energy, so they are inverted
+        fg = GRID.freq_grid()
+        vals = np.zeros(GRID.n, dtype=np.complex128)
+        j = int(np.argmin(np.abs(fg.xs + 200.0)))
+        vals[j], vals[j + 6] = 2.0**-28, 1.0
+        f = inverse_transform(SpectralFunction(GRID, vals))
+        w = random_weight(GRID, np.random.default_rng(13))
+        fam = SpacedFamily(0.5)
+        energy = spaced_energy(f, w, fam)
+        count = sum(inverted)
+        bounds = bounds_of(f, w, fam)
+        significant = bounds >= 2.0**-60 * np.max(bounds)
+        first = int(np.argmax(significant))
+        energies = piece_energies(f, w, fam)
+        assert first > 0 and 2.0 * np.sum(bounds[:first]) >= math.ulp(energies[first]) / 2
+        assert count == first + np.count_nonzero(significant)
+        assert bits(energy) == bits(k_order_sum(f, w, fam))
+
+    @staticmethod
+    def lines(*amps_at):
+        """The function whose spectrum on GRID is amp at the sample nearest each xi."""
+        xs = GRID.freq_grid().xs
+        vals = np.zeros(GRID.n, dtype=np.complex128)
+        for amp, xi in amps_at:
+            vals[int(np.argmin(np.abs(xs - xi)))] = amp
+        return inverse_transform(SpectralFunction(GRID, vals))
+
+    # A faint line far left of a strong one leaves the sum tiny across the
+    # roundoff between them, so there the skip is refused and the run inverted.
+    @pytest.mark.parametrize("case", ["band-128", "faint-then-strong", "strong-then-faint"])
+    def test_every_skipped_piece_is_proven(self, case, monkeypatch):
+        fam = SpacedFamily(0.5)
+        w = random_weight(GRID, np.random.default_rng(16))
+        f = {"band-128": lambda: band_limited(16, lo=0.0),
+             "faint-then-strong": lambda: self.lines((2.0**-28, -200.0), (1.0, 200.0)),
+             "strong-then-faint": lambda: self.lines((1.0, -200.0), (2.0**-28, 200.0))}[case]()
+        calls, real = [], lpaley._spaced_supports
+        monkeypatch.setattr(lpaley, "_spaced_supports",
+                            lambda fhat, fam, ks: calls.append(ks) or real(fhat, fam, ks))
+        energy = spaced_energy(f, w, fam)
+        monkeypatch.undo()
+        ks = np.array(fam.k_range(GRID.freq_grid()))
+        assert np.array_equal(calls[0], ks)  # the bounds, then the inverted pieces
+        inverted = set((np.concatenate(calls[1:]) - ks[0]).tolist())
+        energies, bounds = piece_energies(f, w, fam), bounds_of(f, w, fam)
+        first = next(i for i, e in enumerate(energies) if i in inverted and e > 0.0)
+        head = [i for i in range(first) if i not in inverted]
+        assert 2.0 * np.sum(bounds[head]) < math.ulp(energies[first]) / 2
+        total = 0.0
+        for i, e in enumerate(energies):
+            if i > first and i not in inverted:
+                assert total > 0.0 and bounds[i] < math.ulp(total) / 2
+            total += e
+        assert bits(energy) == bits(total)
+        assert len(inverted) > (len(ks) // 2 if case == "faint-then-strong" else 0)
+
+    # E_k <= B_k / 2 for a varying weight; for w = 1 Parseval makes the bound
+    # sharp, so 2 E_k / B_k is 1 up to rounding and the factor 2 is all margin
+    @pytest.mark.parametrize("L", [0.125, 2.0])
+    def test_bounds_are_twice_the_energies(self, L):
+        fam = SpacedFamily(L)
+        rng = np.random.default_rng(14)
+        for f, w in [(band_limited(14, lo=0.0), random_weight(GRID, rng)),
+                     (band_limited(15, lo=0.0), Weight(GRID, np.arange(GRID.n) == 2000))]:
+            energies = np.array(piece_energies(f, w, fam))
+            assert np.all(energies <= bounds_of(f, w, fam) / 2)
+        f, w = band_limited(16, lo=0.0), Weight(GRID, np.ones(GRID.n))
+        energies, bounds = np.array(piece_energies(f, w, fam)), bounds_of(f, w, fam)
+        lit = energies > 0.0
+        assert np.count_nonzero(lit) > 0.99 * len(energies)
+        assert np.all(np.abs(2.0 * energies[lit] / bounds[lit] - 1.0) <= 2.0**-40)
+
+    def test_check_lp_inverts_under_40_percent_at_L_eighth(self, inverted):
+        # check-lp's L = 0.125 sample (seed 0, 8 square pairs first): f has
+        # |xi| <= 128 on a dual grid reaching 402, so most of the 6,439 pieces
+        # carry only roundoff
+        lp_checks(FAM, [SpacedFamily(0.125)], 8, 0)
+        assert len(SpacedFamily(0.125).k_range(GRID.freq_grid())) == 6439
+        assert sum(inverted) <= 0.4 * 6439
 
 
 class TestAnnuli:
@@ -371,8 +548,6 @@ class TestDominatingWeights:
                       <= ch.constant * ch.w3.values[inner] * (1 + 1e-9))
 
     def test_constant_weight_chain(self):
-        from oscillab.lpaley import band_limited_mollifier
-
         w = Weight(self.GRID4, np.full(self.GRID4.n, 2.0))
         ch = dominating_weights(w, 3, 256.0, 3)
         mid = self.GRID4.n // 2

@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscillab import verify
+from oscillab import lpaley, verify
 from oscillab._util import standard_bump
 from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
 from oscillab.kernels import admissible_step, apply_T, build_kernel, normalized_kernel
-from oscillab.lpaley import DyadicFamily
+from oscillab.lpaley import DyadicFamily, dyadic_pieces, square_function
 from oscillab.maximal import approach_maximal, global_maximal, regular_maximal
-from oscillab.numerics import Grid, SampledFunction, Weight, lp_norm, weighted_l2
+from oscillab.numerics import (Grid, SampledFunction, Weight, lp_norm, smoothing_majorant,
+                               weighted_l2)
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
 from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_report,
                              envelope_check, envelope_constants, fit_power_law,
@@ -23,7 +24,7 @@ from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_r
                              random_test_function, random_weight,
                              square_function_ratios, two_weight_sweep,
                              approach_grid, uncertainty_bounds_check,
-                             uncertainty_samples, weight_corpus)
+                             uncertainty_samples, weight_chain_holds, weight_corpus)
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
@@ -250,6 +251,21 @@ class TestSquareFunctionRatios:
         assert sq.reconstruction_error == 0.0 and sq.energy_ratio == 0.0
 
 
+    def test_backward_weight_reuses_the_forward_weight(self, monkeypatch):
+        # M^3 w is M^2 (Mw), so each pair runs 3 maximal iterations, not 4
+        f = random_band_function(self.GRID, np.random.default_rng(8), 0.5, 128.0)
+        w = random_weight(self.GRID, np.random.default_rng(9))
+        real, iterations = verify.hardy_littlewood, []
+        monkeypatch.setattr(verify, "hardy_littlewood",
+                            lambda v, k: iterations.append(k) or real(v, k))
+        sq = square_function_ratios(f, w, self.FAM)
+        assert iterations == [1, 2]
+        sf = square_function(dyadic_pieces(f, self.FAM))
+        assert sq.backward.rhs == weighted_l2(sf, real(w, 3))
+        for v in [*weight_corpus(self.GRID, np.random.default_rng(10)), w]:
+            assert real(real(v, 1), 2).values.tobytes() == real(v, 3).values.tobytes()
+
+
 class TestUncertaintyBounds:
     def setup_case(self, seed):
         lam = 64.0
@@ -430,13 +446,68 @@ class TestOneKernelSpectrumPerLambda:
         assert list(counts.values()) == [4, 4]
 
     def test_uncertainty_samples(self, monkeypatch):
-        # per sample: T f and T Psi, and the two smoothing majorants' two
-        # transforms each; plus the kernel once
+        # per sample: T f and the weight of each smoothing majorant; once: the
+        # kernel, T Psi and the two majorants' |Psi| and |T Psi|, where building
+        # Psi for each sample made 6 per sample and 1 once
         ph = Phase.monomial(3)
         spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
         counts = self.padded_ffts(monkeypatch)
         uncertainty_samples(ph, spec, 64.0, 8.0, 3, np.random.default_rng(1))
-        assert list(counts.values()) == [3 * 6 + 1]
+        assert list(counts.values()) == [3 * 3 + 4]
+
+
+class TestLemmaKernelsOncePerCall:
+    @staticmethod
+    def counted(monkeypatch, targets) -> dict:
+        counts = {}
+        for module, name in targets:
+            real = getattr(module, name)
+
+            def counting(*args, real=real, name=name):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_weight_chain(self, monkeypatch):
+        counts = self.counted(monkeypatch, [(lpaley, "band_limited_mollifier"),
+                                            (lpaley, "_theta_samples")])
+        assert weight_chain_holds(3, 256.0, 3, 4, np.random.default_rng(0), 1e-9)
+        assert counts == {"band_limited_mollifier": 1, "_theta_samples": 1}
+
+    def test_chain_from_held_kernels_is_the_chain_bitwise(self):
+        grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * 256.0))
+        kernels = lpaley._chain_kernels(grid, 3, 256.0, 3)
+        for seed in range(3):
+            w = random_weight(grid, np.random.default_rng(seed))
+            held = lpaley.dominating_weights(w, 3, 256.0, 3, kernels)
+            phi = lpaley.band_limited_mollifier(grid, held.scale)
+            w1 = lp_norm(phi, 1) * smoothing_majorant(phi, w).values
+            w3 = smoothing_majorant(lpaley._theta_samples(grid, held.L), held.w2)
+            assert held.w1.values.tobytes() == w1.tobytes()
+            assert held.w3.values.tobytes() == w3.values.tobytes()
+            fresh = lpaley.dominating_weights(w, 3, 256.0, 3)
+            assert (held.constant, held.margin_cells) == (fresh.constant, fresh.margin_cells)
+            assert held.w2.values.tobytes() == fresh.w2.values.tobytes()
+
+    def test_uncertainty_samples(self, monkeypatch):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        counts = self.counted(monkeypatch, [(verify, "_flat_window")])
+        pairs = uncertainty_samples(ph, spec, 64.0, 8.0, 3, np.random.default_rng(1))
+        assert counts == {"_flat_window": 1}
+        monkeypatch.undo()
+        kernel = normalized_kernel(ph, spec, 64.0, 8.0)
+        psi = verify._flat_window(kernel.grid, -10.0, 10.0)
+        tpsi = apply_T(kernel, psi)
+        rng = np.random.default_rng(1)
+        for mol, mol2 in pairs:
+            f = random_band_function(kernel.grid, rng, 0.0, 8.0)
+            w = random_weight(kernel.grid, rng)
+            tf = apply_T(kernel, f)
+            assert mol.rhs == lp_norm(psi, 1) * weighted_l2(tf, smoothing_majorant(psi, w))
+            assert mol2.rhs == lp_norm(tpsi, 1) * weighted_l2(f, smoothing_majorant(tpsi, w))
 
 
 class TestCorpora:
