@@ -1,22 +1,20 @@
 """oscillab: numerical experiments for oscillatory convolution operators,
 geometric maximal functions and Littlewood-Paley theory on the line."""
 
-from .errors import (BadBand, CoverageGap, DegenerateSupport, GridMismatch,
-                     InsufficientPoints, NonpositiveValue, OrderUnavailable,
-                     OscillabError, SupportViolation, UnderResolved,
-                     ValidationFailed)
+from .errors import (BadBand, CoverageGap, GridMismatch, InsufficientPoints,
+                     NonpositiveValue, OrderUnavailable, OscillabError,
+                     SupportViolation, UnderResolved, ValidationFailed)
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
                        lp_norm, restrict, weighted_l2)
-from .phases import (ComparabilityReport, FiniteTypeSpec, Phase, TypeReport,
-                     comparability_check, ensure_finite_type, finite_type_spec,
-                     normalize_phase, validate_finite_type)
+from .phases import (FiniteTypeSpec, Phase, TypeReport, ensure_finite_type,
+                     finite_type_spec, normalize_phase, validate_finite_type)
 from .kernels import (DecayReport, Kernel, apply_T, build_kernel, check_decay,
                       normalized_kernel)
 from .maximal import (approach_maximal, fractional_maximal, global_maximal,
                       hardy_littlewood, operator_by_name, regular_maximal)
 from .lpaley import (AnnuliIndex, DominatedChain, DyadicFamily, SpacedFamily,
-                     annuli_project, dominating_weights, dyadic_pieces,
-                     spaced_energy, spaced_pieces, square_function)
+                     dominating_weights, dyadic_pieces, spaced_energy,
+                     spaced_pieces, square_function)
 
 __version__ = "0.1.0"

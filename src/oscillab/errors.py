@@ -13,10 +13,6 @@ class ValidationFailed(OscillabError):
     """A finite-type hypothesis was violated; the message is the first failing condition."""
 
 
-class DegenerateSupport(OscillabError):
-    """The support interval contains too few grid points to be meaningful."""
-
-
 class GridMismatch(OscillabError):
     """Two sampled functions live on different grids."""
 

@@ -13,7 +13,6 @@ identically.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +21,9 @@ import numpy as np
 from ._util import cells, sliding_max, smooth_plateau, standard_bump
 from .errors import BadBand, CoverageGap
 from .numerics import (Grid, PaddedSpectrum, SampledFunction, SpectralFunction, Weight,
-                       _require_same_grid, _support_norms, _support_rows, abs_spectrum,
-                       forward_transform, lp_norm, multiplier_kernel, restrict,
-                       smoothing_majorant, spectral_leak)
+                       _require_same_grid, _RowInverter, abs_spectrum, forward_transform,
+                       lp_norm, multiplier_kernel, restrict, smoothing_majorant,
+                       spectral_leak)
 
 __all__ = [
     "DyadicFamily",
@@ -36,7 +35,6 @@ __all__ = [
     "spaced_energy",
     "dominating_weights",
     "DominatedChain",
-    "annuli_project",
     "band_limited_mollifier",
 ]
 
@@ -158,11 +156,6 @@ class SpacedFamily:
         """W_L, the inverse transform of W^_L, on the grid's kernel frame."""
         return multiplier_kernel(grid, self.window_hat)
 
-    def decay_constant(self, grid: Grid, N: int) -> float:
-        """Measured C_N in |W_L(x)| <= C_N * L / (1 + L|x|)^N."""
-        w = self.spatial_window(grid)
-        return float(np.max(np.abs(w.values) * (1.0 + self.L * np.abs(w.grid.xs)) ** N / self.L))
-
 
 def _support_width(fam: SpacedFamily, freq_grid: Grid) -> int:
     """Samples in each translate's window on the frequency grid."""
@@ -171,10 +164,10 @@ def _support_width(fam: SpacedFamily, freq_grid: Grid) -> int:
 
 def _translate_support(fam: SpacedFamily, freq_grid: Grid,
                        ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, values): row r holds W^_L(xi - ks[r] L) at the samples idx[r] of the
-    frequency grid, a window covering |xi - kL| < 2L and, where the grid goes on,
-    at least one more sample at each end. At every other sample the translate is
-    exactly 0.0."""
+    """(first, values): row r holds W^_L(xi - ks[r] L) at the samples first[r] + j,
+    j < _support_width, of the frequency grid, a window covering |xi - kL| < 2L and,
+    where the grid goes on, at least one more sample at each end. At every other
+    sample the translate is exactly 0.0."""
     n, dxi = freq_grid.n, freq_grid.h
     width = _support_width(fam, freq_grid)
     kl = ks * fam.L
@@ -182,41 +175,42 @@ def _translate_support(fam: SpacedFamily, freq_grid: Grid,
     if width < n:  # else each window is the whole grid, and 2L may overflow
         first = np.clip(np.floor((kl - 2.0 * fam.L + freq_grid.half_width) / dxi)
                         .astype(np.int64) - 1, 0, n - width)
-    idx = first[:, None] + np.arange(width)
-    return idx, fam.window_hat(freq_grid.xs[idx] - kl[:, None])
+    return first, fam.window_hat(freq_grid.xs[first[:, None] + np.arange(width)] - kl[:, None])
 
 
-def _spaced_supports(fhat: SpectralFunction, fam: SpacedFamily, ks: np.ndarray):
-    """(idx, vals) for each block of at most _BLOCK_SAMPLES // n translates of ks, in
-    order: the samples of their windows (see :func:`_translate_support`) and f^
-    times W^_L there.
+def _spaced_spectra(fhat: SpectralFunction, fam: SpacedFamily, ks: np.ndarray,
+                    inv: _RowInverter):
+    """(jdx, x) of :meth:`~numerics._RowInverter.spectrum` for each block of at most
+    inv.block translates of ks, in order: the samples of their windows (see
+    :func:`_translate_support`) and f^ times W^_L there.
 
     The windows are evaluated for as many whole blocks of translates as fit
     _BLOCK_SAMPLES window samples, and for one block where none fits, so a call
-    holds at most max(_BLOCK_SAMPLES, n) window samples; those of one evaluation
+    holds at most max(_BLOCK_SAMPLES, n) window values; those of one evaluation
     are dropped before the next.
     """
     fg = fhat.freq_grid
-    block = max(1, _BLOCK_SAMPLES // fg.n)
+    block = inv.block
     per_call = max(1, _BLOCK_SAMPLES // (_support_width(fam, fg) * block)) * block
     for lo in range(0, len(ks), per_call):
-        idx, mult = _translate_support(fam, fg, ks[lo:lo + per_call])
-        for r in range(0, len(idx), block):
-            part = idx[r:r + block]
-            yield part, fhat.values[part] * mult[r:r + block]
-        del idx, mult, part
+        first, mult = _translate_support(fam, fg, ks[lo:lo + per_call])
+        for r in range(0, len(first), block):
+            part = first[r:r + block, None] + np.arange(mult.shape[1])
+            yield inv.spectrum(part, fhat.values[part] * mult[r:r + block])
+        del first, mult, part
 
 
 def _spaced_blocks(f: SampledFunction, fam: SpacedFamily):
     """The pieces of :func:`spaced_pieces` in k order, as the rows of one
     (block, n) array per block of at most _BLOCK_SAMPLES samples, each row
-    inverted from its translate's support alone (:func:`_spaced_supports`).
+    inverted from its translate's support alone (:func:`_spaced_spectra`).
     A yielded block is valid only until the generator is advanced (see
-    :func:`_support_rows`).
+    :meth:`~numerics._RowInverter.invert`).
     """
     fhat = forward_transform(f)
-    ks = np.array(fam.k_range(fhat.freq_grid))
-    return _support_rows(f.grid, _spaced_supports(fhat, fam, ks))
+    inv = _RowInverter(f.grid, _BLOCK_SAMPLES)
+    for jdx, x in _spaced_spectra(fhat, fam, np.array(fam.k_range(fhat.freq_grid)), inv):
+        yield inv.invert(jdx, x)
 
 
 def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction]:
@@ -224,22 +218,19 @@ def spaced_pieces(f: SampledFunction, fam: SpacedFamily) -> list[SampledFunction
     return [SampledFunction(f.grid, row) for rows in _spaced_blocks(f, fam) for row in rows]
 
 
-def _energy_bounds(fhat: SpectralFunction, w: Weight, fam: SpacedFamily,
-                   ks: np.ndarray) -> np.ndarray:
-    """B_k >= 2 E_k for each translate of ks, E_k the energy h sum |f_k|^2 w of
-    its piece as computed, from the values x that its row receives alone.
+def _energy_bounds(g: Grid, peak: float, x: np.ndarray) -> np.ndarray:
+    """B >= 2 E for each row of x, E the energy h sum |f|^2 w of the row's inverse
+    as computed, from the values x that the row receives alone; peak is max(w).
 
     By Parseval the exact inverse of a row has squared norm sum |x|^2 / n, so
-    h max(w) sum |x|^2 / n bounds its energy. B_k is twice that (the FFT's
+    h max(w) sum |x|^2 / n bounds its energy. B is twice that (the FFT's
     norm-wise error and the rounding of the sums are below 2^-40 of it for
     every grid up to 2^22 samples) plus 2^-1060 (1 + h n (1 + max w)), more than
-    all that underflow to or within the subnormals can add to E_k and take from
-    B_k. An overflow on the way reads inf, and a NaN in f^ NaN.
+    all that underflow to or within the subnormals can add to E and take from
+    B. An overflow on the way reads inf, and a NaN in x NaN.
     """
-    g = fhat.space_grid
-    peak = float(np.max(w.values))
-    norms = _support_norms(g, _spaced_supports(fhat, fam, ks))
     with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(np.square(x.real) + np.square(x.imag), axis=-1)
         return norms * peak * (2.0 * g.h / g.n) + math.ldexp(1.0 + g.h * g.n * (1.0 + peak),
                                                               -1060)
 
@@ -249,52 +240,57 @@ def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
     bit the sum S of their weighted_l2 in k order, added left to right as Python
     3.11's sum adds floats, inverting only the pieces that can change a bit of it.
 
-    With B_k from :func:`_energy_bounds`, E_k <= B_k / 2, so when S > 0 and
-    B_k < ulp(S)/2, S + E_k rounds to S and piece k is skipped. The pieces with
-    B_k >= 2^-60 max B are inverted first, one block at a time; the pieces before
-    the first positive energy e so found are skipped when twice their bounds total
-    less than ulp(e)/2. Every piece that no such rule skips is inverted in its turn,
-    with the rest of its run up to the next inverted piece. Each energy is formed
-    as weighted_l2 forms it (``a**2`` is np.square), in one reused float block.
+    One pass over the blocks of :func:`_spaced_spectra` evaluates each window
+    once. E_k <= B_k / 2 (:func:`_energy_bounds`), so once S > 0 a piece with
+    B_k < ulp(S)/2 is skipped, S + E_k rounding to S: a block inverts only the
+    pieces that the S before it cannot rule out. While S = 0, a piece with
+    B_k < 2^-60 B* is deferred (B* the bound of f^ itself, which bounds every
+    piece), and the deferred head is dropped when twice its bounds total less
+    than ulp/2 of the first positive energy. Where a proof fails (that check, or
+    a deferred piece after S turned positive in its block), the pieces are
+    evaluated again and added in their turn.
     """
     _require_same_grid(f, w)
     g = f.grid
     fhat = forward_transform(f)
     ks = np.array(fam.k_range(fhat.freq_grid))
-    bounds = _energy_bounds(fhat, w, fam, ks)
+    peak = float(np.max(w.values))
+    cut = 2.0**-60 * _energy_bounds(g, peak, fhat.values[None] / g.h)[0]
+    inv = _RowInverter(g, _BLOCK_SAMPLES)
 
-    def energies(pick) -> dict:
-        """{i: E_i} for the pieces ks[i] of the index list ``pick``."""
-        out, energy = [], np.empty((0, g.n))
-        for rows in _support_rows(g, _spaced_supports(fhat, fam, ks[pick])):
-            if len(rows) > len(energy):
-                energy = np.empty(rows.shape)
-            a = np.abs(rows, out=energy[:len(rows)])
-            np.multiply(np.square(a, out=a), w.values, out=a)
-            out += (g.h * np.sum(a, axis=-1)).tolist()
-        return dict(zip(pick, out))
+    def added(total: float, pick: list) -> float:
+        """total plus E_k of the pieces ks[pick] in order, their windows evaluated again."""
+        for jdx, x in _spaced_spectra(fhat, fam, ks[pick], inv):
+            for e in inv.energies(jdx, x, w):
+                total += e
+        return total
 
-    known = energies(np.flatnonzero(bounds >= 2.0**-60 * np.max(bounds)).tolist())
-    total, head = 0.0, []  # head: the pieces skipped while the sum was 0
-    for i, bound in enumerate(bounds.tolist()):
-        if i not in known:
-            if total == 0.0:
-                head.append(i)
-                continue
-            if bound < math.ulp(total) / 2:
-                continue
-            run = list(itertools.takewhile(lambda j: j not in known, range(i, len(ks))))
-            known.update(energies(run))
-        elif head and known[i] != 0.0:
-            if not 2.0 * float(np.sum(bounds[head])) < math.ulp(known[i]) / 2:
-                for e in energies(head).values():
+    bounds = np.empty(len(ks))
+    total, head, lo = 0.0, [], 0  # head: the pieces deferred while the sum was 0
+    for jdx, x in _spaced_spectra(fhat, fam, ks, inv):
+        hi = lo + len(x)
+        bounds[lo:hi] = _energy_bounds(g, peak, x)
+        keep = ~(bounds[lo:hi] < (cut if total == 0.0 else math.ulp(total) / 2))
+        found = iter(inv.energies(jdx[keep], x[keep], w) if keep.any() else [])
+        del jdx, x
+        if total != 0.0:  # S only grows, so the rows not kept stay ruled out
+            for e in found:
+                total += e
+        else:
+            for i, kept, bound in zip(range(lo, hi), keep.tolist(), bounds[lo:hi].tolist()):
+                if kept:
+                    e = next(found)
+                    if head and e != 0.0:
+                        if not 2.0 * float(np.sum(bounds[head])) < math.ulp(e) / 2:
+                            total = added(total, head)
+                        head = []
                     total += e
-            head = []
-        total += known[i]
-    if head:  # no energy was positive
-        for e in energies(head).values():
-            total += e
-    return total
+                elif total == 0.0:
+                    head.append(i)
+                elif not bound < math.ulp(total) / 2:
+                    total = added(total, [i])
+        lo = hi
+    return added(total, head)  # a head is left when no energy was positive
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +335,6 @@ class AnnuliIndex:
             raise BadBand(f"band p={p} outside [0, log2(4*A1*lam^((ell-1)/ell))) "
                           f"at A1 = {a1!r}")
         return 2.0 ** (-p / (ell - 1.0)) * self.base, 2.0**p * self.base
-
-    def multiplicity(self, xi: np.ndarray, p_max: int) -> np.ndarray:
-        counts = np.zeros(len(np.atleast_1d(xi)), dtype=int)
-        for p in range(0, p_max + 1):
-            counts += self.membership(p, xi).astype(int)
-        return counts
-
-
-def annuli_project(f: SampledFunction, idx: AnnuliIndex, p: int) -> SampledFunction:
-    """Sharp frequency restriction of f to the p-th annulus."""
-    fhat = forward_transform(f)
-    return restrict(fhat, idx.membership(p, fhat.freq_grid.xs))
 
 
 # ---------------------------------------------------------------------------

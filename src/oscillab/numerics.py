@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -201,63 +202,58 @@ def inverse_transform(fhat: SpectralFunction) -> SampledFunction:
                                           * _offset_phase(g, 1j) / g.h))
 
 
-def _support_spectra(g: Grid, phase: np.ndarray, supports):
-    """For each (idx, vals) of ``supports``: (jdx, x), the samples idx of g's dual grid
-    ifftshifted and the values there of the spectrum that is vals[r] at idx[r] and 0.0
-    at every other sample, times the phase (``_offset_phase(g, 1j)``) and 1/h, as
-    :func:`inverse_transform` multiplies them before its FFT; each name is dropped
-    before the next support is drawn."""
-    for idx, vals in supports:
-        jdx = (idx - g.n // 2) % g.n
+class _RowInverter:
+    """Inverts spectra given on their supports alone, up to ``block`` = max(1,
+    samples // n) rows at a time, through one row block, one output and one energy
+    block of ``block`` rows. They are allocated once, on first use, after the
+    caller's first window evaluation has dropped its temporaries.
+
+    The row block is filled once from the zero row, the (0j * phase) / h that the
+    dense expression of :func:`inverse_transform` writes at every sample outside a
+    support, signed zeros included. :meth:`invert` scatters a block's support into
+    it, takes one FFT over the block into the output, which gives each row the bits
+    it gets alone, and puts the scattered cells back.
+    """
+
+    def __init__(self, g: Grid, samples: int):
+        self.g = g
+        self.block = max(1, samples // g.n)
+        self.phase = _offset_phase(g, 1j)
+        self.zero = np.zeros(g.n, dtype=np.complex128) * self.phase / g.h
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, out, energy): the row block, the output and the energy block."""
+        rows = np.tile(self.zero, (self.block, 1))
+        return rows, np.empty_like(rows), np.empty(rows.shape)
+
+    def spectrum(self, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(jdx, x) for the spectra that are vals[r] at the samples idx[r] of g's dual
+        grid and 0.0 at the others: idx ifftshifted, and vals times the phase
+        (``_offset_phase(g, 1j)``) and 1/h, as :func:`inverse_transform` multiplies
+        them before its FFT."""
+        jdx = (idx - self.g.n // 2) % self.g.n
         # np.multiply, not *: on a large block numpy would reuse the temporary
         # phase[jdx] and compute phase[jdx] * vals, which FMA rounds differently
-        x = np.multiply(vals, phase[jdx]) / g.h
-        del idx, vals
-        yield jdx, x
-        del jdx, x
+        return jdx, np.multiply(vals, self.phase[jdx]) / self.g.h
 
-
-def _support_norms(g: Grid, supports) -> np.ndarray:
-    """sum |x|^2 over each row of :func:`_support_spectra`, in order: by Parseval, n
-    times the squared norm of the row that :func:`_support_rows` inverts it into. An
-    overflow reads inf."""
-    norms = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for jdx, x in _support_spectra(g, _offset_phase(g, 1j), supports):
-            norms.append(np.sum(np.square(x.real) + np.square(x.imag), axis=-1))
-            del jdx, x
-    return np.concatenate(norms)
-
-
-def _support_rows(g: Grid, supports):
-    """For each (idx, vals) of ``supports``: one row per r, the inverse transform of
-    the spectrum that is vals[r] at the samples idx[r] of g's dual grid and 0.0 at
-    the others, bit for bit what :func:`inverse_transform` returns for it.
-
-    The phase and 1/h are applied only on the support (:func:`_support_spectra`),
-    scattered straight to the ifftshifted positions; every other sample is the
-    (0j * phase) / h that the dense expression writes there, signed zeros included.
-    One FFT over a block of rows gives each row the bits it gets alone.
-
-    One block of rows is filled from that zero row once per call, and grows only
-    for a block with more rows than any before; each block scatters its support
-    into it, and the scattered cells are put back once the consumer advances.
-    Every block is inverted into one reused output: a yielded array is valid only
-    until the generator is advanced, so copy it to keep it. A block's support is
-    dropped before the next one is drawn.
-    """
-    phase = _offset_phase(g, 1j)
-    empty = np.zeros(g.n, dtype=np.complex128) * phase / g.h
-    rows = out = np.empty((0, g.n), dtype=np.complex128)
-    for jdx, x in _support_spectra(g, phase, supports):
+    def invert(self, jdx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The rows of (jdx, x), bit for bit what :func:`inverse_transform` returns
+        for each spectrum, in the output block: valid until the next call, so copy
+        them to keep them."""
+        rows, out, _ = self.blocks
         m = len(jdx)
-        if m > len(rows):
-            rows = np.tile(empty, (m, 1))
-            out = np.empty_like(rows)
         np.put_along_axis(rows[:m], jdx, x, axis=-1)
-        yield np.fft.ifft(rows[:m], axis=-1, out=out[:m])
-        np.put_along_axis(rows[:m], jdx, empty[jdx], axis=-1)
-        del jdx, x
+        np.fft.ifft(rows[:m], axis=-1, out=out[:m])
+        np.put_along_axis(rows[:m], jdx, self.zero[jdx], axis=-1)
+        return out[:m]
+
+    def energies(self, jdx: np.ndarray, x: np.ndarray, w: Weight) -> list[float]:
+        """The weighted energy of each row of (jdx, x), formed as :func:`weighted_l2`
+        forms it (``a**2`` is np.square) in the energy block."""
+        a = np.abs(self.invert(jdx, x), out=self.blocks[2][:len(jdx)])
+        np.multiply(np.square(a, out=a), w.values, out=a)
+        return (self.g.h * np.sum(a, axis=-1)).tolist()
 
 
 def restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:

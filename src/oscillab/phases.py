@@ -3,7 +3,7 @@
 A phase is of finite type ``ell`` at ``x0`` when its derivatives of order
 2..ell-1 vanish there while the ell-th does not; locally it behaves like
 ``c*(x-x0)**ell`` plus an affine part. The checks here validate that
-hypothesis quantitatively and verify the model comparability
+hypothesis quantitatively; the tests tabulate the model comparability
 
     (1/2) |x-x0|^(ell-k)  <=  |phi^(k)(x)|  <=  A_ell |x-x0|^(ell-k)
 
@@ -19,19 +19,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSupport, OrderUnavailable, ValidationFailed
+from .errors import OrderUnavailable, ValidationFailed
 
 __all__ = [
     "Phase",
     "FiniteTypeSpec",
     "TypeReport",
-    "ComparabilityReport",
     "finite_type_spec",
     "check_ell",
     "check_lambda",
     "validate_finite_type",
     "ensure_finite_type",
-    "comparability_check",
     "normalize_phase",
     "NormalizedPhase",
 ]
@@ -233,39 +231,6 @@ def ensure_finite_type(phase: Phase, spec: FiniteTypeSpec) -> TypeReport:
     if not report.passed:
         raise ValidationFailed(report.failures[0])
     return report
-
-
-@dataclass(frozen=True)
-class ComparabilityReport:
-    ratio_min: float
-    ratio_max: float
-    passed: bool
-
-
-def comparability_check(phase: Phase, spec: FiniteTypeSpec, k: int,
-                        grid_step: float) -> ComparabilityReport:
-    """Tabulate |phi^(k)(x)| / |x-x0|^(ell-k) over U minus the base point.
-
-    The affine Taylor part at x0 is removed and the phase divided by
-    epsilon first, so the model bounds [1/2, A_ell] apply. Passes when
-    the tabulated min and max sit inside those bounds with a 1e-3
-    relative allowance.
-    """
-    if not (0 <= k <= spec.ell - 1):
-        raise ValueError("k must satisfy 0 <= k <= ell-1")
-    m = int(np.floor(spec.support_halfwidth / grid_step))
-    if 2 * m + 1 < 8:
-        raise DegenerateSupport(f"only {2 * m + 1} grid points on the support interval")
-    norm = normalize_phase(phase, spec)
-    offs = np.arange(1, m + 1) * grid_step
-    xs = np.concatenate([-offs[::-1], offs])
-    vals = np.abs(norm.phase.eval(k, xs))
-    ratios = vals / np.abs(xs) ** (spec.ell - k)
-    delta = 1e-3
-    a_ell = spec.derivative_bound(spec.ell) / spec.epsilon
-    lo, hi = 0.5 * (1 - delta), a_ell * (1 + delta)
-    rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
-    return ComparabilityReport(rmin, rmax, lo <= rmin and rmax <= hi)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ __all__ = [
     "stability_factor",
     "fit_power_law",
     "two_weight_ratio",
-    "frequency_restricted_ratio",
     "two_weight_sweep",
     "spaced_ratio",
     "square_function_ratios",
@@ -62,7 +61,6 @@ __all__ = [
     "random_band_function",
     "random_test_function",
     "focusing_input",
-    "h1_atom",
     "weight_corpus",
 ]
 
@@ -253,51 +251,20 @@ def focusing_input(kernel: Kernel) -> SampledFunction:
                    lambda xs: np.exp(-1j * kernel.lam * kernel.phase.eval(0, -xs)))
 
 
-def h1_atom(grid: Grid, width: float) -> SampledFunction:
-    """Mean-zero atom on [-width/2, width/2] with |a| <= 1/width.
-
-    The width snaps to an even cell count so the grid mean vanishes
-    exactly.
-    """
-    half_cells = max(1, int(round(width / (2 * grid.h))))
-    mid = grid.n // 2
-    vals = np.zeros(grid.n)
-    actual = 2 * half_cells * grid.h
-    vals[mid - half_cells: mid] = 1.0 / actual
-    vals[mid: mid + half_cells] = -1.0 / actual
-    return SampledFunction(grid, vals)
-
-
 # ---------------------------------------------------------------------------
 # inequality instances
-
-
-def _two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight, provenance: Provenance,
-                      k_inner: int, k_outer: int,
-                      khat: PaddedSpectrum | None = None) -> RatioSample:
-    """lhs = integral |T f|^2 w, rhs = integral |f|^2 * (M^k_outer M_approach M^k_inner w),
-    with the approach region at the kernel's lam; T applies ``khat``, the kernel's
-    padded spectrum, when the caller holds it."""
-    lhs = weighted_l2(apply_T(kernel if khat is None else khat, f), w)
-    inner = hardy_littlewood(w, k_inner)
-    mid = approach_maximal(inner, kernel.spec.ell, kernel.lam)
-    outer = hardy_littlewood(mid, k_outer)
-    return RatioSample.of(lhs, weighted_l2(f, outer), provenance)
 
 
 def two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
                      provenance: Provenance = Provenance(),
                      khat: PaddedSpectrum | None = None) -> RatioSample:
     """The two-weight inequality: lhs = integral |T f|^2 w, rhs =
-    integral |f|^2 * (M^2 M_approach M^4 w). ``khat``, the kernel's padded
-    spectrum, saves transforming K again for each f."""
-    return _two_weight_ratio(kernel, f, w, provenance, 4, 2, khat)
-
-
-def frequency_restricted_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
-                               provenance: Provenance = Provenance()) -> RatioSample:
-    """Single-annulus form: rhs uses M M_approach M instead of M^2 ... M^4."""
-    return _two_weight_ratio(kernel, f, w, provenance, 1, 1)
+    integral |f|^2 * (M^2 M_approach M^4 w), with the approach region at the
+    kernel's lam. ``khat``, the kernel's padded spectrum, saves transforming K
+    again for each f."""
+    lhs = weighted_l2(apply_T(kernel if khat is None else khat, f), w)
+    mid = approach_maximal(hardy_littlewood(w, 4), kernel.spec.ell, kernel.lam)
+    return RatioSample.of(lhs, weighted_l2(f, hardy_littlewood(mid, 2)), provenance)
 
 
 def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,

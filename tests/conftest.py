@@ -62,6 +62,31 @@ def convolve_direct(f, g):
     return SampledFunction(grid, np.multiply(grid.h, out, out=out))
 
 
+def h1_atom(grid, width):
+    """Mean-zero atom on [-width/2, width/2] with |a| <= 1/width.
+
+    The width snaps to an even cell count so the grid mean vanishes
+    exactly.
+    """
+    from oscillab.numerics import SampledFunction
+
+    half_cells = max(1, int(round(width / (2 * grid.h))))
+    mid = grid.n // 2
+    vals = np.zeros(grid.n)
+    actual = 2 * half_cells * grid.h
+    vals[mid - half_cells: mid] = 1.0 / actual
+    vals[mid: mid + half_cells] = -1.0 / actual
+    return SampledFunction(grid, vals)
+
+
+def annuli_project(f, idx, p):
+    """Sharp frequency restriction of f to the p-th annulus of the AnnuliIndex idx."""
+    from oscillab.numerics import forward_transform, restrict
+
+    fhat = forward_transform(f)
+    return restrict(fhat, idx.membership(p, fhat.freq_grid.xs))
+
+
 def translated(phase, a):
     """The phase x -> phi(x - a), derivatives shifted exactly."""
     from oscillab.phases import Phase

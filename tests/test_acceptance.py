@@ -25,11 +25,11 @@ from oscillab.numerics import Grid, Weight, convolve, forward_transform
 from oscillab.phases import Phase, finite_type_spec
 from oscillab.verify import (baseline_spaced_constants, baseline_square_samples,
                              baseline_two_weight, envelope_constants, fit_power_law,
-                             h1_atom, kernel_decay_sweep, maximal_norm_sweep,
+                             kernel_decay_sweep, maximal_norm_sweep,
                              operator_norm_sweep, random_band_function, random_weight,
                              stability_factor, uncertainty_samples, weight_chain_holds)
 
-from conftest import convolve_direct
+from conftest import convolve_direct, h1_atom
 
 with open(os.path.join(os.path.dirname(__file__), "baselines.json")) as _fh:
     BASELINES = json.load(_fh)

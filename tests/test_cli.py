@@ -907,7 +907,7 @@ def test_only_numerics_builds_kernel_frames():
 def test_only_numerics_calls_the_fft():
     # numerics.py is the one home of np.fft: its transforms, the padded
     # spectrum that convolve and the held kernel spectra share, the rows of
-    # _support_rows. Any other module reaching numpy's FFT, by attribute or by
+    # _RowInverter. Any other module reaching numpy's FFT, by attribute or by
     # import, would grow a second path beside them.
     found = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py")):
@@ -987,20 +987,12 @@ _UNCALLED_ON_PURPOSE = {
     # perfbench's tracer rebinds these two; removing either breaks --trace 1
     "window_sums": "traced by perfbench",
     "spaced_pieces": "traced by perfbench; the bitwise oracle of spaced_energy",
-    # the paper-lemma machinery: their unit tests are the lab's only check of
-    # those lemmas
-    "comparability_check": "lemma machinery",
-    "annuli_project": "lemma machinery",
-    "AnnuliIndex.multiplicity": "lemma machinery",
-    "frequency_restricted_ratio": "lemma machinery",
-    "SpacedFamily.decay_constant": "lemma machinery",
     # the oracles; three of them share their operator's body and cannot move
     "hardy_littlewood_brute": "oracle",
     "fractional_maximal_brute": "oracle",
     "approach_maximal_brute": "oracle",
     "global_maximal_brute": "oracle",
     "regular_maximal_brute": "oracle",
-    "h1_atom": "an input of the acceptance suite",
     "Phase.from_derivatives": "the user phase kind the README documents",
 }
 

@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscillab import lpaley
 from oscillab.errors import BadBand, CoverageGap
 from oscillab.lpaley import (_BLOCK_SAMPLES, AnnuliIndex, DyadicFamily, SpacedFamily,
-                             _energy_bounds, _spaced_blocks, _support_width, _theta_samples,
-                             _translate_support,
-                             annuli_project, band_limited_mollifier, dominating_weights,
-                             dyadic_pieces, spaced_energy, spaced_pieces, square_function)
+                             _energy_bounds, _spaced_blocks, _spaced_spectra, _support_width,
+                             _theta_samples, _translate_support, band_limited_mollifier,
+                             dominating_weights, dyadic_pieces, spaced_energy, spaced_pieces,
+                             square_function)
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction,
-                               Weight, forward_transform, inverse_transform,
+                               Weight, _RowInverter, forward_transform, inverse_transform,
                                lp_norm, restrict, smoothing_majorant, weighted_l2)
 from oscillab.verify import lp_checks, random_band_function, random_weight, spaced_ratio
+
+from conftest import annuli_project
 
 GRID = Grid(0.0, 16.0, 4096)
 FAM = DyadicFamily(-2, 8)
@@ -29,6 +30,20 @@ FAM = DyadicFamily(-2, 8)
 def translate_hat(fam, k, xi):
     """The k-th translate W^_L(xi - kL) of the family's window."""
     return fam.window_hat(np.asarray(xi, dtype=float) - k * fam.L)
+
+
+def decay_constant(fam, grid, N):
+    """Measured C_N in |W_L(x)| <= C_N * L / (1 + L|x|)^N."""
+    w = fam.spatial_window(grid)
+    return float(np.max(np.abs(w.values) * (1.0 + fam.L * np.abs(w.grid.xs)) ** N / fam.L))
+
+
+def multiplicity(idx, xi, p_max):
+    """How many of the annuli A_0..A_p_max of the AnnuliIndex idx hold each xi."""
+    counts = np.zeros(len(np.atleast_1d(xi)), dtype=int)
+    for p in range(0, p_max + 1):
+        counts += idx.membership(p, xi).astype(int)
+    return counts
 
 
 def mollifier_weight(w, scale):
@@ -157,7 +172,7 @@ class TestSpacedFamily:
         for L in (0.125, 1.0, 8.0):
             fam = SpacedFamily(L)
             for N in (2, 4):
-                c = fam.decay_constant(grid, N)
+                c = decay_constant(fam, grid, N)
                 assert np.isfinite(c) and c > 0
 
     def test_weighted_piece_energy_bound(self):
@@ -193,9 +208,8 @@ class TestSpacedFamily:
         rng = np.random.default_rng(int(8 * L))
         f = random_band_function(grid, rng, 0.0, 60.0)
         w = random_weight(grid, rng)
-        pieces = spaced_pieces(f, fam)
-        assert len(pieces) % (_BLOCK_SAMPLES // grid.n) != 0
-        assert spaced_energy(f, w, fam) == sum(weighted_l2(p, w) for p in pieces)
+        assert len(fam.k_range(grid.freq_grid())) % (_BLOCK_SAMPLES // grid.n) != 0
+        assert spaced_energy(f, w, fam) == k_order_sum(f, w, fam)
 
     # at 5e307 every window is the whole grid, and 2L overflows
     @pytest.mark.parametrize("L", [0.125, 0.5, 2.0, 8.0, 100.0, 5e307])
@@ -203,9 +217,9 @@ class TestSpacedFamily:
         fam = SpacedFamily(L)
         fg = GRID.freq_grid()
         ks = np.array(fam.k_range(fg))
-        idx, mult = _translate_support(fam, fg, ks)
+        first, mult = _translate_support(fam, fg, ks)
         full = np.zeros((len(ks), fg.n))
-        np.put_along_axis(full, idx, mult, axis=-1)
+        np.put_along_axis(full, first[:, None] + np.arange(mult.shape[1]), mult, axis=-1)
         for k, row in zip(ks, full):
             assert row.tobytes() == translate_hat(fam, int(k), fg.xs).tobytes()
 
@@ -235,10 +249,8 @@ class TestSpacedFamily:
         f = SampledFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         fhat = forward_transform(f)
         xs = fhat.freq_grid.xs
-        rows = np.concatenate([b.copy() for b in _spaced_blocks(f, fam)])
-        ks = fam.k_range(fhat.freq_grid)
-        assert len(rows) == len(ks)
-        for k, row in zip(ks, rows):
+        rows = (row for block in _spaced_blocks(f, fam) for row in block)
+        for k, row in zip(fam.k_range(fhat.freq_grid), rows, strict=True):
             dense = inverse_transform(SpectralFunction(g, fhat.values * translate_hat(fam, k, xs)))
             assert row.tobytes() == dense.values.tobytes()
 
@@ -294,21 +306,24 @@ def bits(x):
 
 @pytest.fixture
 def inverted(monkeypatch):
-    """The row count of each block that lpaley inverts from here on."""
-    counts, real = [], lpaley._support_rows
-
-    def counting(g, supports):
-        for rows in real(g, supports):
-            counts.append(len(rows))
-            yield rows
-
-    monkeypatch.setattr(lpaley, "_support_rows", counting)
+    """The row count of each block that the row inverter inverts from here on."""
+    counts, real = [], _RowInverter.invert
+    monkeypatch.setattr(_RowInverter, "invert",
+                        lambda inv, jdx, x: counts.append(len(jdx)) or real(inv, jdx, x))
     return counts
 
 
-def bounds_of(f, w, fam):
+def spectra_of(f, fam):
+    """The (jdx, x) blocks of every piece, in k order, as spaced_energy draws them."""
     fhat = forward_transform(f)
-    return _energy_bounds(fhat, w, fam, np.array(fam.k_range(fhat.freq_grid)))
+    ks = np.array(fam.k_range(fhat.freq_grid))
+    return _spaced_spectra(fhat, fam, ks, _RowInverter(f.grid, _BLOCK_SAMPLES))
+
+
+def bounds_of(f, w, fam):
+    """B_k of every piece, as spaced_energy bounds each block."""
+    peak = float(np.max(w.values))
+    return np.concatenate([_energy_bounds(f.grid, peak, x) for _, x in spectra_of(f, fam)])
 
 
 class TestSpacedEnergyPruning:
@@ -390,22 +405,36 @@ class TestSpacedEnergyPruning:
         return inverse_transform(SpectralFunction(GRID, vals))
 
     # A faint line far left of a strong one leaves the sum tiny across the
-    # roundoff between them, so there the skip is refused and the run inverted.
-    @pytest.mark.parametrize("case", ["band-128", "faint-then-strong", "strong-then-faint"])
+    # roundoff between them, so there the skip is refused for the pieces whose
+    # bounds reach ulp/2 of it. The inverter sees each inverted row; a row is known
+    # by its samples and values, and the rows that share both (the all-zero windows
+    # past each end) are told apart by k order.
+    @pytest.mark.parametrize("case", ["band-128", "faint-then-strong", "strong-then-faint",
+                                      "faint-spike-w"])
     def test_every_skipped_piece_is_proven(self, case, monkeypatch):
         fam = SpacedFamily(0.5)
         w = random_weight(GRID, np.random.default_rng(16))
+        if case == "faint-spike-w":
+            w = Weight(GRID, 3.0 * (np.arange(GRID.n) == 1000))
         f = {"band-128": lambda: band_limited(16, lo=0.0),
              "faint-then-strong": lambda: self.lines((2.0**-28, -200.0), (1.0, 200.0)),
-             "strong-then-faint": lambda: self.lines((1.0, -200.0), (2.0**-28, 200.0))}[case]()
-        calls, real = [], lpaley._spaced_supports
-        monkeypatch.setattr(lpaley, "_spaced_supports",
-                            lambda fhat, fam, ks: calls.append(ks) or real(fhat, fam, ks))
+             "strong-then-faint": lambda: self.lines((1.0, -200.0), (2.0**-28, 200.0)),
+             "faint-spike-w": lambda: self.lines((2.0**-28, -200.0), (1.0, 200.0))}[case]()
+        seen, real = [], _RowInverter.invert
+        monkeypatch.setattr(_RowInverter, "invert",
+                            lambda inv, jdx, x: seen.extend(zip(jdx, x)) or real(inv, jdx, x))
+        evaluated, real_hat = [], SpacedFamily.window_hat
+        monkeypatch.setattr(SpacedFamily, "window_hat",
+                            lambda fam, xi: evaluated.append(len(xi)) or real_hat(fam, xi))
         energy = spaced_energy(f, w, fam)
         monkeypatch.undo()
+        pieces = {}
+        for i, (j, v) in enumerate(row for jdx, x in spectra_of(f, fam) for row in zip(jdx, x)):
+            pieces.setdefault((j.tobytes(), v.tobytes()), []).append(i)
+        order = [pieces[j.tobytes(), v.tobytes()].pop(0) for j, v in seen]
+        inverted = set(order)
+        assert len(order) == len(inverted)  # no piece is inverted twice
         ks = np.array(fam.k_range(GRID.freq_grid()))
-        assert np.array_equal(calls[0], ks)  # the bounds, then the inverted pieces
-        inverted = set((np.concatenate(calls[1:]) - ks[0]).tolist())
         energies, bounds = piece_energies(f, w, fam), bounds_of(f, w, fam)
         first = next(i for i, e in enumerate(energies) if i in inverted and e > 0.0)
         head = [i for i in range(first) if i not in inverted]
@@ -416,7 +445,20 @@ class TestSpacedEnergyPruning:
                 assert total > 0.0 and bounds[i] < math.ulp(total) / 2
             total += e
         assert bits(energy) == bits(total)
-        assert len(inverted) > (len(ks) // 2 if case == "faint-then-strong" else 0)
+        assert len(inverted) > 0
+        # One pass evaluates every window, and a window is evaluated again only
+        # where a proof fails. With the faint line first, the pieces before it fail
+        # the head check and are inverted after it, in one evaluation. Under the
+        # spike, the faint piece's energy is too small to prove the skip of the
+        # roundoff after it in its block, which is evaluated again piece by piece.
+        assert evaluated[0] == len(ks)
+        fallback = [i for i in order if i < order[0]]
+        assert fallback == (list(range(order[0])) if case.startswith("faint") else [])
+        assert evaluated[1:2] == ([len(fallback)] if fallback else [])
+        assert set(evaluated[2:]) == ({1} if case == "faint-spike-w" else set())
+        if case != "band-128":
+            between = [i for i in inverted if abs(ks[i] * fam.L) < 198.0]
+            assert bool(between) == case.startswith("faint")
 
     # E_k <= B_k / 2 for a varying weight; for w = 1 Parseval makes the bound
     # sharp, so 2 E_k / B_k is 1 up to rounding and the factor 2 is all margin
@@ -442,6 +484,17 @@ class TestSpacedEnergyPruning:
         assert len(SpacedFamily(0.125).k_range(GRID.freq_grid())) == 6439
         assert sum(inverted) <= 0.4 * 6439
 
+    def test_check_lp_evaluates_each_window_once_at_L_eighth(self, monkeypatch):
+        # one pass over the pieces: each of the 6,439 windows of check-lp's
+        # L = 0.125 sample is evaluated once, 45,073 samples in one evaluation, and
+        # no piece again (a bounds pass and a second evaluation of each inverted
+        # piece read 59,416); the other call is spatial_window's, on the whole grid
+        shapes, real = [], SpacedFamily.window_hat
+        monkeypatch.setattr(SpacedFamily, "window_hat",
+                            lambda fam, xi: shapes.append(np.shape(xi)) or real(fam, xi))
+        lp_checks(FAM, [SpacedFamily(0.125)], 8, 0)
+        assert shapes == [(6439, 7), (GRID.n,)]
+
 
 class TestAnnuli:
     IDX = AnnuliIndex(3, 64.0)
@@ -449,7 +502,7 @@ class TestAnnuli:
     def test_multiplicity_between_one_and_four(self):
         fg = GRID.freq_grid()
         pm = self.IDX.p_max(fg.half_width)
-        mult = self.IDX.multiplicity(fg.xs, pm)
+        mult = multiplicity(self.IDX, fg.xs, pm)
         assert mult.min() >= 1 and mult.max() <= 4
 
     def test_low_band_projection_is_identity(self):
@@ -461,7 +514,7 @@ class TestAnnuli:
         f = band_limited(4, lo=0.0, hi=100.0)
         fg = GRID.freq_grid()
         pm = self.IDX.p_max(fg.half_width)
-        mult = self.IDX.multiplicity(fg.xs, pm).astype(float)
+        mult = multiplicity(self.IDX, fg.xs, pm).astype(float)
         acc = np.zeros(GRID.n, dtype=np.complex128)
         fhat = forward_transform(f)
         for p in range(pm + 1):
@@ -594,7 +647,7 @@ OFF_GRID = Grid(3.0, 16.0, 4096)
     lambda f, w: spaced_ratio(f, w, SpacedFamily(2.0)).rhs,
     lambda f, w: mollifier_weight(w, 4.0).values,
     lambda f, w: dominating_weights(w, 3, 256.0, 3).w3.values,
-    lambda f, w: SpacedFamily(0.5).decay_constant(w.grid, 2)],
+    lambda f, w: decay_constant(SpacedFamily(0.5), w.grid, 2)],
     ids=["spaced-rhs-0.125", "spaced-rhs-2", "mollifier", "chain-w3", "decay-constant"])
 def test_measurements_ignore_the_grid_centre(measure):
     rng = np.random.default_rng(19)

@@ -24,7 +24,7 @@ from oscillab.maximal import (_eighth_octave_cells, approach_maximal,
 from oscillab.numerics import Grid, Weight
 from oscillab.verify import random_weight
 
-from conftest import index_of
+from conftest import h1_atom, index_of
 from test_util import reference_window_sums
 
 
@@ -323,8 +323,6 @@ class TestRegular:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(b)
 
     def test_signed_input_allowed(self):
-        from oscillab.verify import h1_atom
-
         g = Grid(0.0, 8.0, 2048)
         atom = h1_atom(g, 0.5)
         m = regular_maximal(atom, 3, beta=1.0)

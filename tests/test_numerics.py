@@ -13,7 +13,7 @@ from oscillab._util import standard_bump
 from oscillab.cli import load_weight_csv
 from oscillab.errors import GridMismatch
 from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
-                               _padded_fft_convolve, _support_rows, convolve,
+                               _padded_fft_convolve, _RowInverter, convolve,
                                forward_transform, inverse_transform, kernel_frame,
                                lp_norm, multiplier_kernel, on_bump, padded_spectrum,
                                smoothing_majorant, spectral_leak, weighted_l2)
@@ -170,9 +170,10 @@ def test_ifft_over_rows_matches_single_calls_bitwise(n):
 # numpy's 256 KiB threshold for reusing a temporary in place. The FFT's input is
 # checked too: off the support the FFT absorbs the sign of a zero, so only the
 # input shows that every zero is the dense expression's (0j * phase) / h. Two
-# blocks in one call, each with its windows in its own half of the grid, show
-# that the cells the first block scattered are put back before the second is
-# inverted. A block's rows are reused, so each is checked before the next.
+# blocks through one inverter, each with its windows in its own half of the
+# grid, show that the cells the first block scattered are put back before the
+# second is inverted. A block's rows are reused, so each is checked before the
+# next.
 @pytest.mark.parametrize("widths", [(4096,), (300,), (1,), (0,), (300, 300)],
                          ids=["4096", "300", "1", "0", "300-300"])
 def test_support_rows_match_inverse_transform_bitwise(widths, monkeypatch):
@@ -192,8 +193,10 @@ def test_support_rows_match_inverse_transform_bitwise(widths, monkeypatch):
                          for s in spectra])
     inputs, ifft = [], np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: inputs.append(a.copy()) or ifft(a, **kw))
-    for rows, row_inputs, dense in zip(_support_rows(g, blocks), inputs, expected, strict=True):
-        for row, row_input, (dense_input, dense_row) in zip(rows, row_inputs, dense, strict=True):
+    inv = _RowInverter(g, 8 * g.n)
+    for (idx, vals), dense in zip(blocks, expected, strict=True):
+        rows = inv.invert(*inv.spectrum(idx, vals))
+        for row, row_input, (dense_input, dense_row) in zip(rows, inputs[-1], dense, strict=True):
             assert row_input.tobytes() == dense_input
             assert row.tobytes() == dense_row
 

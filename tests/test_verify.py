@@ -12,19 +12,20 @@ from oscillab.errors import (BadBand, InsufficientPoints, NonpositiveValue,
                              SupportViolation)
 from oscillab.kernels import admissible_step, apply_T, build_kernel, normalized_kernel
 from oscillab.lpaley import DyadicFamily, dyadic_pieces, square_function
-from oscillab.maximal import approach_maximal, global_maximal, regular_maximal
+from oscillab.maximal import approach_maximal, global_maximal, hardy_littlewood, regular_maximal
 from oscillab.numerics import (Grid, SampledFunction, Weight, lp_norm, smoothing_majorant,
                                weighted_l2)
 from oscillab.phases import Phase, finite_type_spec, normalize_phase
 from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_report,
                              envelope_check, envelope_constants, fit_power_law,
-                             focusing_input, frequency_restricted_ratio, h1_atom,
-                             two_weight_ratio, maximal_norm_sweep,
+                             focusing_input, two_weight_ratio, maximal_norm_sweep,
                              operator_norm_sweep, random_band_function,
                              random_test_function, random_weight,
                              square_function_ratios, two_weight_sweep,
                              approach_grid, uncertainty_bounds_check,
                              uncertainty_samples, weight_chain_holds, weight_corpus)
+
+from conftest import annuli_project, h1_atom
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
@@ -117,6 +118,14 @@ class TestRatioSample:
         assert rs.vacuous and rs.ratio == 0.0
 
 
+def frequency_restricted_ratio(kernel, f, w, provenance=Provenance()):
+    """Single-annulus form of two_weight_ratio: rhs uses M M_approach M instead of
+    M^2 M_approach M^4."""
+    lhs = weighted_l2(apply_T(kernel, f), w)
+    mid = approach_maximal(hardy_littlewood(w, 1), kernel.spec.ell, kernel.lam)
+    return RatioSample.of(lhs, weighted_l2(f, hardy_littlewood(mid, 1)), provenance)
+
+
 class TestTwoWeightInequality:
     LAM = 128.0
 
@@ -168,7 +177,7 @@ class TestTwoWeightInequality:
         assert rs.lhs > 0 and rs.rhs > 0 and np.isfinite(rs.ratio)
 
     def test_frequency_restricted_stable_in_p(self):
-        from oscillab.lpaley import AnnuliIndex, annuli_project
+        from oscillab.lpaley import AnnuliIndex
 
         lam = 128.0
         ph, spec, g = cubic(lam)
