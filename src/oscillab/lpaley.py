@@ -118,11 +118,10 @@ def square_function(pieces: list[SampledFunction]) -> SampledFunction:
 # holds one block of pieces at a time; spaced_pieces returns every piece.
 MAX_PIECES = 2**16
 # Samples in one block of pieces (2 MiB of complex128, about one core's L2 cache):
-# 32 pieces on the n = 4096 grid, 16 on n = 8192, 1 from n = 2^17 on. It budgets the
-# window samples of one evaluation too: all 6,439 translates of L = 0.125 on the
-# n = 4096 grid of check-lp (7 samples each) in one, one whole-grid window per
-# evaluation once a window has 2^17 samples or more.
+# 32 pieces on the n = 4096 grid, 16 on n = 8192, 1 from n = 2^17 on.
 _BLOCK_SAMPLES = 2**17
+# Window samples in one evaluation (64 KiB of float64).
+_WINDOW_SAMPLES = 2**13
 
 
 @dataclass(frozen=True)
@@ -185,13 +184,13 @@ def _spaced_spectra(fhat: SpectralFunction, fam: SpacedFamily, ks: np.ndarray,
     :func:`_translate_support`) and f^ times W^_L there.
 
     The windows are evaluated for as many whole blocks of translates as fit
-    _BLOCK_SAMPLES window samples, and for one block where none fits, so a call
-    holds at most max(_BLOCK_SAMPLES, n) window values; those of one evaluation
-    are dropped before the next.
+    _WINDOW_SAMPLES samples, and for one block where none fits, so a paused call
+    holds at most max(_WINDOW_SAMPLES, block * width) window values; those of one
+    evaluation are dropped before the next.
     """
     fg = fhat.freq_grid
     block = inv.block
-    per_call = max(1, _BLOCK_SAMPLES // (_support_width(fam, fg) * block)) * block
+    per_call = max(1, _WINDOW_SAMPLES // (_support_width(fam, fg) * block)) * block
     for lo in range(0, len(ks), per_call):
         first, mult = _translate_support(fam, fg, ks[lo:lo + per_call])
         for r in range(0, len(first), block):
@@ -242,13 +241,16 @@ def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
 
     One pass over the blocks of :func:`_spaced_spectra` evaluates each window
     once. E_k <= B_k / 2 (:func:`_energy_bounds`), so once S > 0 a piece with
-    B_k < ulp(S)/2 is skipped, S + E_k rounding to S: a block inverts only the
+    B_k < ulp(S)/2 is skipped, S + E_k rounding to S: a block inverts at once the
     pieces that the S before it cannot rule out. While S = 0, a piece with
     B_k < 2^-60 B* is deferred (B* the bound of f^ itself, which bounds every
     piece), and the deferred head is dropped when twice its bounds total less
-    than ulp/2 of the first positive energy. Where a proof fails (that check, or
-    a deferred piece after S turned positive in its block), the pieces are
-    evaluated again and added in their turn.
+    than ulp/2 of the first positive energy. Where a proof fails, the piece is
+    inverted and added in its turn: a failed head from its windows evaluated
+    again, while the paused walk holds its current block and evaluation; a
+    deferred piece that S, turned positive in the piece's own block, cannot rule
+    out from that block's values, alone. Both happen only in the block where S
+    turns positive.
     """
     _require_same_grid(f, w)
     g = f.grid
@@ -268,28 +270,27 @@ def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
     bounds = np.empty(len(ks))
     total, head, lo = 0.0, [], 0  # head: the pieces deferred while the sum was 0
     for jdx, x in _spaced_spectra(fhat, fam, ks, inv):
-        hi = lo + len(x)
-        bounds[lo:hi] = _energy_bounds(g, peak, x)
-        keep = ~(bounds[lo:hi] < (cut if total == 0.0 else math.ulp(total) / 2))
+        b = bounds[lo:lo + len(x)]
+        b[:] = _energy_bounds(g, peak, x)
+        keep = ~(b < (cut if total == 0.0 else math.ulp(total) / 2))
         found = iter(inv.energies(jdx[keep], x[keep], w) if keep.any() else [])
+        for r, (kept, bound) in enumerate(zip(keep.tolist(), b.tolist())):
+            if kept:
+                e = next(found)
+            elif total == 0.0:
+                head.append(lo + r)
+                continue
+            elif bound < math.ulp(total) / 2:
+                continue
+            else:
+                e = inv.energies(jdx[r:r + 1], x[r:r + 1], w)[0]
+            if head and e != 0.0:
+                if not 2.0 * float(np.sum(bounds[head])) < math.ulp(e) / 2:
+                    total = added(total, head)
+                head = []
+            total += e
+        lo += len(x)
         del jdx, x
-        if total != 0.0:  # S only grows, so the rows not kept stay ruled out
-            for e in found:
-                total += e
-        else:
-            for i, kept, bound in zip(range(lo, hi), keep.tolist(), bounds[lo:hi].tolist()):
-                if kept:
-                    e = next(found)
-                    if head and e != 0.0:
-                        if not 2.0 * float(np.sum(bounds[head])) < math.ulp(e) / 2:
-                            total = added(total, head)
-                        head = []
-                    total += e
-                elif total == 0.0:
-                    head.append(i)
-                elif not bound < math.ulp(total) / 2:
-                    total = added(total, [i])
-        lo = hi
     return added(total, head)  # a head is left when no energy was positive
 
 

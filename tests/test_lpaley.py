@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscillab import lpaley
 from oscillab.errors import BadBand, CoverageGap
 from oscillab.lpaley import (_BLOCK_SAMPLES, AnnuliIndex, DyadicFamily, SpacedFamily,
                              _energy_bounds, _spaced_blocks, _spaced_spectra, _support_width,
@@ -254,11 +255,16 @@ class TestSpacedFamily:
             dense = inverse_transform(SpectralFunction(g, fhat.values * translate_hat(fam, k, xs)))
             assert row.tobytes() == dense.values.tobytes()
 
-    # At n = 2^17 and L = 1e3 each of the 7 windows is the whole grid, so one
-    # window fills the _BLOCK_SAMPLES budget. Evaluated one at a time, with each
-    # block's support dropped before the next window, the traced peak is 10.6
+    # At n = 2^17 and L = 1e3 each of the 7 windows is the whole grid, more than
+    # _WINDOW_SAMPLES, so each is evaluated alone. One at a time, with each
+    # block's support dropped before the next window, the traced peak is 10.5
     # complex grid arrays; holding the last block's, 14.1; all 7 at once, 38.4.
-    def test_energy_evaluates_one_budget_of_windows_at_a_time(self):
+    # Scaled by 2^-479, f leaves the zero window past the left end (k = -3)
+    # deferred, and its bound fails the head check of the next piece: its window
+    # is evaluated again while the walk holds that piece's block (its spectrum,
+    # 1.5 arrays) and window evaluation (1), 12.6 arrays in all.
+    @pytest.mark.parametrize("scale, arrays", [(1.0, 11), (2.0**-479, 13)])
+    def test_energy_evaluates_one_budget_of_windows_at_a_time(self, scale, arrays, evaluated):
         n = 2**17
         grid = Grid(0.0, n / 64.0, n)
         fam = SpacedFamily(1e3)
@@ -266,8 +272,10 @@ class TestSpacedFamily:
         assert _support_width(fam, fg) == n and len(fam.k_range(fg)) == 7
         rng = np.random.default_rng(17)
         f = random_band_function(grid, rng, 0.0, 60.0)
+        f = SampledFunction(grid, scale * f.values)
         w = random_weight(grid, rng)
         spaced_energy(f, w, fam)
+        assert evaluated == ([-3, -2, -3, -1, 0, 1, 2, 3] if scale != 1.0 else list(range(-3, 4)))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -275,7 +283,7 @@ class TestSpacedFamily:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * 16 * n
+        assert peak <= arrays * 16 * n
 
     def test_piece_budget(self):
         # 6,439 pieces is the most any run makes; L = 1e-6 would be about 8e8
@@ -311,6 +319,15 @@ def inverted(monkeypatch):
     monkeypatch.setattr(_RowInverter, "invert",
                         lambda inv, jdx, x: counts.append(len(jdx)) or real(inv, jdx, x))
     return counts
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The k of each window that lpaley evaluates from here on, in order."""
+    ks, real = [], lpaley._translate_support
+    monkeypatch.setattr(lpaley, "_translate_support",
+                        lambda fam, fg, k: ks.extend(k.tolist()) or real(fam, fg, k))
+    return ks
 
 
 def spectra_of(f, fam):
@@ -411,7 +428,7 @@ class TestSpacedEnergyPruning:
     # past each end) are told apart by k order.
     @pytest.mark.parametrize("case", ["band-128", "faint-then-strong", "strong-then-faint",
                                       "faint-spike-w"])
-    def test_every_skipped_piece_is_proven(self, case, monkeypatch):
+    def test_every_skipped_piece_is_proven(self, case, monkeypatch, evaluated):
         fam = SpacedFamily(0.5)
         w = random_weight(GRID, np.random.default_rng(16))
         if case == "faint-spike-w":
@@ -420,18 +437,15 @@ class TestSpacedEnergyPruning:
              "faint-then-strong": lambda: self.lines((2.0**-28, -200.0), (1.0, 200.0)),
              "strong-then-faint": lambda: self.lines((1.0, -200.0), (2.0**-28, 200.0)),
              "faint-spike-w": lambda: self.lines((2.0**-28, -200.0), (1.0, 200.0))}[case]()
-        seen, real = [], _RowInverter.invert
+        seen, real = [], _RowInverter.invert  # the rows of each call
         monkeypatch.setattr(_RowInverter, "invert",
-                            lambda inv, jdx, x: seen.extend(zip(jdx, x)) or real(inv, jdx, x))
-        evaluated, real_hat = [], SpacedFamily.window_hat
-        monkeypatch.setattr(SpacedFamily, "window_hat",
-                            lambda fam, xi: evaluated.append(len(xi)) or real_hat(fam, xi))
+                            lambda inv, jdx, x: seen.append([*zip(jdx, x)]) or real(inv, jdx, x))
         energy = spaced_energy(f, w, fam)
         monkeypatch.undo()
         pieces = {}
         for i, (j, v) in enumerate(row for jdx, x in spectra_of(f, fam) for row in zip(jdx, x)):
             pieces.setdefault((j.tobytes(), v.tobytes()), []).append(i)
-        order = [pieces[j.tobytes(), v.tobytes()].pop(0) for j, v in seen]
+        order = [pieces[j.tobytes(), v.tobytes()].pop(0) for rows in seen for j, v in rows]
         inverted = set(order)
         assert len(order) == len(inverted)  # no piece is inverted twice
         ks = np.array(fam.k_range(GRID.freq_grid()))
@@ -445,20 +459,23 @@ class TestSpacedEnergyPruning:
                 assert total > 0.0 and bounds[i] < math.ulp(total) / 2
             total += e
         assert bits(energy) == bits(total)
-        assert len(inverted) > 0
-        # One pass evaluates every window, and a window is evaluated again only
-        # where a proof fails. With the faint line first, the pieces before it fail
-        # the head check and are inverted after it, in one evaluation. Under the
+        # Each piece is judged by its own bound. A faint line left of the strong one
+        # makes the roundoff between them count: 99 of its 791 pieces are inverted,
+        # and all 791 under the spike weight.
+        between = [i for i in inverted if abs(ks[i] * fam.L) < 198.0]
+        assert (len(inverted), len(between)) == {"band-128": (515, 515),
+                                                 "faint-then-strong": (520, 99),
+                                                 "strong-then-faint": (6, 0),
+                                                 "faint-spike-w": (1216, 791)}[case]
+        # Every window is evaluated, and again only where the head check fails: with
+        # the faint line first, the pieces before it are inverted after it. Under the
         # spike, the faint piece's energy is too small to prove the skip of the
-        # roundoff after it in its block, which is evaluated again piece by piece.
-        assert evaluated[0] == len(ks)
+        # roundoff after it in its block, and those pieces are inverted one by one
+        # from the block's values, with no window evaluated again.
         fallback = [i for i in order if i < order[0]]
         assert fallback == (list(range(order[0])) if case.startswith("faint") else [])
-        assert evaluated[1:2] == ([len(fallback)] if fallback else [])
-        assert set(evaluated[2:]) == ({1} if case == "faint-spike-w" else set())
-        if case != "band-128":
-            between = [i for i in inverted if abs(ks[i] * fam.L) < 198.0]
-            assert bool(between) == case.startswith("faint")
+        assert sorted(evaluated) == sorted(ks.tolist() + ks[fallback].tolist())
+        assert any(len(rows) == 1 for rows in seen) == (case == "faint-spike-w")
 
     # E_k <= B_k / 2 for a varying weight; for w = 1 Parseval makes the bound
     # sharp, so 2 E_k / B_k is 1 up to rounding and the factor 2 is all margin
@@ -484,16 +501,17 @@ class TestSpacedEnergyPruning:
         assert len(SpacedFamily(0.125).k_range(GRID.freq_grid())) == 6439
         assert sum(inverted) <= 0.4 * 6439
 
-    def test_check_lp_evaluates_each_window_once_at_L_eighth(self, monkeypatch):
+    def test_check_lp_evaluates_each_window_once_at_L_eighth(self, monkeypatch, evaluated):
         # one pass over the pieces: each of the 6,439 windows of check-lp's
-        # L = 0.125 sample is evaluated once, 45,073 samples in one evaluation, and
-        # no piece again (a bounds pass and a second evaluation of each inverted
-        # piece read 59,416); the other call is spatial_window's, on the whole grid
+        # L = 0.125 sample is evaluated once, 45,073 samples in all, and no piece
+        # again; the last call is spatial_window's, on the whole grid
         shapes, real = [], SpacedFamily.window_hat
         monkeypatch.setattr(SpacedFamily, "window_hat",
                             lambda fam, xi: shapes.append(np.shape(xi)) or real(fam, xi))
         lp_checks(FAM, [SpacedFamily(0.125)], 8, 0)
-        assert shapes == [(6439, 7), (GRID.n,)]
+        assert evaluated == list(SpacedFamily(0.125).k_range(GRID.freq_grid()))
+        assert {shape[1] for shape in shapes[:-1]} == {7} and shapes[-1] == (GRID.n,)
+        assert sum(math.prod(shape) for shape in shapes[:-1]) == 45_073
 
 
 class TestAnnuli:
