@@ -1,9 +1,7 @@
 """oscillab: numerical experiments for oscillatory convolution operators,
 geometric maximal functions and Littlewood-Paley theory on the line."""
 
-from .errors import (BadBand, CoverageGap, GridMismatch, InsufficientPoints,
-                     NonpositiveValue, OrderUnavailable, OscillabError,
-                     SupportViolation, UnderResolved, ValidationFailed)
+from .errors import OscillabError, UnderResolved
 from .numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                        convolve, forward_transform, inverse_transform,
                        lp_norm, restrict, weighted_l2)

@@ -2,19 +2,7 @@
 
 
 class OscillabError(Exception):
-    """Base class for all package errors."""
-
-
-class OrderUnavailable(OscillabError):
-    """A derivative order beyond what the phase can supply was requested."""
-
-
-class ValidationFailed(OscillabError):
-    """A finite-type hypothesis was violated; the message is the first failing condition."""
-
-
-class GridMismatch(OscillabError):
-    """Two sampled functions live on different grids."""
+    """A failed hypothesis or a refused input; the message names which."""
 
 
 class UnderResolved(OscillabError):
@@ -26,23 +14,3 @@ class UnderResolved(OscillabError):
     def __init__(self, message: str, min_step: float):
         super().__init__(f"{message} (largest admissible step: {min_step:.3e})")
         self.min_step = min_step
-
-
-class CoverageGap(OscillabError):
-    """Material input energy lies outside the bands a decomposition covers."""
-
-
-class BadBand(OscillabError):
-    """A band index is outside the admissible range."""
-
-
-class SupportViolation(OscillabError):
-    """Declared frequency support does not hold to the required accuracy."""
-
-
-class InsufficientPoints(OscillabError):
-    """Too few sweep points for a power-law fit."""
-
-
-class NonpositiveValue(OscillabError):
-    """A log-log fit was asked to process a nonpositive value."""

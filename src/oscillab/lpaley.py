@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import cells, sliding_max, smooth_plateau, standard_bump
-from .errors import BadBand, CoverageGap
+from .errors import OscillabError
 from .numerics import (Grid, PaddedSpectrum, SampledFunction, SpectralFunction, Weight,
                        _require_same_grid, _RowInverter, abs_spectrum, forward_transform,
                        lp_norm, multiplier_kernel, restrict, smoothing_majorant,
@@ -88,13 +88,13 @@ class DyadicFamily:
 def dyadic_pieces(f: SampledFunction, fam: DyadicFamily) -> list[SampledFunction]:
     """Band restrictions of f via frequency multiplication.
 
-    Raises :class:`CoverageGap` when more than 1e-8 of the spectral
+    Raises :class:`OscillabError` when more than 1e-8 of the spectral
     energy sits outside the family's covered range.
     """
     fhat = forward_transform(f)
     xs = fhat.freq_grid.xs
     if (leak := spectral_leak(fhat, fam.covered(xs))) > 1e-8:
-        raise CoverageGap(f"{leak:.2e} of the energy lies outside the covered bands")
+        raise OscillabError(f"{leak:.2e} of the energy lies outside the covered bands")
     return [restrict(fhat, fam.multiplier(k, xs)) for k in fam.bands]
 
 
@@ -313,7 +313,7 @@ class AnnuliIndex:
 
     def membership(self, p: int, xi: np.ndarray) -> np.ndarray:
         if p < 0:
-            raise BadBand("p must be nonnegative")
+            raise OscillabError("p must be nonnegative")
         a = np.abs(np.asarray(xi, dtype=float))
         if p == 0:
             return a <= self.base
@@ -328,13 +328,13 @@ class AnnuliIndex:
 
     def band(self, p: int, a1: float) -> tuple[float, float]:
         """(L_p, 2^p lam^(1/ell)): the spacing 2^(-p/(ell-1)) lam^(1/ell) and the
-        scale of band p for a phase with sup |phi'| = a1. Raises :class:`BadBand`
+        scale of band p for a phase with sup |phi'| = a1. Raises :class:`OscillabError`
         unless 1 <= 2^p < 4 a1 lam^((ell-1)/ell)."""
         ell = self.ell
         # from p = 1024 on, 2^p is above every float bound and 2.0**p would raise
         if not 0 <= p < 1024 or 2.0**p >= 4.0 * a1 * self.lam ** ((ell - 1.0) / ell):
-            raise BadBand(f"band p={p} outside [0, log2(4*A1*lam^((ell-1)/ell))) "
-                          f"at A1 = {a1!r}")
+            raise OscillabError(f"band p={p} outside [0, log2(4*A1*lam^((ell-1)/ell))) "
+                                f"at A1 = {a1!r}")
         return 2.0 ** (-p / (ell - 1.0)) * self.base, 2.0**p * self.base
 
 

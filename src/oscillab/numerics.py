@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from ._util import standard_bump
-from .errors import GridMismatch
+from .errors import OscillabError
 
 __all__ = [
     "Grid",
@@ -263,7 +263,7 @@ def restrict(fhat: SpectralFunction, multiplier: np.ndarray) -> SampledFunction:
 
 def _require_same_grid(a, b):
     if a.grid != b.grid:
-        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
+        raise OscillabError(f"grids differ: {a.grid} vs {b.grid}")
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def convolve(f: SampledFunction | PaddedSpectrum, g: SampledFunction) -> Sampled
     n = grid.n
     c_cells = grid.center / grid.h
     if abs(c_cells - round(c_cells)) > 1e-9:
-        raise GridMismatch("grid center must be an integer multiple of the step")
+        raise OscillabError("grid center must be an integer multiple of the step")
     # a spectrum taken here is dropped when _padded_fft_convolve returns, and full
     # before the copy into the result: two padded arrays at most besides a held one
     full = _padded_fft_convolve(
@@ -344,7 +344,7 @@ def abs_spectrum(kernel: SampledFunction) -> PaddedSpectrum:
 def smoothing_majorant(kernel: SampledFunction | PaddedSpectrum, w: Weight) -> Weight:
     """|K| * w clipped at 0, on w's grid. w is relabelled onto the grid's kernel
     frame, so only differences of positions count; K must lie on that frame, or
-    :func:`convolve` raises :class:`GridMismatch`. K may come as its
+    :func:`convolve` raises :class:`OscillabError`. K may come as its
     :func:`abs_spectrum`."""
     conv = convolve(kernel if isinstance(kernel, PaddedSpectrum) else abs_spectrum(kernel),
                     SampledFunction(kernel_frame(w.grid), w.values))

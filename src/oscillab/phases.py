@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import OrderUnavailable, ValidationFailed
+from .errors import OscillabError
 
 __all__ = [
     "Phase",
@@ -48,7 +48,7 @@ class Phase:
     ``eval(k, x)`` returns the k-th derivative at ``x`` as a float ndarray,
     0-d for a scalar ``x``. Orders up to ``max_analytic_order`` are
     analytic; at most two further orders are supplied by 5-point centered
-    differences at step 1e-4, beyond which :class:`OrderUnavailable` is
+    differences at step 1e-4, beyond which :class:`OscillabError` is
     raised.
     """
 
@@ -65,7 +65,7 @@ class Phase:
         if k <= self.max_analytic_order:
             return np.asarray(self._eval_analytic(k, xs), dtype=float)
         if k - self.max_analytic_order > _FD_DEPTH:
-            raise OrderUnavailable(
+            raise OscillabError(
                 f"order {k} exceeds analytic order {self.max_analytic_order} "
                 f"by more than {_FD_DEPTH}")
         d = _FD_STEP
@@ -117,7 +117,7 @@ class FiniteTypeSpec:
 
     def derivative_bound(self, j: int) -> float:
         if j >= len(self.bounds):
-            raise OrderUnavailable(
+            raise OscillabError(
                 f"bound A_{j} not recorded (orders above ell+2 are not kept)")
         return self.bounds[j]
 
@@ -163,7 +163,7 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
     if epsilon is None:
         epsilon = abs(dval)
         if epsilon == 0.0:
-            raise ValidationFailed(f"phi^({ell})(x0) = 0: not finite type {ell} at {x0}")
+            raise OscillabError(f"phi^({ell})(x0) = 0: not finite type {ell} at {x0}")
     if support_halfwidth is None:
         u = 1.0
         for _ in range(40):
@@ -172,7 +172,7 @@ def finite_type_spec(phase: Phase, x0: float, ell: int, epsilon: float | None = 
                 break
             u /= 2.0
         else:
-            raise ValidationFailed("no support halfwidth with |phi^(ell)| >= epsilon/2 found")
+            raise OscillabError("no support halfwidth with |phi^(ell)| >= epsilon/2 found")
         support_halfwidth = u
     xs = x0 + np.linspace(-support_halfwidth, support_halfwidth, 1024)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,7 +201,7 @@ def validate_finite_type(phase: Phase, spec: FiniteTypeSpec, tol: float = 1e-10)
     Records |phi^(k)(x0)| for 2 <= k < ell (each must be at most ``tol``)
     and the signed phi^(ell)(x0), whose magnitude must be at least
     epsilon - tol. Derivatives up to ell+1 must be evaluable, otherwise
-    :class:`OrderUnavailable` propagates.
+    :class:`OscillabError` propagates.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
@@ -229,7 +229,7 @@ def ensure_finite_type(phase: Phase, spec: FiniteTypeSpec) -> TypeReport:
     raises on the first violation."""
     report = validate_finite_type(phase, spec)
     if not report.passed:
-        raise ValidationFailed(report.failures[0])
+        raise OscillabError(report.failures[0])
     return report
 
 

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from ._util import smooth_plateau, standard_bump
-from .errors import BadBand, InsufficientPoints, NonpositiveValue, SupportViolation
+from .errors import OscillabError
 from .kernels import (Kernel, admissible_step, apply_T, build_kernel, check_decay,
                       normalized_kernel)
 from .lpaley import (AnnuliIndex, DyadicFamily, SpacedFamily, _chain_kernels,
@@ -142,10 +142,10 @@ def fit_power_law(points) -> tuple[float, float, float]:
     """Least squares of log(value) against log(lam); residual in log units."""
     pts = sorted(points)
     if len({p[0] for p in pts}) < 3:
-        raise InsufficientPoints(f"need >= 3 distinct lambda values, got {len(pts)}")
+        raise OscillabError(f"need >= 3 distinct lambda values, got {len(pts)}")
     for lam, v in pts:
         if v <= 0.0:
-            raise NonpositiveValue(f"value {v} at lambda {lam} not positive")
+            raise OscillabError(f"value {v} at lambda {lam} not positive")
         check_lambda(lam)
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])
@@ -157,10 +157,10 @@ def fit_power_law(points) -> tuple[float, float, float]:
 def _sweep_report(points) -> SweepReport:
     try:
         slope, intercept, resid = fit_power_law(points)
-        return SweepReport(tuple(points), slope, intercept, resid)
-    except (InsufficientPoints, NonpositiveValue):
+    except OscillabError:
         return SweepReport(tuple(points), float("nan"), float("nan"), float("nan"),
                            insufficient=True)
+    return SweepReport(tuple(points), slope, intercept, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def uncertainty_bounds_check(f: SampledFunction, kernel: Kernel | PaddedSpectrum
     fhat = forward_transform(f)
     xs = fhat.freq_grid.xs
     if spectral_leak(fhat, (xs >= lo) & (xs <= hi)) > 1e-8:
-        raise SupportViolation("input spectrum leaks outside the declared interval")
+        raise OscillabError("input spectrum leaks outside the declared interval")
     m = _mollifiers(f.grid, kernel, psi_hat_support) if mollifiers is None else mollifiers
     tf = apply_T(kernel, f)
     lhs = weighted_l2(tf, w)
@@ -416,7 +416,7 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
     L, scale = _envelope_band(spec, kernel.spec, lam, p)
     k0 = scale / L
     if not (0.5 * k0 <= abs(k) <= 2.0 * k0):
-        raise BadBand(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
+        raise OscillabError(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
     grid = kernel.grid
     khat = forward_transform(kernel.samples)
     tpsi = restrict(khat, smooth_plateau((khat.freq_grid.xs - k * L) / L, 2.0, 4.0))
@@ -563,8 +563,8 @@ def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int
         AnnuliIndex(spec.ell, lam).band(p, 1.0)
         for lam in lambdas:
             _envelope_band(spec, nspec, lam, p)
-    except BadBand as exc:
-        raise BadBand(f"lambda = {lam!r}: {exc}") from None
+    except OscillabError as exc:
+        raise OscillabError(f"lambda = {lam!r}: {exc}") from None
     rng = np.random.default_rng(seed)
     holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng, chain_tol)
     mols = uncertainty_samples(phase, spec, lambdas[0], 8.0, max(1, pairs // 4), rng, seed)

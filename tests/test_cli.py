@@ -1045,6 +1045,28 @@ def test_every_public_function_is_called_or_kept_on_purpose():
     assert uncalled == set(_UNCALLED_ON_PURPOSE)
 
 
+def test_every_error_subclass_is_caught_by_name_or_carries_a_value():
+    # run sends every OscillabError to exit 2, so a subclass earns its place
+    # only where an except clause of src/ names it, or where its __init__
+    # stores a value for the caller, as UnderResolved stores min_step
+    nodes = [node for path in sorted((Path(__file__).parents[1] / "src" / "oscillab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))]
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    errors = {"OscillabError"}
+    while new := {c.name for c in classes if c.name not in errors
+                  and any(ast.unparse(b).split(".")[-1] in errors for b in c.bases)}:
+        errors |= new
+    caught = {getattr(n, "id", getattr(n, "attr", None))
+              for h in nodes if isinstance(h, ast.ExceptHandler) and h.type is not None
+              for n in ast.walk(h.type)}
+    storing = {c.name for c in classes for f in c.body
+               if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+               and any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                       for n in ast.walk(f))}
+    assert "UnderResolved" in errors - caught
+    assert errors - {"OscillabError"} - caught - storing == set()
+
+
 class TestChecks:
     def test_check_lp(self, tmp_path, capsys):
         assert run(["check-lp", "--out", str(tmp_path), "--pairs", "3"]) == 0

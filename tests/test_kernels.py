@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import fresnel
 
 from oscillab._util import standard_bump
-from oscillab.errors import GridMismatch, UnderResolved, ValidationFailed
+from oscillab.errors import OscillabError, UnderResolved
 from oscillab.kernels import Kernel, admissible_step, apply_T, build_kernel, check_decay
 from oscillab.numerics import (Grid, SampledFunction, forward_transform, inverse_transform,
                                lp_norm)
@@ -93,7 +93,7 @@ class TestBuildKernel:
         # a phase failing the finite-type gate cannot produce a kernel
         ph = Phase.monomial(3)
         spec = finite_type_spec(ph, 0.0, 2, epsilon=0.5, support_halfwidth=0.25)
-        with pytest.raises(ValidationFailed):
+        with pytest.raises(OscillabError, match="below epsilon = 5.000e-01"):
             build_kernel(ph, spec, 16.0, Grid(0.0, 2.0, 4096))
 
     def test_lambda_below_one_rejected(self):
@@ -148,7 +148,7 @@ class TestApplyT:
     def test_grid_mismatch(self):
         _, _, K = cubic_setup()
         other = Grid(0.0, K.grid.half_width, K.grid.n * 2)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(OscillabError, match="grids differ"):
             apply_T(K, SampledFunction(other, np.zeros(other.n)))
 
     def test_young_inequality(self):
@@ -322,5 +322,6 @@ class TestDecay:
         grid = Grid.from_step(0.0, 1.0, admissible_step(spec, lam) * 0.999)
         K = build_kernel(ph, spec, lam, grid)
         coarse = Kernel(K.phase, K.spec, 4 * lam, K.samples)
-        with pytest.raises(UnderResolved):
+        with pytest.raises(UnderResolved) as exc:
             check_decay(coarse)
+        assert exc.value.min_step == np.pi / (4.0 * spec.derivative_bound(1) * coarse.lam)

@@ -163,8 +163,9 @@ class TestApproach:
 
     def test_under_resolved(self):
         g = Grid(0.0, 2.0, 256)
-        with pytest.raises(UnderResolved):
+        with pytest.raises(UnderResolved) as exc:
             approach_maximal(Weight(g, np.ones(g.n)), 3, 512.0)
+        assert exc.value.min_step == 1.0 / (4 * 512.0)
 
     def test_spike_outside_reach_sees_nothing(self):
         lam = 32.0
