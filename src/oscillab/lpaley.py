@@ -251,13 +251,20 @@ def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
     deferred piece that S, turned positive in the piece's own block, cannot rule
     out from that block's values, alone. Both happen only in the block where S
     turns positive.
+
+    Every piece of a zero f^ is 0, and so is every energy against a zero w while
+    sum |f^/h|^2 is finite, since by Parseval no |f_k|^2 can then overflow: both
+    return 0.0 before any piece is inverted.
     """
     _require_same_grid(f, w)
     g = f.grid
     fhat = forward_transform(f)
-    ks = np.array(fam.k_range(fhat.freq_grid))
     peak = float(np.max(w.values))
-    cut = 2.0**-60 * _energy_bounds(g, peak, fhat.values[None] / g.h)[0]
+    star = _energy_bounds(g, peak, fhat.values[None] / g.h)[0]
+    if not fhat.values.any() or (peak == 0.0 and math.isfinite(star)):
+        return 0.0
+    ks = np.array(fam.k_range(fhat.freq_grid))
+    cut = 2.0**-60 * star
     inv = _RowInverter(g, _BLOCK_SAMPLES)
 
     def added(total: float, pick: list) -> float:

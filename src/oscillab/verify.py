@@ -471,10 +471,17 @@ def maximal_norm_sweep(ell: int, lambdas, seed: int = 0) -> SweepReport:
 def _operator_corpus(kernel: Kernel, rng: np.random.Generator) -> Iterator[SampledFunction]:
     """The focusing input, 3 modulated bumps of half-width 2 at frequencies
     0, 0.35 and 0.7 times lam^(1/ell), then 8 random test functions with
-    frequencies up to 2 lam^(1/ell) under a bump of half-width 2."""
-    grid = kernel.grid
-    yield focusing_input(kernel)
-    base = kernel.lam ** (1.0 / kernel.spec.ell)
+    frequencies up to 2 lam^(1/ell) under a bump of half-width 2.
+
+    The kernel is dropped once the focusing input is built, and that input once
+    it is yielded, so a caller that holds no other reference to the kernel frees
+    its samples before the first input is used.
+    """
+    grid, base = kernel.grid, kernel.lam ** (1.0 / kernel.spec.ell)
+    focus = focusing_input(kernel)
+    del kernel
+    yield focus
+    del focus
     for frac in (0.0, 0.35, 0.7):
         yield on_bump(grid, 0.0, 2.0, lambda xs: np.exp(1j * frac * base * xs))
     for _ in range(8):
@@ -490,14 +497,15 @@ def operator_norm_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas,
     frequencies spread through the low band, and 8 seeded random
     band-limited functions, streamed in that order; the measured value is
     a certified lower bound on the discretized operator norm. K is
-    transformed once per lambda.
+    transformed once per lambda, and only that padded spectrum is kept once
+    the focusing input is built.
     """
     def one(lam: float) -> tuple[float, float]:
         kernel = normalized_kernel(phase, spec, lam, 4.0)
         khat = padded_spectrum(kernel.samples)
-        return float(lam), _largest_norm_ratio(
-            lambda f: apply_T(khat, f), _operator_corpus(kernel, np.random.default_rng(seed)),
-            spec.ell)
+        corpus = _operator_corpus(kernel, np.random.default_rng(seed))
+        del kernel
+        return float(lam), _largest_norm_ratio(lambda f: apply_T(khat, f), corpus, spec.ell)
 
     return _sweep_report([one(float(lam)) for lam in lambdas])
 

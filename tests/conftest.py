@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -60,6 +61,19 @@ def convolve_direct(f, g):
     if lo < hi:
         out[lo - shift: hi - shift] = full[lo:hi]
     return SampledFunction(grid, np.multiply(grid.h, out, out=out))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy reports its buffers) during one
+    call of fn, above those traced when it starts. Call fn once before, so that
+    imports and caches are paid for."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def h1_atom(grid, width):

@@ -3,7 +3,6 @@ coverage, and the dominating weight chain."""
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from oscillab.numerics import (Grid, SampledFunction, SpectralFunction,
                                lp_norm, restrict, smoothing_majorant, weighted_l2)
 from oscillab.verify import lp_checks, random_band_function, random_weight, spaced_ratio
 
-from conftest import annuli_project
+from conftest import annuli_project, traced_peak
 
 GRID = Grid(0.0, 16.0, 4096)
 FAM = DyadicFamily(-2, 8)
@@ -276,14 +275,7 @@ class TestSpacedFamily:
         w = random_weight(grid, rng)
         spaced_energy(f, w, fam)
         assert evaluated == ([-3, -2, -3, -1, 0, 1, 2, 3] if scale != 1.0 else list(range(-3, 4)))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            spaced_energy(f, w, fam)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= arrays * 16 * n
+        assert traced_peak(lambda: spaced_energy(f, w, fam)) <= arrays * 16 * n
 
     def test_piece_budget(self):
         # 6,439 pieces is the most any run makes; L = 1e-6 would be about 8e8
@@ -371,8 +363,12 @@ class TestSpacedEnergyPruning:
         assert sum(inverted) == np.count_nonzero(np.any(mult != 0.0, axis=-1))
         assert bits(energy) == bits(k_order_sum(f, w, fam))
 
-    @pytest.mark.parametrize("case", ["zero-f", "zero-w", "spike-w", "nan-f"])
-    def test_degenerate_inputs_bitwise(self, case):
+    # A zero f^, or a zero w with sum |f^/h|^2 finite, gives 0.0 without inverting
+    # a piece. Where sum |f^/h|^2 overflows, |f_k|^2 w is inf * 0 in every piece
+    # that meets f^, and the sum stays their NaN.
+    @pytest.mark.parametrize("case, count", [("zero-f", 0), ("zero-w", 0), ("spike-w", 515),
+                                             ("nan-f", 1615), ("overflow-zero-w", 1615)])
+    def test_degenerate_inputs_bitwise(self, case, count, inverted):
         rng = np.random.default_rng(12)
         f = band_limited(12)
         w = random_weight(GRID, rng)
@@ -382,14 +378,19 @@ class TestSpacedEnergyPruning:
             w = Weight(GRID, np.zeros(GRID.n))
         elif case == "spike-w":
             w = Weight(GRID, 3.0 * (np.arange(GRID.n) == 1000))
-        else:
+        elif case == "nan-f":
             vals = f.values.copy()
             vals[77] = np.nan
             f = SampledFunction(GRID, vals)
+        else:
+            f = SampledFunction(GRID, 1e200 * f.values)
+            w = Weight(GRID, np.zeros(GRID.n))
         fam = SpacedFamily(0.5)
-        energy = spaced_energy(f, w, fam)
-        assert bits(energy) == bits(k_order_sum(f, w, fam))
-        assert (case == "nan-f") == math.isnan(energy)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, on purpose
+            energy = spaced_energy(f, w, fam)
+            assert sum(inverted) == count
+            assert bits(energy) == bits(k_order_sum(f, w, fam))
+        assert (case in ("nan-f", "overflow-zero-w")) == math.isnan(energy)
 
     def test_failed_head_check_inverts_the_head(self, inverted):
         # a faint line 2^-28 below a strong one, a few samples to its left: the

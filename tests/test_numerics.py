@@ -2,7 +2,6 @@
 closed forms and a direct-summation oracle."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
                                smoothing_majorant, spectral_leak, weighted_l2)
 from oscillab.verify import approach_grid
 
-from conftest import convolve_direct, index_of, sampled, save_weight_csv
+from conftest import convolve_direct, index_of, sampled, save_weight_csv, traced_peak
 
 
 def gaussian(grid):
@@ -342,14 +341,7 @@ class TestInPlaceConvolution:
         khat = padded_spectrum(f)
         for first, arrays in [(f, 4), (khat, 3)]:
             convolve(first, g)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                convolve(first, g)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak <= arrays * 16 * n + 4096
+            assert traced_peak(lambda: convolve(first, g)) <= arrays * 16 * n + 4096
 
     # the grid center sits frac * n + 37 cells off 0, so the output range
     # [n/2 - cells, 3n/2 - cells) of the full convolution lies inside it

@@ -1,7 +1,7 @@
 """Harness operations: ratio records, power-law fits, sweeps and the
 inequality instances on small seeded corpora."""
 
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from oscillab.verify import (Provenance, RatioSample, _operator_corpus, _sweep_r
                              approach_grid, uncertainty_bounds_check,
                              uncertainty_samples, weight_chain_holds, weight_corpus)
 
-from conftest import annuli_project, h1_atom
+from conftest import annuli_project, h1_atom, traced_peak
 
 
 def cubic(lam, half_width=4.0, for_approach=True):
@@ -381,33 +381,45 @@ class TestSweeps:
         assert ratio >= 0.2 * lam ** (-1.0 / 3.0)
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc (numpy reports its buffers) during a
-    second call of fn; the first one pays for imports and caches."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestSweepMemory:
     """The norm sweeps stream their corpora, so one lambda's traced peak is a
     few grid-sized arrays, not its 12-input corpus. At lambda = 256 the
-    streamed sweeps peaked at 8.3 float arrays (maximal) and 6.0 complex
-    arrays (operator); holding the corpus as a list, at 19.3 and 19.6."""
+    streamed sweeps peak at 6.2 float arrays (maximal) and 6.5 complex arrays
+    (operator); holding the corpus as a list, at 16.9 and 17.0. The operator
+    sweep keeps the kernel's padded spectrum (2 arrays), not the kernel: while
+    its samples lived through the corpus, the peak was 7.5."""
 
     def test_maximal_sweep_holds_one_weight_at_a_time(self):
         n = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * 256.0)).n
+        maximal_norm_sweep(3, [256.0])
         assert traced_peak(lambda: maximal_norm_sweep(3, [256.0])) <= 12 * 8 * n
 
     def test_operator_sweep_holds_one_input_at_a_time(self):
         ph = Phase.monomial(3)
         spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0)
         n = normalized_kernel(ph, spec, 256.0, 4.0).grid.n
-        assert traced_peak(lambda: operator_norm_sweep(ph, spec, [256.0])) <= 10 * 16 * n
+        operator_norm_sweep(ph, spec, [256.0])
+        assert traced_peak(lambda: operator_norm_sweep(ph, spec, [256.0])) <= 7 * 16 * n
+
+    def test_operator_sweep_frees_the_kernel_samples_before_any_input(self, monkeypatch):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0)
+        samples, alive = [], []
+        real_kernel, real_T = verify.normalized_kernel, verify.apply_T
+
+        def kernel(*args):
+            k = real_kernel(*args)
+            samples.append(weakref.ref(k.samples.values))
+            return k
+
+        def T(khat, f):
+            alive.append(samples[-1]() is not None)
+            return real_T(khat, f)
+
+        monkeypatch.setattr(verify, "normalized_kernel", kernel)
+        monkeypatch.setattr(verify, "apply_T", T)
+        operator_norm_sweep(ph, spec, [64.0, 128.0])
+        assert len(samples) == 2 and alive == [False] * 24
 
     # The widest apertures reach far beyond the grid: 2,097,152 cells for the
     # global operator at ell = 2 on n = 4096. Clamped at n - 1, the region
@@ -420,6 +432,7 @@ class TestSweepMemory:
     def test_wide_apertures_hold_a_few_grid_arrays(self, op):
         g = approach_grid(64.0)
         w = random_weight(g, np.random.default_rng(5))
+        op(w)
         assert traced_peak(lambda: op(w)) <= 16 * 8 * g.n
 
 
