@@ -259,11 +259,11 @@ def spaced_energy(f: SampledFunction, w: Weight, fam: SpacedFamily) -> float:
     _require_same_grid(f, w)
     g = f.grid
     fhat = forward_transform(f)
+    ks = np.array(fam.k_range(fhat.freq_grid))
     peak = float(np.max(w.values))
     star = _energy_bounds(g, peak, fhat.values[None] / g.h)[0]
     if not fhat.values.any() or (peak == 0.0 and math.isfinite(star)):
         return 0.0
-    ks = np.array(fam.k_range(fhat.freq_grid))
     cut = 2.0**-60 * star
     inv = _RowInverter(g, _BLOCK_SAMPLES)
 

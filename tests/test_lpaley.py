@@ -1,6 +1,7 @@
 """Frequency decompositions: telescoping, partitions of unity, annuli
 coverage, and the dominating weight chain."""
 
+import contextlib
 import itertools
 import math
 
@@ -284,6 +285,13 @@ class TestSpacedFamily:
         for L in (1e-6, 5e-324):
             with pytest.raises(ValueError, match="MAX_PIECES"):
                 SpacedFamily(L).k_range(GRID.freq_grid())
+        # the budget holds before the zero-input return, as in spaced_pieces
+        zero = SampledFunction(GRID, np.zeros(GRID.n))
+        with pytest.raises(ValueError, match="MAX_PIECES"):
+            spaced_pieces(zero, SpacedFamily(1e-6))
+        for w in (random_weight(GRID, np.random.default_rng(3)), Weight(GRID, np.zeros(GRID.n))):
+            with pytest.raises(ValueError, match="MAX_PIECES"):
+                spaced_energy(zero, w, SpacedFamily(1e-6))
 
 
 def k_order_sum(f, w, fam):
@@ -386,7 +394,10 @@ class TestSpacedEnergyPruning:
             f = SampledFunction(GRID, 1e200 * f.values)
             w = Weight(GRID, np.zeros(GRID.n))
         fam = SpacedFamily(0.5)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, on purpose
+        # only the overflow case multiplies inf by 0 on purpose; the others run
+        # under the default errstate, where any float warning is an error
+        quiet = case == "overflow-zero-w"
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
             energy = spaced_energy(f, w, fam)
             assert sum(inverted) == count
             assert bits(energy) == bits(k_order_sum(f, w, fam))
