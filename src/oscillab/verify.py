@@ -62,7 +62,29 @@ __all__ = [
     "random_test_function",
     "focusing_input",
     "weight_corpus",
+    "slope_holds",
+    "kernel_decay_holds",
+    "two_weight_holds",
+    "lemmas_hold",
+    "lp_holds",
+    "constant_weight_holds",
 ]
+
+
+# The bounds of the pass rules below, which the CLI checks and the acceptance
+# criteria share; tests/test_acceptance.py pins each value in a table of its own.
+OPERATOR_SLOPE_TOL = 0.15  # |fitted slope - (-1/ell)| of the operator-norm sweep
+MAXIMAL_SLOPE_TOL = 0.1  # |fitted slope - (-2/ell)| of the approach-region sweep
+DECAY_FACTOR = 3.0  # max/min of lam^(1/ell) sup_low across lam, exclusive
+TAIL_SLACK = 1.25  # each lam's decay tail over the first lam's
+TWO_WEIGHT_FACTOR = 2.0  # max/min of the largest two-weight ratio across lam, exclusive
+MOLLIFIER_SLACK = 1e-6  # how far a mollification ratio may exceed 1
+ENVELOPE_FACTOR = 4.0  # max/min of the envelope constant across lam, exclusive
+CHAIN_TOL = 1e-9  # relative slack of w2 <= constant * w3 in the dominating chain
+TELESCOPING_TOL = 1e-12  # deviation of the dyadic family's sum from 1
+RECONSTRUCTION_TOL = 1e-8  # max|sum_k P_k f - f| / max|f|
+ENERGY_WINDOW = (0.28, 1.05)  # closed range of (||Sf||_2 / ||f||_2)^2
+CONSTANT_WEIGHT_DEV = 0.03  # relative deviation from the constant-weight closed form
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +277,14 @@ def focusing_input(kernel: Kernel) -> SampledFunction:
 # inequality instances
 
 
-def two_weight_ratio(kernel: Kernel, f: SampledFunction, w: Weight,
-                     provenance: Provenance = Provenance(),
-                     khat: PaddedSpectrum | None = None) -> RatioSample:
+def two_weight_ratio(T: Kernel | PaddedSpectrum, ell: int, lam: float, f: SampledFunction,
+                     w: Weight, provenance: Provenance = Provenance()) -> RatioSample:
     """The two-weight inequality: lhs = integral |T f|^2 w, rhs =
-    integral |f|^2 * (M^2 M_approach M^4 w), with the approach region at the
-    kernel's lam. ``khat``, the kernel's padded spectrum, saves transforming K
-    again for each f."""
-    lhs = weighted_l2(apply_T(kernel if khat is None else khat, f), w)
-    mid = approach_maximal(hardy_littlewood(w, 4), kernel.spec.ell, kernel.lam)
+    integral |f|^2 * (M^2 M_approach M^4 w), with the approach region at
+    (ell, lam), the kernel's. T is applied as by :func:`apply_T`, so it may be
+    the kernel's padded spectrum, which saves transforming K again for each f."""
+    lhs = weighted_l2(apply_T(T, f), w)
+    mid = approach_maximal(hardy_littlewood(w, 4), ell, lam)
     return RatioSample.of(lhs, weighted_l2(f, hardy_littlewood(mid, 2)), provenance)
 
 
@@ -278,7 +299,8 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
     polynomial with frequencies up to 2*lam_eff^(1/ell) under a bump of
     half-width 1.5, w a random weight; f, w and |T f|^2 all live in that
     frame, so w weighs the kernel's output where it is computed. Each lam
-    draws from a fresh RNG seeded with ``seed``. K is transformed once per lam.
+    draws from a fresh RNG seeded with ``seed``. K is transformed once per lam,
+    and only that padded spectrum is kept, not the kernel's samples.
     """
     norm = normalize_phase(phase, spec)
     samples, maxima = [], []
@@ -287,15 +309,14 @@ def two_weight_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, pairs: int,
         lam_eff = lam * spec.epsilon
         step = min(1.0 / (4.0 * lam_eff), admissible_step(norm.spec, lam_eff))
         grid = Grid.from_step(0.0, 4.0, step)
-        kernel = build_kernel(norm.phase, norm.spec, lam_eff, grid)
-        khat = padded_spectrum(kernel.samples)
+        khat = padded_spectrum(build_kernel(norm.phase, norm.spec, lam_eff, grid).samples)
         best = 0.0
         for i in range(pairs):
             f = random_test_function(grid, rng, max_freq=2.0 * lam_eff ** (1.0 / spec.ell),
                                      support_halfwidth=1.5)
             w = random_weight(grid, rng)
-            rs = two_weight_ratio(kernel, f, w,
-                                  Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed), khat)
+            rs = two_weight_ratio(khat, spec.ell, lam_eff, f, w,
+                                  Provenance(f"f{i}", f"w{i}", spec.ell, lam, seed))
             samples.append(rs)
             if rs.vacuous and rs.lhs > 1e-10:
                 return TwoWeightSweep(tuple(samples), tuple(maxima), rs)
@@ -431,7 +452,7 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
 
 # ---------------------------------------------------------------------------
 # sweeps: the CLI checks and the acceptance criteria measure through these and
-# keep their thresholds themselves
+# judge what they measure by the pass rules below
 
 
 def _largest_norm_ratio(op, corpus, p: float) -> float:
@@ -518,14 +539,14 @@ def _band_samples(grid: Grid, band: tuple[float, float], draws: int,
 
 
 def weight_chain_holds(p: int, lam: float, ell: int, draws: int,
-                       rng: np.random.Generator, rel_tol: float) -> bool:
-    """Whether the chain of band p at lam (A1 = 1) dominates to ``rel_tol`` for each of
+                       rng: np.random.Generator) -> bool:
+    """Whether the chain of band p at lam (A1 = 1) dominates to CHAIN_TOL for each of
     ``draws`` random weights on [-4, 4] at step 1/(8 lam); all are drawn whatever the
     outcome. The chain's kernels are built once for all of them."""
     grid = Grid.from_step(0.0, 4.0, 1.0 / (8.0 * lam))
     kernels = _chain_kernels(grid, p, lam, ell)
     return all([dominating_weights(random_weight(grid, rng), p, lam, ell, kernels)
-                .dominates(rel_tol) for _ in range(draws)])
+                .dominates(CHAIN_TOL) for _ in range(draws)])
 
 
 def uncertainty_samples(phase: Phase, spec: FiniteTypeSpec, lam: float, band_hi: float,
@@ -549,20 +570,20 @@ def envelope_constants(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int) -> l
     return [envelope_check(phase, spec, lam, p, k=k0, N=2) for lam in lambdas]
 
 
-def kernel_decay_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas, N: int,
-                       tail_slack: float) -> tuple[list, float, bool]:
+def kernel_decay_sweep(phase: Phase, spec: FiniteTypeSpec, lambdas,
+                       N: int) -> tuple[list, float, bool]:
     """check_decay of the normalized kernel on [-2u, 2u], reported at each lam: the reports,
-    max/min of lam^(1/ell) sup_low (inf if one is 0), whether all tail_max <= tail_slack * first."""
+    max/min of lam^(1/ell) sup_low (inf if one is 0), whether all tail_max <= TAIL_SLACK * first."""
     u = spec.support_halfwidth
     reports = [replace(check_decay(normalized_kernel(phase, spec, lam, 2.0 * u), N=N),
                        lam=float(lam)) for lam in lambdas]
     factor = stability_factor([r.sup_low * r.lam ** (1.0 / spec.ell) for r in reports])
-    return reports, factor, all(r.tail_max <= tail_slack * reports[0].tail_max
+    return reports, factor, all(r.tail_max <= TAIL_SLACK * reports[0].tail_max
                                 for r in reports)
 
 
 def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int,
-                 seed: int, chain_tol: float) -> tuple[bool, list, list]:
+                 seed: int) -> tuple[bool, list, list]:
     """The check-lemmas corpus: from one RNG, at the first lam, the chain over ``pairs``
     weights and max(1, pairs // 4) uncertainty samples with |xi| <= 8; the envelope."""
     nspec = normalize_phase(phase, spec).spec
@@ -574,7 +595,7 @@ def lemma_checks(phase: Phase, spec: FiniteTypeSpec, lambdas, p: int, pairs: int
     except OscillabError as exc:
         raise OscillabError(f"lambda = {lam!r}: {exc}") from None
     rng = np.random.default_rng(seed)
-    holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng, chain_tol)
+    holds = weight_chain_holds(p, lambdas[0], spec.ell, pairs, rng)
     mols = uncertainty_samples(phase, spec, lambdas[0], 8.0, max(1, pairs // 4), rng, seed)
     return holds, mols, envelope_constants(phase, spec, lambdas, p)
 
@@ -598,6 +619,50 @@ def lp_checks(fam: DyadicFamily, spaced, pairs: int, seed: int) -> tuple[float, 
         sf.L: _band_samples(grid, (0.0, 2.0**7), 1, rng,
                             lambda f, w, pv: spaced_ratio(f, w, sf, pv), label)
         for sf in spaced}
+
+
+# ---------------------------------------------------------------------------
+# pass rules: one verdict per check, the CLI's and the acceptance criteria's
+
+
+def slope_holds(rep: SweepReport, target: float, tol: float) -> bool:
+    """sweep-operator and sweep-maximal: a fitted slope within tol of target
+    (OPERATOR_SLOPE_TOL of -1/ell, MAXIMAL_SLOPE_TOL of -2/ell)."""
+    return bool(not rep.insufficient and abs(rep.slope - target) <= tol)
+
+
+def kernel_decay_holds(factor: float, tail_bounded: bool) -> bool:
+    """kernel-decay, from :func:`kernel_decay_sweep`'s factor and tail flag."""
+    return bool(factor < DECAY_FACTOR and tail_bounded)
+
+
+def two_weight_holds(sweep: TwoWeightSweep) -> bool:
+    """check-main: no sample with rhs = 0 < lhs, and the largest ratios
+    stable across lambda."""
+    return bool(sweep.violation is None
+                and stability_factor([v for _, v in sweep.maxima]) < TWO_WEIGHT_FACTOR)
+
+
+def lemmas_hold(chain_holds: bool, mols, envelope) -> bool:
+    """check-lemmas, from :func:`lemma_checks`' three results: the chain holds,
+    no (mol, mol2) ratio exceeds 1 + MOLLIFIER_SLACK, and the envelope constants
+    are stable across lambda."""
+    return bool(chain_holds
+                and all(rs.ratio <= 1 + MOLLIFIER_SLACK for pair in mols for rs in pair)
+                and stability_factor([rs.ratio for rs in envelope]) < ENVELOPE_FACTOR)
+
+
+def lp_holds(deviation: float, square) -> bool:
+    """check-lp, from the telescoping deviation and the square-function samples."""
+    lo, hi = ENERGY_WINDOW
+    return bool(deviation <= TELESCOPING_TOL
+                and all(sq.reconstruction_error <= RECONSTRUCTION_TOL for sq in square)
+                and all(lo <= sq.energy_ratio <= hi for sq in square))
+
+
+def constant_weight_holds(deviation: float) -> bool:
+    """maximal on a constant weight: the relative deviation from 2 lam^(-2/ell)."""
+    return bool(deviation <= CONSTANT_WEIGHT_DEV)
 
 
 # ---------------------------------------------------------------------------
