@@ -991,7 +991,7 @@ _HANDLER_LITERAL_BOUNDS = {
 def test_handlers_restate_no_bound():
     # every check's pass rule and its bounds live in verify (slope_holds,
     # two_weight_holds and the others), which the acceptance criteria assert
-    # too; the handlers used to keep copies, such as check-main's factor < 2.0
+    # too; a handler comparing against its own copy, such as factor < 2.0, fails
     def is_number(node):
         return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
