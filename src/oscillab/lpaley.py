@@ -117,9 +117,11 @@ def square_function(pieces: list[SampledFunction]) -> SampledFunction:
 # support; the rest of a row keeps the values of a precomputed zero row. spaced_energy
 # holds one block of pieces at a time; spaced_pieces returns every piece.
 MAX_PIECES = 2**16
-# Samples in one block of pieces (2 MiB of complex128, about one core's L2 cache):
-# 32 pieces on the n = 4096 grid, 16 on n = 8192, 1 from n = 2^17 on.
-_BLOCK_SAMPLES = 2**17
+# Samples in one block of pieces, the working set of _RowInverter: its row and output
+# blocks take 16 B per sample each (2 MiB together, about one core's L2 cache), its
+# energy block 8 B more. 16 pieces on the n = 4096 grid, 8 on n = 8192, 1 from
+# n = 2^16 on.
+_BLOCK_SAMPLES = 2**16
 # Window samples in one evaluation (64 KiB of float64).
 _WINDOW_SAMPLES = 2**13
 

@@ -157,7 +157,7 @@ class Weight:
         v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v) & (v >= 0)):
+        if not (v.min() >= 0 and v.max() < np.inf):  # NaN fails the first
             raise ValueError("weight values must be finite and nonnegative")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -204,9 +204,11 @@ def inverse_transform(fhat: SpectralFunction) -> SampledFunction:
 
 class _RowInverter:
     """Inverts spectra given on their supports alone, up to ``block`` = max(1,
-    samples // n) rows at a time, through one row block, one output and one energy
-    block of ``block`` rows. They are allocated once, on first use, after the
-    caller's first window evaluation has dropped its temporaries.
+    samples // n) rows at a time, through three blocks of ``block`` rows: the row
+    block (complex128, the spectra to invert), the output block (complex128, their
+    inverses) and the energy block (float64, their weighted squares), 40 B per
+    sample in all. They are allocated once, on first use, after the caller's first
+    window evaluation has dropped its temporaries.
 
     The row block is filled once from the zero row, the (0j * phase) / h that the
     dense expression of :func:`inverse_transform` writes at every sample outside a
@@ -365,7 +367,8 @@ def lp_norm(f: SampledFunction | Weight, p: float) -> float:
     a = np.abs(f.values)
     if np.isinf(p):
         return float(np.max(a)) if len(a) else 0.0
-    return float((f.grid.h * np.sum(a**p)) ** (1.0 / p))
+    # pow(+0, p) = +0, and numpy's pow takes a slow path on zeros: they are left as they are
+    return float((f.grid.h * np.sum(np.power(a, p, out=a, where=a > 0.0))) ** (1.0 / p))
 
 
 def weighted_l2(f: SampledFunction, w: Weight) -> float:

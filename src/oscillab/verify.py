@@ -440,7 +440,9 @@ def envelope_check(phase: Phase, spec: FiniteTypeSpec, lam: float, p: int, k: in
         raise OscillabError(f"|k|={abs(k)} not comparable to 2^p lam^(1/ell)/L = {k0:.1f}")
     grid = kernel.grid
     khat = forward_transform(kernel.samples)
+    del kernel  # its samples are not read again, nor khat once tpsi is built
     tpsi = restrict(khat, smooth_plateau((khat.freq_grid.xs - k * L) / L, 2.0, 4.0))
+    del khat
     half = grid.n // 4  # inner window: spectral wrap pollutes the outer edge
     mid = grid.n // 2
     window = slice(mid - half, mid + half)

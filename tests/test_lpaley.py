@@ -482,12 +482,17 @@ class TestSpacedEnergyPruning:
         # Every window is evaluated, and again only where the head check fails: with
         # the faint line first, the pieces before it are inverted after it. Under the
         # spike, the faint piece's energy is too small to prove the skip of the
-        # roundoff after it in its block, and those pieces are inverted one by one
-        # from the block's values, with no window evaluated again.
+        # roundoff after it in its block, and those pieces (409 to 415) are inverted
+        # one by one from the block's values, with no window evaluated again. A row is
+        # also inverted alone where it is the one row its block keeps: with the faint
+        # line first, three roundoff pieces between the lines, in 16-row blocks.
         fallback = [i for i in order if i < order[0]]
         assert fallback == (list(range(order[0])) if case.startswith("faint") else [])
         assert sorted(evaluated) == sorted(ks.tolist() + ks[fallback].tolist())
-        assert any(len(rows) == 1 for rows in seen) == (case == "faint-spike-w")
+        at = np.cumsum([0] + [len(rows) for rows in seen])
+        alone = [order[a] for a, b in zip(at[:-1], at[1:]) if b - a == 1]
+        assert alone == {"faint-then-strong": [843, 874, 956],
+                         "faint-spike-w": list(range(409, 416))}.get(case, [])
 
     # E_k <= B_k / 2 for a varying weight; for w = 1 Parseval makes the bound
     # sharp, so 2 E_k / B_k is 1 up to rounding and the factor 2 is all margin

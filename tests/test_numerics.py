@@ -2,6 +2,7 @@
 closed forms and a direct-summation oracle."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from oscillab.numerics import (Grid, SampledFunction, SpectralFunction, Weight,
 from oscillab.verify import approach_grid
 
 from conftest import convolve_direct, index_of, sampled, save_weight_csv, traced_peak
+
+
+TOP = np.finfo(float).max
 
 
 def gaussian(grid):
@@ -399,6 +403,28 @@ class TestNorms:
         w2 = w1 + rng.uniform(0, 1, g.n)
         assert weighted_l2(f, Weight(g, w1)) <= weighted_l2(f, Weight(g, w2))
 
+    # lp_norm raises only the nonzero samples to p: pow(+0, p) = +0, so the sum
+    # keeps the bits of the dense a**p, with every edge value present; at the
+    # scale 1e-300 the subnormals and their underflow make up the whole sum
+    @pytest.mark.parametrize("p", [1, 2, 3, 1.5, 5 / 3])
+    @pytest.mark.parametrize("scale, tail", [(1.0, []), (1e-300, []), (1.0, [-TOP]),
+                                             (1.0, [np.inf])],
+                             ids=["finite", "tiny", "overflow", "inf"])
+    def test_power_of_the_nonzero_samples_bitwise(self, p, scale, tail):
+        g = Grid(0.0, 4.0, 128)
+        rng = np.random.default_rng(7)
+        edge = [0.0, -0.0, complex(-0.0, -0.0), 5e-324, -2.5e-310, 1e-300j]
+        if scale == 1.0:
+            edge.append(0.25 * TOP ** (1.0 / p))  # its p-th power 4^-p of the largest float
+        v = scale * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+        v[rng.random(g.n) < 0.3] = 0.0
+        v[:len(edge) + len(tail)] = edge + tail
+        for f in (SampledFunction(g, v), Weight(g, np.minimum(np.abs(v), TOP))):
+            with np.errstate(over="ignore"):
+                expected = float((g.h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+                assert np.float64(lp_norm(f, p)).tobytes() == np.float64(expected).tobytes()
+            assert math.isfinite(expected) == (not tail)
+
     def test_absolute_homogeneity(self):
         g = Grid(0.0, 4.0, 128)
         f = gaussian(g)
@@ -449,6 +475,19 @@ class TestWeight:
         values[5] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
             Weight(g, values)
+
+    # judged by the min and the max alone, NaN and inf above: -0.0 is nonnegative
+    @pytest.mark.parametrize("value, accepted", [
+        (-0.0, True), (5e-324, True), (TOP, True), (-5e-324, False), (-1.0, False)])
+    def test_validation_reads_the_extremes(self, value, accepted):
+        g = Grid(0.0, 4.0, 64)
+        values = np.ones(g.n)
+        values[[0, 9, 63]] = value
+        if accepted:
+            assert Weight(g, values).values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Weight(g, values)
 
     def test_values_immutable(self):
         g = Grid(0.0, 4.0, 64)

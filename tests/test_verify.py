@@ -389,7 +389,14 @@ class TestSweepMemory:
     sweep keeps the kernel's padded spectrum (2 arrays), not the kernel: while
     its samples lived through the corpus, the peak was 7.5. The two-weight sweep
     keeps that spectrum too: at lambda = 1024 with 3 pairs it peaks at 7.6
-    complex arrays, and at 8.6 while its kernel lived through the pairs."""
+    complex arrays, and at 8.6 while its kernel lived through the pairs.
+
+    check-lp's defaults (8 pairs) peak at 55.9 complex arrays of n = 4096, 32 of
+    them the row inverter's three blocks of 16 rows; with 32-row blocks, at 95.8.
+    check-lemmas at lambda = 256, 1024 and 4096 with 20 pairs peaks at 6.0 complex
+    arrays of n = 65,536, and at 7.0 while the envelope's kernel lived through its
+    restriction. kernel-decay at lambda = 64 and 16384 peaks at 4.5 complex arrays
+    of n = 32,768."""
 
     def test_maximal_sweep_holds_one_weight_at_a_time(self):
         n = Grid.from_step(0.0, 2.0, 1.0 / (16.0 * 256.0)).n
@@ -410,6 +417,27 @@ class TestSweepMemory:
         n = Grid.from_step(0.0, 4.0, step).n
         two_weight_sweep(ph, spec, [1024.0], 3, 0)
         assert traced_peak(lambda: two_weight_sweep(ph, spec, [1024.0], 3, 0)) <= 8 * 16 * n
+
+    def test_lp_checks_holds_one_block_of_pieces(self):
+        fam, spaced = DyadicFamily(-2, 8), [lpaley.SpacedFamily(L) for L in (0.125, 0.5, 2.0, 8.0)]
+        verify.lp_checks(fam, spaced, 8, 0)
+        assert traced_peak(lambda: verify.lp_checks(fam, spaced, 8, 0)) <= 56.4 * 16 * 4096
+
+    def test_lemma_checks_drops_the_envelope_kernel(self):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        lambdas = [256.0, 1024.0, 4096.0]
+        n = normalized_kernel(ph, spec, 4096.0, 8.0).grid.n
+        verify.lemma_checks(ph, spec, lambdas, 3, 20, 0)
+        assert traced_peak(lambda: verify.lemma_checks(ph, spec, lambdas, 3, 20, 0)) <= 6.5 * 16 * n
+
+    def test_kernel_decay_sweep_holds_one_kernel(self):
+        ph = Phase.monomial(3)
+        spec = finite_type_spec(ph, 0.0, 3, epsilon=1.0, support_halfwidth=0.5)
+        n = normalized_kernel(ph, spec, 16384.0, 1.0).grid.n
+        lambdas = [64.0, 16384.0]
+        verify.kernel_decay_sweep(ph, spec, lambdas, 4)
+        assert traced_peak(lambda: verify.kernel_decay_sweep(ph, spec, lambdas, 4)) <= 5 * 16 * n
 
     def test_operator_sweep_frees_the_kernel_samples_before_any_input(self, monkeypatch):
         ph = Phase.monomial(3)
